@@ -38,7 +38,7 @@ import scipy
 from . import __version__, circuits, control, coupling, experiments, gates
 from . import dynamics as dyn
 from . import surface_code as sc
-from .qcore import to_angular
+from .qcore import SIGMA_X, SIGMA_Z, to_angular
 
 
 class ConfigError(ValueError):
@@ -228,16 +228,12 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
                "t_end_ns": ..., "dt_ns": 0.01, "samples": 201}
     c = validate_keys(cfg, allowed)
-    collapse = []
-    if np.isfinite(c["t1_ns"]):
-        collapse.append(dyn.qubit_decay(1.0 / c["t1_ns"]))
-    if np.isfinite(c["t2_ns"]):
-        gphi = 1.0 / c["t2_ns"] - 0.5 / max(c["t1_ns"], 1e-12)
-        if gphi > 0:
-            collapse.append(dyn.qubit_dephasing(gphi))
+    # the default T2 = inf means no pure dephasing, i.e. T2 = 2 T1
+    t2 = c["t2_ns"] if np.isfinite(c["t2_ns"]) else 2 * c["t1_ns"]
+    collapse = dyn.qubit_collapse_ops(c["t1_ns"], t2)
     h = (
         to_angular(c["detuning_ghz"]) * np.diag([0.0, 1.0]).astype(complex)
-        + 0.5 * to_angular(c["drive_ghz"]) * np.array([[0, 1], [1, 0]], complex)
+        + 0.5 * to_angular(c["drive_ghz"]) * SIGMA_X.entries
     )
     times = np.linspace(0.0, c["t_end_ns"], int(c["samples"]))
     res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
@@ -324,7 +320,7 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
     write_csv(out / "filter.csv", ["omega_rad_per_ns", "filter"],
               [(float(w), float(v)) for w, v in zip(grid, f)])
     h_qe = control.qubit_env_coupling(to_angular(c["j_z_ghz"]), "z",
-                                      np.array([[1, 0], [0, -1]], complex))
+                                      SIGMA_Z.entries)
     u = control.sequence_propagator(seq, h_qe)
     from .qcore import global_phase_distance
     residual = global_phase_distance(u.entries, np.eye(4))
@@ -453,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (must be writable)")
         p.add_argument("--seed", type=int, default=0,
                        help="64-bit RNG seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="thread cap for numeric kernels (best effort)")
         if name == "qec":
             p.add_argument("--d", type=int, default=None)
             p.add_argument("--p", type=float, default=None)
@@ -479,12 +473,6 @@ def main(argv=None) -> int:
             raise ConfigError("seed must fit in 64 bits")
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        if args.threads and args.threads > 1:
-            try:
-                from threadpoolctl import threadpool_limits
-                threadpool_limits(limits=args.threads)
-            except ImportError:
-                pass
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

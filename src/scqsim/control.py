@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Operator, expm_hermitian, pauli, rotation_operator, tensor
+from .qcore import Operator, pauli, rotation_operator, step_unitaries, tensor
 
 TWO_PI = 2.0 * np.pi
 
@@ -183,18 +183,17 @@ def three_level_drive_ops(lam: float):
 
 def _three_level_unitary(p: PulseEnvelope, alpha: float, lam: float,
                          refine: int) -> np.ndarray:
-    sx, sy = three_level_drive_ops(lam)
-    h0 = np.diag([0.0, 0.0, alpha]).astype(complex)
-    t = p.times
+    # ``refine`` midpoint steps per sample interval, the quadratures
+    # interpolated linearly to each midpoint
+    frac = (np.arange(refine) + 0.5) / refine
+    amps = [np.outer(q[:-1], 1 - frac) + np.outer(q[1:], frac)
+            for q in (p.omega_x, p.omega_y)]
     u = np.eye(3, dtype=complex)
-    for i in range(len(t) - 1):
-        sub = (t[i + 1] - t[i]) / refine
-        for j in range(refine):
-            frac = (j + 0.5) / refine
-            ox = (1 - frac) * p.omega_x[i] + frac * p.omega_x[i + 1]
-            oy = (1 - frac) * p.omega_y[i] + frac * p.omega_y[i + 1]
-            h = h0 + 0.5 * ox * sx + 0.5 * oy * sy
-            u = expm_hermitian(h, scale=-1j * sub) @ u
+    for step, _, _ in step_unitaries(
+            np.diag([0.0, 0.0, alpha]), three_level_drive_ops(lam),
+            0.5 * np.reshape(amps, (2, -1)),
+            np.repeat(np.diff(p.times) / refine, refine)):
+        u = step @ u
     return u
 
 
@@ -285,18 +284,6 @@ class GrapeResult:
         return 1.0 - self.infidelity
 
 
-def _slice_unitaries(prob: GrapeProblem, u: np.ndarray):
-    """Eigendecompose every slice generator; return (U_j, evals, vecs) lists."""
-    us, evs, vs = [], [], []
-    for j in range(prob.n_slices):
-        a = prob.h0 + sum(u[k, j] * prob.controls[k] for k in range(len(prob.controls)))
-        lam, vec = np.linalg.eigh(a)
-        us.append((vec * np.exp(-1j * prob.dt * lam)) @ vec.conj().T)
-        evs.append(lam)
-        vs.append(vec)
-    return us, evs, vs
-
-
 def _target_and_phase(prob: GrapeProblem, u_total: np.ndarray):
     """Effective target (free phase pinned at its optimum) and that phase."""
     if prob.free_phase_level is None:
@@ -329,7 +316,8 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
     derivative keeps the finite-difference check tight at finite dt.
     """
     n_ctrl, n = u.shape
-    us, evs, vs = _slice_unitaries(prob, u)
+    us, evs, vs = zip(*step_unitaries(prob.h0, prob.controls, u,
+                                      np.full(n, prob.dt)))
     d = prob.dim
     fwd = [np.eye(d, dtype=complex)]
     for uj in us:
@@ -488,9 +476,9 @@ def phi2_scan_fidelity(prob: GrapeProblem, amplitudes: np.ndarray,
     gate by up to ~(pi/npoints)^2-scale fidelity, so the refined value is
     the one quoted against fidelity targets.
     """
-    us, _, _ = _slice_unitaries(prob, np.asarray(amplitudes, float))
     u_total = np.eye(prob.dim, dtype=complex)
-    for uj in us:
+    for uj, _, _ in step_unitaries(prob.h0, prob.controls, amplitudes,
+                                   np.full(prob.n_slices, prob.dt)):
         u_total = uj @ u_total
     if prob.free_phase_level is None:
         return float(abs(np.trace(prob.target.conj().T @ u_total)) ** 2 / prob.dim**2)
@@ -656,15 +644,17 @@ def sequence_propagator(seq: RefocusSequence, h_qe, env_dim: int | None = None) 
             raise ValueError("h_qe must act on qubit x environment")
         env_dim = dim // 2
     eye_env = np.eye(env_dim)
+    # free evolution before each pulse and after the last; zero gaps skipped
+    edges = [0.0] + [t for t, _, _ in seq.pulses] + [seq.tau]
+    gaps = [t1 - t0 for t0, t1 in zip(edges, edges[1:])]
+    free = step_unitaries(hm, (), (), [g for g in gaps if g > 0])
     u = np.eye(dim, dtype=complex)
-    t_prev = 0.0
-    for t, axis, angle in seq.pulses:
-        if t > t_prev:
-            u = expm_hermitian(hm, scale=-1j * (t - t_prev)) @ u
-        u = tensor(rotation_operator(axis, angle), eye_env).entries @ u
-        t_prev = t
-    if seq.tau > t_prev:
-        u = expm_hermitian(hm, scale=-1j * (seq.tau - t_prev)) @ u
+    for gap, pulse in zip(gaps, [*seq.pulses, None]):
+        if gap > 0:
+            u = next(free)[0] @ u
+        if pulse is not None:
+            _, axis, angle = pulse
+            u = tensor(rotation_operator(axis, angle), eye_env).entries @ u
     return Operator(u)
 
 

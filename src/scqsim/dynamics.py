@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, Operator, StateVector, annihilation, expm_hermitian
+from .qcore import (DensityMatrix, Operator, StateVector, annihilation,
+                    expm_hermitian, step_unitaries)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
@@ -116,6 +117,25 @@ def resonator_decay(kappa: float, n_levels: int) -> Operator:
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     return Operator(np.sqrt(kappa / (2 * np.pi)) * annihilation(n_levels).entries)
+
+
+def qubit_collapse_ops(t1: float, t2: float) -> list:
+    """Collapse operators of a qubit with energy decay T1 and coherence T2 (ns).
+
+    An infinite T1 drops the decay operator; pure dephasing at
+    Gamma_phi = 1/T2 - 1/(2 T1) is added only when positive, so T2 = 2 T1
+    (or an infinite T2) means no pure dephasing.  T2 > 2 T1 is unphysical
+    and raises ValueError.
+    """
+    if t2 > 2 * t1 + 1e-12:
+        raise ValueError("T2 cannot exceed 2 T1")
+    ops = []
+    if np.isfinite(t1):
+        ops.append(qubit_decay(1.0 / t1))
+    gamma_phi = (1.0 / t2 - 0.5 / t1) if np.isfinite(t2) else 0.0
+    if gamma_phi > 0:
+        ops.append(qubit_dephasing(gamma_phi))
+    return ops
 
 
 def kappa_for_photon_rate(rate_per_ns: float) -> float:
@@ -250,15 +270,21 @@ def _repair(rho: np.ndarray, t: float = 0.0) -> np.ndarray:
 
 def step_propagators(h: TimeDependentH, times: np.ndarray, dt: float):
     """Midpoint-sampled piecewise-constant propagators over each [t_i, t_i+1]."""
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
+    nsubs, mids, durations = [], [], []
+    for t0, t1 in zip(times[:-1], times[1:]):
         span = t1 - t0
         nsub = max(int(np.ceil(span / dt - 1e-12)), 1)
         sub = span / nsub
+        nsubs.append(nsub)
+        mids += [t0 + (j + 0.5) * sub for j in range(nsub)]
+        durations += [sub] * nsub
+    amplitudes = [[float(fn(t)) for t in mids] for _, fn in h.drives]
+    steps = step_unitaries(h.static, [op for op, _ in h.drives], amplitudes,
+                           durations)
+    for nsub in nsubs:
         u = np.eye(h.dim, dtype=complex)
-        for j in range(nsub):
-            tm = t0 + (j + 0.5) * sub
-            u = expm_hermitian(h.at(tm), scale=-1j * sub) @ u
+        for _ in range(nsub):
+            u = next(steps)[0] @ u
         yield u
 
 

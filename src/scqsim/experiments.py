@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .coupling import DispersiveLimitError, JCParams
-from .dynamics import lindblad_evolve, qubit_decay, qubit_dephasing
-from .qcore import Operator, to_angular
+from .dynamics import lindblad_evolve, qubit_collapse_ops
+from .qcore import H_GATE, PAULIS, S_GATE, SIGMA_X, Operator, to_angular
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 N_Q = np.diag([0.0, 1.0]).astype(complex)
 
 
@@ -79,18 +79,6 @@ class ExperimentData:
     label: str = ""
 
 
-def _collapse_ops(t1: float, t2: float):
-    if t2 > 2 * t1 + 1e-12:
-        raise ValueError("T2 cannot exceed 2 T1")
-    ops = []
-    if np.isfinite(t1):
-        ops.append(qubit_decay(1.0 / t1))
-    gamma_phi = (1.0 / t2 - 0.5 / t1) if np.isfinite(t2) else 0.0
-    if gamma_phi > 0:
-        ops.append(qubit_dephasing(gamma_phi))
-    return ops
-
-
 # ---------------------------------------------------------------------------
 # Spectroscopy
 # ---------------------------------------------------------------------------
@@ -141,7 +129,7 @@ def two_tone_scan(
             stacklevel=2,
         )
     peak = omega_q - chi
-    collapse = _collapse_ops(t1, t2)
+    collapse = qubit_collapse_ops(t1, t2)
     t_end = settle * t2
     if dt is None:
         dt = min(t2 / 200.0, 0.5)
@@ -149,7 +137,7 @@ def two_tone_scan(
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     for i, wd in enumerate(np.asarray(omega_d, dtype=float)):
         delta = to_angular(peak - wd)
-        h = delta * N_Q + 0.5 * drive_rate * SIGMA_X
+        h = delta * N_Q + 0.5 * drive_rate * SIGMA_X.entries
         res = lindblad_evolve(h, rho0, collapse, times=np.array([0.0, t_end]),
                               dt=dt, e_ops={"p1": N_Q})
         out[i] = res.expectations["p1"][-1]
@@ -172,9 +160,9 @@ def run_rabi(rabi_rate: float, taus: np.ndarray, t1: float = np.inf,
     taus = np.asarray(taus, dtype=float)
     if dt is None:
         dt = min(0.05 / max(rabi_rate / (2 * np.pi), 1e-6), 1.0)
-    h = 0.5 * rabi_rate * SIGMA_X
+    h = 0.5 * rabi_rate * SIGMA_X.entries
     res = lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex),
-                          _collapse_ops(t1, t2), times=taus, dt=dt,
+                          qubit_collapse_ops(t1, t2), times=taus, dt=dt,
                           e_ops={"p1": N_Q})
     rng = np.random.default_rng(seed)
     pairs = [readout.sample(p, rng) for p in res.expectations["p1"]]
@@ -200,7 +188,7 @@ def run_t1(taus: np.ndarray, t1: float, t2: float | None = None,
     if dt is None:
         dt = t1 / 200.0
     res = lindblad_evolve(np.zeros((2, 2), dtype=complex), rho0,
-                          _collapse_ops(t1, t2), times=taus, dt=dt,
+                          qubit_collapse_ops(t1, t2), times=taus, dt=dt,
                           e_ops={"p1": N_Q})
     rng = np.random.default_rng(seed)
     pairs = [readout.sample(p, rng) for p in res.expectations["p1"]]
@@ -224,7 +212,7 @@ def run_ramsey(taus: np.ndarray, t1: float, t2: float, detuning: float,
     h = to_angular(detuning) * N_Q
     if dt is None:
         dt = min(t2 / 200.0, 0.05 / max(abs(detuning), 1e-6))
-    res = lindblad_evolve(h, rho0, _collapse_ops(t1, t2), times=taus, dt=dt)
+    res = lindblad_evolve(h, rho0, qubit_collapse_ops(t1, t2), times=taus, dt=dt)
     rng = np.random.default_rng(seed)
     means, sems = [], []
     for state in res.states:
@@ -452,10 +440,6 @@ class Clifford1Q:
     word: str
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-
 def _phase_key(m: np.ndarray) -> tuple:
     # normalize the global phase on the first clearly nonzero entry
     # (Clifford entries have magnitude 0, 1/sqrt2, or 1, so a 0.3 threshold
@@ -479,7 +463,7 @@ def clifford_1q() -> list[Clifford1Q]:
     while frontier and len(found) < 24:
         nxt = []
         for word, m in sorted(frontier, key=lambda t: t[0]):
-            for gname, g in (("H", _H), ("S", _S)):
+            for gname, g in (("H", H_GATE.entries), ("S", S_GATE.entries)):
                 w2 = word + gname
                 m2 = g @ m
                 key = _phase_key(m2)
@@ -496,63 +480,26 @@ def clifford_1q() -> list[Clifford1Q]:
 # Randomized benchmarking
 # ---------------------------------------------------------------------------
 
-_PAULI_LETTERS = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
-                  "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-                  "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+@lru_cache(maxsize=None)
+def _clifford_table() -> tuple[np.ndarray, np.ndarray]:
+    """Multiplication table of :func:`clifford_1q` and each element's inverse.
 
-
-def _conjugation_image(u: np.ndarray, letter: str) -> tuple[str, int]:
-    m = u @ _PAULI_LETTERS[letter] @ u.conj().T
-    for name, p in _PAULI_LETTERS.items():
-        ov = np.trace(p @ m) / 2
-        if abs(abs(ov) - 1) < 1e-9:
-            return name, int(np.sign(ov.real))
-    raise ValueError("not a Clifford operation")
-
-
-@dataclass(frozen=True)
-class _Tableau1Q:
-    """Images of X and Z under conjugation: a single-qubit Clifford tableau."""
-
-    x_img: tuple
-    z_img: tuple
-
-    def compose(self, after: "_Tableau1Q") -> "_Tableau1Q":
-        """Tableau of (after o self)."""
-
-        def push(img):
-            letter, sign = img
-            if letter == "X":
-                l2, s2 = after.x_img
-            elif letter == "Z":
-                l2, s2 = after.z_img
-            else:                      # Y = i X Z
-                lx, sx = after.x_img
-                lz, sz = after.z_img
-                from .surface_code import _PAULI_MUL
-                l2, k = _PAULI_MUL[(lx, lz)]
-                # i * X Z = Y; carry through: i^(1+k) should be +-1 * letter
-                phase = (1 + k) % 4
-                s2 = sx * sz * (1 if phase == 0 else -1)
-                if phase % 2:
-                    raise AssertionError("non-Hermitian image")
-            return l2, sign * s2
-
-        return _Tableau1Q(push(self.x_img), push(self.z_img))
-
-    def inverse_of(self, elements: list["_Tableau1Q"]) -> int:
-        ident = _Tableau1Q(("X", 1), ("Z", 1))
-        for i, t in enumerate(elements):
-            if self.compose(t) == ident:
-                return i
-        raise ValueError("no inverse found (group table incomplete)")
+    ``table[a, b]`` is the index of the element applying a, then b (matrix
+    M_b @ M_a up to phase); ``inverse[a]`` is the b with ``table[a, b] == 0``,
+    the identity.
+    """
+    mats = [c.op.entries for c in clifford_1q()]
+    index = {_phase_key(m): i for i, m in enumerate(mats)}
+    table = np.array([[index[_phase_key(mb @ ma)] for mb in mats] for ma in mats])
+    inverse = np.argmax(table == 0, axis=1)
+    table.setflags(write=False)           # shared by every caller of the cache
+    inverse.setflags(write=False)
+    return table, inverse
 
 
 def _ptm(u: np.ndarray) -> np.ndarray:
     """Pauli transfer matrix of a unitary on (I, X, Y, Z)/sqrt-free basis."""
-    paulis = [np.eye(2, dtype=complex)] + [
-        _PAULI_LETTERS[l] for l in ("X", "Y", "Z")
-    ]
+    paulis = [PAULIS[l].entries for l in "IXYZ"]
     r = np.empty((4, 4))
     for i, pi in enumerate(paulis):
         for j, pj in enumerate(paulis):
@@ -637,14 +584,9 @@ class RBResult:
 def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarray]:
     cliff = clifford_1q()
     ptms = [_ptm(np.asarray(c.op.entries)) for c in cliff]
-    tabs = [
-        _Tableau1Q(_conjugation_image(np.asarray(c.op.entries), "X"),
-                   _conjugation_image(np.asarray(c.op.entries), "Z"))
-        for c in cliff
-    ]
+    table, inverse = _clifford_table()
     e_ptm = _error_ptm(cfg.error)
     i_ptm = ptms[cfg.interleaved] if interleave else None
-    i_tab = tabs[cfg.interleaved] if interleave else None
     ie_ptm = _error_ptm(cfg.interleaved_error or {}) if interleave else None
 
     # prep: |0> with optional classical preparation error
@@ -659,15 +601,14 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
         for s in range(cfg.sequences_per_length):
             picks = rng.integers(0, 24, size=m)
             v = v0.copy()
-            acc = _Tableau1Q(("X", 1), ("Z", 1))
+            acc = 0                       # index of the running composite
             for g in picks:
                 v = e_ptm @ (ptms[g] @ v)
-                acc = acc.compose(tabs[g])
+                acc = table[acc, g]
                 if interleave:
                     v = ie_ptm @ (i_ptm @ v)
-                    acc = acc.compose(i_tab)
-            inv = acc.inverse_of(tabs)
-            v = e_ptm @ (ptms[inv] @ v)
+                    acc = table[acc, cfg.interleaved]
+            v = e_ptm @ (ptms[inverse[acc]] @ v)
             p1 = 0.5 * (1.0 - v[3])
             q = (1 - cfg.eps10) * (1 - p1) + cfg.eps01 * p1   # observed P(0)
             q = float(np.clip(q, 0.0, 1.0))
@@ -714,7 +655,7 @@ def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
 
 def rb_standard(cfg: RBConfig) -> RBResult:
     """Standard Clifford-group RB: random sequences closed by the exact
-    inverse (tableau inversion), survival fit A p^m + B, and the average
+    inverse (a Clifford-table lookup), survival fit A p^m + B, and the average
     infidelity r = (d - 1)(1 - p)/d with d = 2.
     """
     means, sems = _rb_survival(cfg, interleave=False)

@@ -17,9 +17,9 @@ from .coupling import DispersiveLimitError, JCParams, TwoQubitParams
 from .qcore import (
     Operator,
     annihilation,
-    expm_hermitian,
     number_op,
     pauli,
+    step_unitaries,
     tensor,
     to_angular,
 )
@@ -317,14 +317,16 @@ def cz_adiabatic_simulate(
     """
     nsteps = max(int(np.ceil(tau / dt)), 1)
     sub = tau / nsteps
-    dim = 9
-    u = np.eye(dim, dtype=complex)
+    # H is linear in omega_q2: H(omega_q2 = 0) + omega_q2 n_2
+    h_fixed = two_transmon_hamiltonian(omega_q1, 0.0, alpha_1, alpha_2, j).entries
+    n_2 = tensor(np.eye(3), number_op(3)).entries
+    omega_q2 = [bias_fn((i + 0.5) * sub) for i in range(nsteps)]
+    u = np.eye(9, dtype=complex)
     idx11, idx02 = _bare_index(1, 1), _bare_index(0, 2)
     max_02 = 0.0
-    for i in range(nsteps):
-        tm = (i + 0.5) * sub
-        h = two_transmon_hamiltonian(omega_q1, bias_fn(tm), alpha_1, alpha_2, j)
-        u = expm_hermitian(to_angular(h.entries), scale=-1j * sub) @ u
+    for step, _, _ in step_unitaries(to_angular(h_fixed), [to_angular(n_2)],
+                                     [omega_q2], np.full(nsteps, sub)):
+        u = step @ u
         max_02 = max(max_02, float(abs(u[idx02, idx11]) ** 2))
     phases = {
         lbl: np.angle(u[_bare_index(*lbl), _bare_index(*lbl)])

@@ -213,8 +213,9 @@ CNOT_GATE = Operator(
 )
 CZ_GATE = Operator(np.diag([1.0, 1.0, 1.0, -1.0]), hermitian=True, unitary=True)
 
-_PAULI = {"i": np.eye(2, dtype=complex), "x": SIGMA_X.entries,
-          "y": SIGMA_Y.entries, "z": SIGMA_Z.entries}
+PAULIS = {"I": Operator(np.eye(2), hermitian=True, unitary=True),
+          "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+"""The single-qubit Pauli table, keyed by upper-case letter."""
 
 
 def identity(dim: int) -> Operator:
@@ -223,7 +224,7 @@ def identity(dim: int) -> Operator:
 
 def pauli(axis: str) -> Operator:
     try:
-        return Operator(_PAULI[axis.lower()], hermitian=True, unitary=True)
+        return PAULIS[axis.upper()]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
@@ -296,6 +297,39 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * H) for Hermitian H via eigendecomposition."""
     evals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(scale * evals)) @ vecs.conj().T
+
+
+STEP_BLOCK = 64
+"""Steps per batched eigendecomposition in :func:`step_unitaries`."""
+
+
+def step_unitaries(h0, controls, amplitudes, durations):
+    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), one per step.
+
+    H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns), summed in that
+    order; ``durations`` holds the dt_j in ns (zero widths are allowed).
+    Yields ``(U_j, evals_j, vecs_j)`` per step, where H_j = vecs_j
+    diag(evals_j) vecs_j^dag.  The steps are diagonalized with a batched
+    ``eigh`` in blocks of ``STEP_BLOCK``, so memory does not grow with the
+    step count; each U_j is formed the way ``expm_hermitian(H_j, -1j * dt_j)``
+    forms it.
+    """
+    h0 = _as_matrix(h0)
+    dim = h0.shape[0]
+    durations = np.asarray(durations, dtype=float).reshape(-1)
+    controls = np.asarray(controls, dtype=complex).reshape(-1, dim, dim)
+    amplitudes = np.asarray(amplitudes, dtype=float).reshape(len(controls),
+                                                             len(durations))
+    for start in range(0, len(durations), STEP_BLOCK):
+        block = slice(start, start + STEP_BLOCK)
+        dts = durations[block]
+        h = np.broadcast_to(h0, (len(dts), dim, dim))
+        for c, a in zip(controls, amplitudes[:, block]):
+            h = h + a[:, None, None] * c
+        evals, vecs = np.linalg.eigh(h)
+        phases = np.exp((-1j * dts)[:, None] * evals)
+        us = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        yield from zip(us, evals, vecs)
 
 
 def matrix_exp(a) -> Operator:

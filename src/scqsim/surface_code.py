@@ -30,14 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import StateVector
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .qcore import PAULIS, StateVector
 
 # (letter1, letter2) -> (letter, phase-exponent of i) for single-qubit products
 _PAULI_MUL = {
@@ -106,7 +99,7 @@ class PauliString:
     def to_matrix(self) -> np.ndarray:
         m = np.array([[1.0 + 0j]])
         for c in self.letters:
-            m = np.kron(m, _PAULI_MATS[c])
+            m = np.kron(m, PAULIS[c].entries)
         return self.sign * m
 
     @classmethod

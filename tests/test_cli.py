@@ -115,6 +115,26 @@ def test_evolve_subcommand(tmp_path):
     assert len(lines) == 12
 
 
+def test_evolve_t2_above_twice_t1_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t1_ns = 80\nt2_ns = 200\nt_end_ns = 10.0\nsamples = 3\n")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "T2 cannot exceed 2 T1" in capsys.readouterr().err
+
+
+def test_evolve_default_t2_is_twice_t1(tmp_path):
+    """The default T2 = inf adds no pure dephasing: same bytes as T2 = 2 T1."""
+    outs = []
+    for name, t2 in (("default", ""), ("explicit", "t2_ns = 160.0\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("t1_ns = 80.0\ndrive_ghz = 0.02\nt_end_ns = 5.0\n"
+                       "samples = 6\n" + t2)
+        out = tmp_path / name
+        assert run_cli(["evolve", "--config", cfg, "--out", out]) == 0
+        outs.append((out / "evolve.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_gate_subcommand(tmp_path):
     cfg = tmp_path / "g.cfg"
     tau = (np.pi / 2) / (2 * np.pi * 0.01)

@@ -84,6 +84,19 @@ def test_both_collapse_ops_reproduce_rate_relation():
     assert t2_fit <= 2 * t1_fit + 1e-9
 
 
+def test_qubit_collapse_ops():
+    assert dyn.qubit_collapse_ops(np.inf, np.inf) == []
+    decay_only = dyn.qubit_collapse_ops(100.0, 200.0)
+    assert len(decay_only) == 1
+    assert np.allclose(decay_only[0].entries, dyn.qubit_decay(0.01).entries)
+    ops = dyn.qubit_collapse_ops(100.0, 150.0)
+    assert len(ops) == 2
+    gamma_phi = 1 / 150.0 - 0.5 / 100.0
+    assert np.allclose(ops[1].entries, dyn.qubit_dephasing(gamma_phi).entries)
+    with pytest.raises(ValueError, match="T2 cannot exceed 2 T1"):
+        dyn.qubit_collapse_ops(80.0, 200.0)
+
+
 def test_integration_failure_raises():
     # absurdly large rate with a coarse step blows the trace budget
     with pytest.raises(dyn.IntegrationError, match="reduce dt"):

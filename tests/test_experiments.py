@@ -5,7 +5,7 @@ import pytest
 
 from scqsim import experiments as ex
 from scqsim.coupling import JCParams
-from scqsim.qcore import to_angular
+from scqsim.qcore import H_GATE, S_GATE, equal_up_to_global_phase, to_angular
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +294,28 @@ def test_clifford_closure():
 
 def test_clifford_words_reproduce_matrices():
     cl = ex.clifford_1q()
-    gates = {"H": ex._H, "S": ex._S}
+    gates = {"H": H_GATE.entries, "S": S_GATE.entries}
     for c in cl:
         m = np.eye(2, dtype=complex)
         for letter in c.word:
             m = gates[letter] @ m
         assert ex._phase_key(m) == ex._phase_key(np.asarray(c.op.entries))
+
+
+def test_clifford_table_matches_matrix_products():
+    """All 576 entries: table[a, b] is M_b @ M_a up to phase; index 0 is the
+    identity, and each row holds it exactly once, at the inverse."""
+    cl = ex.clifford_1q()
+    table, inverse = ex._clifford_table()
+    assert table.shape == (24, 24)
+    for a, b in itertools.product(range(24), repeat=2):
+        want = cl[b].op.entries @ cl[a].op.entries
+        assert equal_up_to_global_phase(cl[table[a, b]].op, want)
+    assert np.allclose(cl[0].op.entries, np.eye(2))
+    assert np.array_equal(table[0], np.arange(24))
+    assert np.array_equal(table[:, 0], np.arange(24))
+    assert all(np.count_nonzero(row == 0) == 1 for row in table)
+    assert np.array_equal(table[np.arange(24), inverse], np.zeros(24))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,16 @@ def test_pauli_algebra():
     assert np.allclose(sp @ sm - sm @ sp, sz)
 
 
+def test_pauli_table():
+    assert list(q.PAULIS) == ["I", "X", "Y", "Z"]
+    assert np.array_equal(q.PAULIS["I"].entries, np.eye(2))
+    for letter, op in (("X", q.SIGMA_X), ("Y", q.SIGMA_Y), ("Z", q.SIGMA_Z)):
+        assert q.PAULIS[letter] is op
+        assert q.pauli(letter.lower()) is op
+    with pytest.raises(ValueError, match="unknown Pauli axis"):
+        q.pauli("w")
+
+
 def test_operator_flag_validation():
     with pytest.raises(ValueError, match="hermitian"):
         q.Operator([[0, 1], [0, 0]], hermitian=True)
@@ -245,3 +255,56 @@ def test_global_phase_comparison():
 def test_operators_are_immutable():
     with pytest.raises(ValueError):
         q.X_GATE.entries[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-constant step propagators
+# ---------------------------------------------------------------------------
+
+def _random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
+
+
+def _looped_steps(h0, controls, amplitudes, durations):
+    """Oracle: one scipy expm per step of H0 + sum_k a_kj C_k."""
+    from scipy.linalg import expm
+
+    out = []
+    for j, dt in enumerate(durations):
+        h = h0 + sum(a[j] * c for a, c in zip(amplitudes, controls))
+        out.append((h, expm(-1j * dt * h)))
+    return out
+
+
+@pytest.mark.parametrize("n_steps", [1, 64, 65, 200])
+def test_step_unitaries_match_looped_expm(n_steps):
+    rng = np.random.default_rng(n_steps)
+    h0 = _random_hermitian(rng, 3)
+    controls = [_random_hermitian(rng, 3) for _ in range(2)]
+    amplitudes = rng.standard_normal((2, n_steps))
+    durations = rng.uniform(0.0, 0.8, n_steps)
+    durations[::5] = 0.0          # zero-width steps, as grape_pulse emits
+    steps = list(q.step_unitaries(h0, controls, amplitudes, durations))
+    assert len(steps) == n_steps
+    oracle = _looped_steps(h0, controls, amplitudes, durations)
+    for (u, evals, vecs), (h, want), dt in zip(steps, oracle, durations):
+        assert np.max(np.abs(u - want)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
+        assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h)) < 1e-12
+        if dt == 0.0:
+            assert np.max(np.abs(u - np.eye(3))) < 1e-14
+
+
+def test_step_unitaries_without_controls():
+    rng = np.random.default_rng(9)
+    h0 = _random_hermitian(rng, 4)
+    durations = rng.uniform(0.0, 2.0, 130)
+    steps = list(q.step_unitaries(h0, (), (), durations))
+    assert len(steps) == 130
+    for (u, evals, vecs), (_, want) in zip(
+            steps, _looped_steps(h0, (), (), durations)):
+        assert np.max(np.abs(u - want)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+        assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h0)) < 1e-12
+    assert list(q.step_unitaries(h0, (), (), [])) == []
