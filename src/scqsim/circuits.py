@@ -12,11 +12,9 @@ Dirichlet boundaries.  Spectra are reported ground-referenced in GHz.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .qcore import Operator
 
@@ -249,6 +247,7 @@ def loop_spectrum(
         raise ValueError("loop_spectrum requires E_L > 0")
     if npoints < 128:
         raise ValueError("npoints must be >= 128 to resolve the potential")
+    from scipy.linalg import eigh_tridiagonal
     diag, off, _ = _loop_tridiagonal(p, extent, npoints)
     evals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, nlevels - 1))
     return _spectrum_from_eigen(evals, vecs, nlevels)
@@ -321,6 +320,7 @@ def dipole_elements(
         sin_op = sin_phase_operator(ncut)
         cos_op = cos_phase_operator(ncut)
     else:
+        from scipy.linalg import eigh_tridiagonal
         diag, off, phi = _loop_tridiagonal(p, extent, npoints)
         evals, v = eigh_tridiagonal(diag, off, select="i",
                                     select_range=(0, nlevels - 1))
@@ -472,12 +472,3 @@ def relaxation_rates(gamma_par: float, gamma_phi: float) -> RelaxationRates:
     if gamma_par < 0 or gamma_phi < 0:
         raise ValueError("rates must be >= 0")
     return RelaxationRates(gamma_par, gamma_phi)
-
-
-def transmon_regime_check(p: CircuitParams) -> None:
-    if p.e_j / p.e_c < 20:
-        warnings.warn(
-            f"E_J/E_C = {p.e_j / p.e_c:.1f} is below the weakly anharmonic "
-            "regime; perturbative transmon formulas lose accuracy",
-            stacklevel=2,
-        )

@@ -103,8 +103,30 @@ def _flatten(cfg: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _typed(key: str, value, spec):
+    """``value`` as the type of ``spec`` (a type, or a default of that type)."""
+    kind = spec if isinstance(spec, type) else type(spec)
+    if spec is ... or kind is str and isinstance(value, str):
+        return value
+    if kind is list:
+        items = value if isinstance(value, list) else [value]
+        return [_typed(key, v, spec[0]) for v in items]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and not np.isnan(value):
+        return float(value)
+    if kind is int and number and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+
+
 def validate_keys(cfg: dict, allowed: dict) -> dict:
-    """Check every key against the schema; fill defaults; reject strangers."""
+    """Check every key against the schema; fill defaults; reject strangers.
+
+    A schema value is a required key's type (``...``: any type) or an
+    optional key's default, whose type the key takes.  Ints pass as floats
+    (NaN does not), integral numbers as ints and one item as a list; bools
+    never pass as numbers.
+    """
     flat = _flatten(cfg)
     unknown = [k for k in flat if k not in allowed]
     if unknown:
@@ -112,11 +134,12 @@ def validate_keys(cfg: dict, allowed: dict) -> dict:
             "unknown config key(s): " + ", ".join(sorted(unknown))
             + "; allowed: " + ", ".join(sorted(allowed))
         )
-    merged = {k: v for k, v in allowed.items() if v is not ...}
-    merged.update(flat)
-    missing = [k for k, v in allowed.items() if v is ... and k not in flat]
+    required = [k for k, v in allowed.items() if v is ... or isinstance(v, type)]
+    missing = [k for k in required if k not in flat]
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(sorted(missing)))
+    merged = {k: v for k, v in allowed.items() if k not in required}
+    merged.update({k: _typed(k, v, allowed[k]) for k, v in flat.items()})
     return merged
 
 
@@ -180,7 +203,7 @@ def write_manifest(out: Path, subcommand: str, config_bytes: bytes, seed: int):
 
 def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
     allowed = {
-        "circuit": "island", "e_j_ghz": ..., "e_c_ghz": ..., "e_l_ghz": 0.0,
+        "circuit": "island", "e_j_ghz": float, "e_c_ghz": float, "e_l_ghz": 0.0,
         "n_ext": 0.0, "phi_ext_rad": 0.0, "nlevels": 5,
         "ncut": circuits.DEFAULT_NCUT, "npoints": circuits.DEFAULT_NPOINTS,
         "extent_rad": circuits.DEFAULT_EXTENT,
@@ -191,8 +214,8 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
         0.0 if c["circuit"] == "island" else c["e_l_ghz"],
         c["n_ext"], c["phi_ext_rad"],
     )
-    res = circuits.circuit_spectrum(params, int(c["nlevels"]), int(c["ncut"]),
-                                    c["extent_rad"], int(c["npoints"]))
+    res = circuits.circuit_spectrum(params, c["nlevels"], c["ncut"],
+                                    c["extent_rad"], c["npoints"])
     write_csv(out / "levels.csv", ["level", "energy_ghz"],
               [(i, float(e)) for i, e in enumerate(res.levels)])
     write_json(out / "spectrum.json", {
@@ -203,14 +226,14 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
 
 
 def run_couple(cfg: dict, out: Path, seed: int) -> None:
-    allowed = {"omega_q_ghz": ..., "omega_r_ghz": ..., "g_ghz": ...,
+    allowed = {"omega_q_ghz": float, "omega_r_ghz": float, "g_ghz": float,
                "kappa_ghz": 0.0, "gamma_ghz": 0.0, "n_max": 10}
     c = validate_keys(cfg, allowed)
     p = coupling.JCParams(c["omega_q_ghz"], c["omega_r_ghz"], c["g_ghz"],
-                          c["kappa_ghz"], c["gamma_ghz"], int(c["n_max"]))
+                          c["kappa_ghz"], c["gamma_ghz"], c["n_max"])
     report = {}
     resonant = coupling.JCParams(c["omega_q_ghz"], c["omega_q_ghz"], c["g_ghz"],
-                                 c["kappa_ghz"], c["gamma_ghz"], int(c["n_max"]))
+                                 c["kappa_ghz"], c["gamma_ghz"], c["n_max"])
     report["vacuum_rabi_splitting_ghz"] = coupling.vacuum_rabi_splitting(resonant)
     if p.is_dispersive:
         disp = coupling.dispersive_shift(p)
@@ -226,7 +249,7 @@ def run_couple(cfg: dict, out: Path, seed: int) -> None:
 def run_evolve(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"t1_ns": float("inf"), "t2_ns": float("inf"),
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
-               "t_end_ns": ..., "dt_ns": 0.01, "samples": 201}
+               "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
     c = validate_keys(cfg, allowed)
     # the default T2 = inf means no pure dephasing, i.e. T2 = 2 T1
     t2 = c["t2_ns"] if np.isfinite(c["t2_ns"]) else 2 * c["t1_ns"]
@@ -235,7 +258,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
         to_angular(c["detuning_ghz"]) * np.diag([0.0, 1.0]).astype(complex)
         + 0.5 * to_angular(c["drive_ghz"]) * SIGMA_X.entries
     )
-    times = np.linspace(0.0, c["t_end_ns"], int(c["samples"]))
+    times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
                               times=times, dt=c["dt_ns"],
                               e_ops={"p1": np.diag([0.0, 1.0]).astype(complex)})
@@ -247,7 +270,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
 
 
 def run_gate(cfg: dict, out: Path, seed: int) -> None:
-    allowed = {"kind": ..., "j_ghz": 0.0, "tau_ns": 0.0, "epsilon_ghz": 0.0,
+    allowed = {"kind": str, "j_ghz": 0.0, "tau_ns": 0.0, "epsilon_ghz": 0.0,
                "omega_q1_ghz": 5.0, "omega_q2_ghz": 5.5, "alpha_1_ghz": -0.3}
     c = validate_keys(cfg, allowed)
     kind = c["kind"]
@@ -290,14 +313,14 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
         b = abs(to_angular(c["bound_ghz"]))
         bounds = (-b, b)
     prob = control.transmon_pi_problem(
-        alpha, c["lambda"], int(c["n_slices"]),
+        alpha, c["lambda"], c["n_slices"],
         dt=c["dt_ns"] or None, bounds=bounds,
-        target_infidelity=c["target_infidelity"], max_iter=int(c["max_iter"]),
+        target_infidelity=c["target_infidelity"], max_iter=c["max_iter"],
     )
     u0 = np.zeros((2, prob.n_slices))
     base = control.pi_pulse("gaussian", prob.total_time, nsamples=prob.n_slices + 1)
     u0[0] = base.omega_x[:-1]
-    res = control.grape_multistart(prob, restarts=int(c["restarts"]), seed=seed,
+    res = control.grape_multistart(prob, restarts=c["restarts"], seed=seed,
                                    u0=u0)
     pulse = control.grape_pulse(prob, res)
     control.pulse_to_csv(pulse, out / "pulse.csv")
@@ -314,8 +337,8 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": "hahn", "tau_ns": 10.0, "n": 1,
                "j_z_ghz": 0.05, "omega_max_ghz": 2.0, "npoints": 801}
     c = validate_keys(cfg, allowed)
-    seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=int(c["n"]))
-    grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), int(c["npoints"]))
+    seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=c["n"])
+    grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), c["npoints"])
     f = control.filter_function(seq, grid)
     write_csv(out / "filter.csv", ["omega_rad_per_ns", "filter"],
               [(float(w), float(v)) for w, v in zip(grid, f)])
@@ -334,8 +357,7 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
 def run_qec(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"d": 3, "p": 0.001, "cycles": 1, "shots": 10000}
     c = validate_keys(cfg, allowed)
-    res = sc.logical_error_rate(int(c["d"]), float(c["p"]), int(c["cycles"]),
-                                int(c["shots"]), seed)
+    res = sc.logical_error_rate(c["d"], c["p"], c["cycles"], c["shots"], seed)
     write_json(out / "qec.json", {
         "d": res.d, "p": res.p, "cycles": res.cycles, "shots": res.shots,
         "failures": res.failures, "logical_error_rate": res.rate,
@@ -344,14 +366,14 @@ def run_qec(cfg: dict, out: Path, seed: int) -> None:
 
 
 def run_experiment(cfg: dict, out: Path, seed: int) -> None:
-    allowed = {"kind": ..., "t1_ns": 10000.0, "t2_ns": 15000.0,
+    allowed = {"kind": str, "t1_ns": 10000.0, "t2_ns": 15000.0,
                "rabi_ghz": 0.01, "detuning_ghz": 0.001,
                "tau_max_ns": 1000.0, "points": 101, "shots": 0,
                "eps01": 0.0, "eps10": 0.0}
     c = validate_keys(cfg, allowed)
-    taus = np.linspace(0.0, c["tau_max_ns"], int(c["points"]))
+    taus = np.linspace(0.0, c["tau_max_ns"], c["points"])
     readout = experiments.ReadoutModel(c["eps01"], c["eps10"],
-                                       int(c["shots"]) or None)
+                                       c["shots"] or None)
     kind = c["kind"]
     if kind == "rabi":
         data = experiments.run_rabi(to_angular(c["rabi_ghz"]), taus,
@@ -381,15 +403,12 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
                "depolarizing": 0.01, "interleaved": -1,
                "eps01": 0.0, "eps10": 0.0, "prep_error": 0.0}
     c = validate_keys(cfg, allowed)
-    lengths = c["lengths"]
-    if isinstance(lengths, (int, float)):
-        lengths = [int(lengths)]
     cfg_rb = experiments.RBConfig(
-        lengths=tuple(int(m) for m in lengths),
-        sequences_per_length=int(c["sequences_per_length"]),
-        shots=int(c["shots"]),
-        error={"depolarizing": float(c["depolarizing"])},
-        interleaved=int(c["interleaved"]) if int(c["interleaved"]) >= 0 else None,
+        lengths=tuple(c["lengths"]),
+        sequences_per_length=c["sequences_per_length"],
+        shots=c["shots"],
+        error={"depolarizing": c["depolarizing"]},
+        interleaved=c["interleaved"] if c["interleaved"] >= 0 else None,
         eps01=c["eps01"], eps10=c["eps10"], prep_error=c["prep_error"],
         seed=seed,
     )

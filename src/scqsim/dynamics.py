@@ -78,6 +78,21 @@ def _as_hamiltonian(h) -> TimeDependentH:
     return TimeDependentH(_as_array(h))
 
 
+def _sample_times(times, t_span, dt) -> np.ndarray:
+    """The requested sample times, or a grid of steps <= dt over [0, t_span]."""
+    if times is None:
+        if t_span is None:
+            raise ValueError("provide either times or t_span")
+        times = np.linspace(0.0, t_span, max(int(np.ceil(t_span / dt)) + 1, 2))
+    return np.asarray(times, dtype=float)
+
+
+def _substeps(span: float, dt: float) -> tuple[int, float]:
+    """Split one sample interval into the fewest equal steps of size <= dt."""
+    nsub = max(int(np.ceil(span / dt - 1e-12)), 1)
+    return nsub, span / nsub
+
+
 @dataclass(frozen=True)
 class EvolveResult:
     times: np.ndarray
@@ -147,28 +162,18 @@ def kappa_for_photon_rate(rate_per_ns: float) -> float:
 # Lindblad evolution
 # ---------------------------------------------------------------------------
 
-def _lindblad_rhs_factory(h: TimeDependentH, collapse):
-    ls = [_as_array(c) for c in collapse]
-    ldags = [l.conj().T for l in ls]
-    l2 = [ld @ l for l, ld in zip(ls, ldags)]
-
-    if h.drives:
-        def rhs(t, rho):
-            hm = h.at(t)
-            out = -1j * (hm @ rho - rho @ hm)
-            for l, ld, ll in zip(ls, ldags, l2):
-                out += l @ rho @ ld - 0.5 * (ll @ rho + rho @ ll)
-            return out
-    else:
-        h0 = h.static
-
-        def rhs(t, rho):
-            out = -1j * (h0 @ rho - rho @ h0)
-            for l, ld, ll in zip(ls, ldags, l2):
-                out += l @ rho @ ld - 0.5 * (ll @ rho + rho @ ll)
-            return out
-
-    return rhs
+def liouvillian(h, collapse: Sequence = ()) -> np.ndarray:
+    """Superoperator of the Lindblad generator of a static H on row-major
+    vec(rho) = rho.reshape(-1): -i (H x I - I x H^T)
+    + sum_k (L_k x L_k^* - (L_k^dag L_k x I + I x (L_k^dag L_k)^T) / 2)."""
+    hm = _as_array(h)
+    eye = np.eye(hm.shape[0])
+    out = -1j * (np.kron(hm, eye) - np.kron(eye, hm.T))
+    for c in collapse:
+        l = _as_array(c)
+        ll = l.conj().T @ l
+        out += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+    return out
 
 
 def _coerce_rho(state) -> np.ndarray:
@@ -196,6 +201,9 @@ def lindblad_evolve(
 
     d rho/dt = -i [H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)
 
+    One RK4 loop on vec(rho) serves static and driven H alike, with the
+    :func:`liouvillian` superoperators built once: L(t) = L0 + sum_k u_k(t) L_k.
+
     ``times`` are the requested sample points (the grid is the union of RK4
     steps of size <= dt hitting each sample exactly).  Trace drift beyond
     1e-4 raises :class:`IntegrationError`, and so does positivity loss
@@ -205,31 +213,34 @@ def lindblad_evolve(
     eigenvalue clipping of sub-threshold negative dust.
     """
     h = _as_hamiltonian(h)
-    if times is None:
-        if t_span is None:
-            raise ValueError("provide either times or t_span")
-        times = np.linspace(0.0, t_span, max(int(np.ceil(t_span / dt)) + 1, 2))
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times, t_span, dt)
+    l0 = liouvillian(h.static, collapse)
+    drives = [(liouvillian(op), fn) for op, fn in h.drives]
+
+    def generator(t):
+        out = l0
+        for lk, fn in drives:
+            out = out + float(fn(t)) * lk
+        return out
+
     rho = _coerce_rho(rho0)
-    rhs = _lindblad_rhs_factory(h, collapse)
-    e_ops = e_ops or {}
-    e_arr = {k: _as_array(v) for k, v in e_ops.items()}
+    e_arr = {k: _as_array(v) for k, v in (e_ops or {}).items()}
 
     states = [DensityMatrix(_repair(rho))]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        span = t1 - t0
-        nsub = max(int(np.ceil(span / dt - 1e-12)), 1)
-        sub = span / nsub
+    for t0, t1 in zip(times[:-1], times[1:]):
+        nsub, sub = _substeps(t1 - t0, dt)
+        v = rho.reshape(-1)
         t = t0
         for _ in range(nsub):
-            k1 = rhs(t, rho)
-            k2 = rhs(t + sub / 2, rho + sub / 2 * k1)
-            k3 = rhs(t + sub / 2, rho + sub / 2 * k2)
-            k4 = rhs(t + sub, rho + sub * k3)
-            rho = rho + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            mid = generator(t + sub / 2)
+            k1 = generator(t) @ v
+            k2 = mid @ (v + sub / 2 * k1)
+            k3 = mid @ (v + sub / 2 * k2)
+            k4 = generator(t + sub) @ (v + sub * k3)
+            v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += sub
+        rho = v.reshape(rho.shape)
         drift = abs(np.trace(rho).real - 1.0)
         if not np.isfinite(drift) or drift > TRACE_HARD_LIMIT:
             raise IntegrationError(
@@ -272,9 +283,7 @@ def step_propagators(h: TimeDependentH, times: np.ndarray, dt: float):
     """Midpoint-sampled piecewise-constant propagators over each [t_i, t_i+1]."""
     nsubs, mids, durations = [], [], []
     for t0, t1 in zip(times[:-1], times[1:]):
-        span = t1 - t0
-        nsub = max(int(np.ceil(span / dt - 1e-12)), 1)
-        sub = span / nsub
+        nsub, sub = _substeps(t1 - t0, dt)
         nsubs.append(nsub)
         mids += [t0 + (j + 0.5) * sub for j in range(nsub)]
         durations += [sub] * nsub
@@ -296,54 +305,33 @@ def unitary_evolve(
     t_span: float | None = None,
     e_ops: dict | None = None,
 ) -> EvolveResult:
-    """Closed-system evolution by a product of midpoint-sampled propagators.
-
-    Accepts a StateVector (propagated as a ket) or a DensityMatrix
-    (conjugated, rho -> U rho U^dag).  Exact for a static H regardless of dt.
-    """
+    """Closed-system evolution of a ket by a product of midpoint-sampled
+    propagators.  Exact for a static H regardless of dt.  Kets only: evolve a
+    density matrix with ``lindblad_evolve(h, rho, [])``."""
+    psi = state0.amplitudes if isinstance(state0, StateVector) else state0
+    if np.ndim(psi) != 1:
+        raise ValueError("unitary_evolve takes a ket; evolve a density matrix "
+                         "with lindblad_evolve(h, rho, [])")
     h = _as_hamiltonian(h)
-    if times is None:
-        if t_span is None:
-            raise ValueError("provide either times or t_span")
-        times = np.linspace(0.0, t_span, max(int(np.ceil(t_span / dt)) + 1, 2))
-    times = np.asarray(times, dtype=float)
-    e_ops = e_ops or {}
-    e_arr = {k: _as_array(v) for k, v in e_ops.items()}
+    times = _sample_times(times, t_span, dt)
+    e_arr = {k: _as_array(v) for k, v in (e_ops or {}).items()}
 
-    is_ket = isinstance(state0, StateVector) or (
-        not isinstance(state0, DensityMatrix) and np.asarray(state0).ndim == 1
-    )
-    if is_ket:
-        psi = np.array(
-            state0.amplitudes if isinstance(state0, StateVector) else state0,
-            dtype=complex,
-        )
-        states = [StateVector(psi.copy(), _skip_norm_check=True)]
-        expect = {k: [float(np.vdot(psi, a @ psi).real)] for k, a in e_arr.items()}
-        for u in step_propagators(h, times, dt):
-            psi = u @ psi
-            states.append(StateVector(psi.copy(), _skip_norm_check=True))
-            for k, a in e_arr.items():
-                expect[k].append(float(np.vdot(psi, a @ psi).real))
-    else:
-        rho = _coerce_rho(state0)
-        states = [DensityMatrix(_repair(rho))]
-        expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
-        for u in step_propagators(h, times, dt):
-            rho = u @ rho @ u.conj().T
-            states.append(DensityMatrix(_repair(rho)))
-            for k, a in e_arr.items():
-                expect[k].append(float(np.trace(rho @ a).real))
+    psi = np.array(psi, dtype=complex)
+    states = [StateVector(psi.copy(), _skip_norm_check=True)]
+    expect = {k: [float(np.vdot(psi, a @ psi).real)] for k, a in e_arr.items()}
+    for u in step_propagators(h, times, dt):
+        psi = u @ psi
+        states.append(StateVector(psi.copy(), _skip_norm_check=True))
+        for k, a in e_arr.items():
+            expect[k].append(float(np.vdot(psi, a @ psi).real))
     return EvolveResult(times, states, {k: np.asarray(v) for k, v in expect.items()})
 
 
 def total_propagator(h, t_span: float, dt: float = 1e-2) -> Operator:
     """Time-ordered product of midpoint-sampled step propagators over [0, T]."""
     h = _as_hamiltonian(h)
-    n = max(int(np.ceil(t_span / dt)), 1)
-    times = np.linspace(0.0, t_span, n + 1)
     u = np.eye(h.dim, dtype=complex)
-    for step in step_propagators(h, times, dt):
+    for step in step_propagators(h, _sample_times(None, t_span, dt), dt):
         u = step @ u
     return Operator(u)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .coupling import DispersiveLimitError, JCParams
 from .dynamics import lindblad_evolve, qubit_collapse_ops
@@ -247,6 +246,7 @@ def projective_readout(rho: np.ndarray, rng,
 # ---------------------------------------------------------------------------
 
 def _lm_fit(model, jac, x, y, p0, names) -> FitResult:
+    from scipy.optimize import least_squares
     try:
         sol = least_squares(
             lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x), method="lm",

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -347,7 +346,8 @@ def matrix_exp(a) -> Operator:
     if np.max(np.abs(ih - ih.conj().T)) < HERMITIAN_TOL:
         # A = -iH with H Hermitian: e^A = V e^{-i lambda} V^dag
         return Operator(expm_hermitian(ih, scale=-1j))
-    return Operator(_scipy_expm(m))
+    from scipy.linalg import expm
+    return Operator(expm(m))
 
 
 def propagator(h, t: float) -> Operator:

@@ -58,6 +58,19 @@ def test_validate_keys_missing_required():
         cli.validate_keys({}, {"e_j_ghz": ...})
 
 
+def test_validate_keys_coerces_to_schema_types():
+    schema = {"x_ghz": float, "n": 4, "lengths": [1, 2], "kind": "a"}
+    c = cli.validate_keys({"x_ghz": 2, "n": 3.0, "lengths": 5}, schema)
+    assert c == {"x_ghz": 2.0, "n": 3, "lengths": [5], "kind": "a"}
+    assert type(c["x_ghz"]) is float and type(c["n"]) is int
+    assert cli.validate_keys({"x_ghz": float("inf")}, schema)["x_ghz"] == np.inf
+    for bad in ({"x_ghz": True}, {"x_ghz": float("nan")}, {"x_ghz": "1"},
+                {"x_ghz": 1.0, "n": 2.5}, {"x_ghz": 1.0, "n": False},
+                {"x_ghz": 1.0, "kind": 3}, {"x_ghz": 1.0, "lengths": [1, 1.5]}):
+        with pytest.raises(cli.ConfigError, match="must be"):
+            cli.validate_keys(bad, schema)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -198,6 +211,25 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, text", [
+    ("spectrum", "e_j_ghz = 20.0\ne_c_ghz = x\n"),
+    ("couple", "omega_q_ghz = 5.0\nomega_r_ghz = 6.0\ng_ghz = true\n"),
+    ("evolve", "t1_ns = abc\nt_end_ns = 10.0\n"),
+    ("evolve", "t_end_ns = 10.0\nsamples = 2.5\n"),
+    ("gate", "kind = 3\n"),
+    ("grape", "n_slices = 2.5\n"),
+    ("echo", "tau_ns = nan\n"),
+    ("qec", "shots = 1, 2\n"),
+    ("experiment", "kind = t1\npoints = 2.5\n"),
+    ("rb", "lengths = 1, x\n"),
+])
+def test_wrong_typed_value_exit_2(tmp_path, capsys, subcommand, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert run_cli(["spectrum", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path]) == 2
@@ -239,3 +271,12 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+def test_import_leaves_scipy_linalg_and_optimize_unloaded():
+    code = ("import sys, scqsim.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

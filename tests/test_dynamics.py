@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from scqsim import dynamics as dyn
 from scqsim import qcore as q
@@ -104,6 +108,88 @@ def test_integration_failure_raises():
                             np.diag([0.0, 1.0]).astype(complex),
                             [dyn.qubit_decay(50.0)],
                             times=np.array([0.0, 1.0]), dt=0.5)
+
+
+def _lindblad_rhs(h, collapse, rho):
+    """The master equation's right-hand side in matrix form (test oracle)."""
+    out = -1j * (h @ rho - rho @ h)
+    for c in collapse:
+        l = c.entries
+        ll = l.conj().T @ l
+        out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
+    return out
+
+
+def _random_open_system(seed, d):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    collapse = [q.Operator(0.3 * (rng.standard_normal((d, d))
+                                  + 1j * rng.standard_normal((d, d))))
+                for _ in range(rng.integers(0, 3))]
+    return (a + a.conj().T) / 2, collapse
+
+
+def test_static_three_level_vs_exact_liouvillian():
+    """RK4 on the superoperator against expm of a Liouvillian assembled
+    column by column from the matrix-form right-hand side."""
+    d = 3
+    h = 2 * np.pi * np.diag([0.0, 0.05, 0.08]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.1
+    h[1, 2] = h[2, 1] = 0.07
+    lower = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+    collapse = [q.Operator(np.sqrt(0.02) * lower),
+                q.Operator(np.sqrt(0.01) * np.diag([0.0, 1.0, 2.0]).astype(complex))]
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    liou = np.stack([_lindblad_rhs(h, collapse, e).reshape(-1) for e in basis],
+                    axis=1)
+    rho0 = np.full((d, d), 1.0 / d, dtype=complex)
+    times = np.linspace(0.0, 30.0, 16)
+    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=0.01)
+    for t, state in zip(times, res.states):
+        want = (expm(liou * t) @ rho0.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(state.entries - want)) < 1e-10
+
+
+def test_driven_qubit_vs_solve_ivp():
+    sx = q.SIGMA_X.entries
+    static = 2 * np.pi * 0.003 * EXCITED
+    collapse = dyn.qubit_collapse_ops(80.0, 120.0)
+
+    def envelope(t):
+        return 0.2 * np.exp(-0.5 * ((t - 20.0) / 6.0) ** 2)
+
+    h = dyn.TimeDependentH(static, [(0.5 * sx, envelope)])
+    times = np.linspace(0.0, 40.0, 21)
+    res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
+                              times=times, dt=0.01)
+    sol = solve_ivp(
+        lambda t, v: _lindblad_rhs(h.at(t), collapse, v.reshape(2, 2)).reshape(-1),
+        (0.0, 40.0), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
+        t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
+    for k, state in enumerate(res.states):
+        assert np.max(np.abs(state.entries.reshape(-1) - sol.y[:, k])) < 1e-8
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_liouvillian_trace_annihilating_and_hermiticity_preserving(seed, d):
+    h, collapse = _random_open_system(seed, d)
+    liou = dyn.liouvillian(h, collapse)
+    assert np.max(np.abs(np.eye(d).reshape(-1) @ liou)) < 1e-12
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    lx = (liou @ x.reshape(-1)).reshape(d, d)
+    lx_dag = (liou @ x.conj().T.reshape(-1)).reshape(d, d)
+    assert np.max(np.abs(lx_dag - lx.conj().T)) < 1e-12
+    assert np.max(np.abs(lx - _lindblad_rhs(h, collapse, x))) < 1e-12
+
+
+def test_unitary_evolve_rejects_density_matrix():
+    h = 2 * np.pi * 0.1 * SX
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    for state in (rho, q.DensityMatrix(rho)):
+        with pytest.raises(ValueError, match="lindblad_evolve"):
+            dyn.unitary_evolve(h, state, times=np.array([0.0, 1.0]))
 
 
 def test_unitary_evolve_static_exact():
