@@ -256,53 +256,56 @@ class StabilizerTableau:
 
     @staticmethod
     def _g(x1, z1, x2, z2):
-        # exponent of i when multiplying single-qubit Paulis (AG convention)
+        # exponent of i when multiplying single-qubit Paulis (AG convention);
+        # each term is -1, 0 or 1, so int8 bit arrays do not overflow
         return (
             x1 * z1 * (z2 - x2)
             + x1 * (1 - z1) * z2 * (2 * x2 - 1)
             + (1 - x1) * z1 * x2 * (1 - 2 * z2)
         )
 
-    def _rowsum_into(self, xh, zh, rh, i):
-        """(xh, zh, rh) <- row i * (xh, zh, rh); returns new sign bit."""
-        gsum = int(np.sum(self._g(
-            self.x[i].astype(int), self.z[i].astype(int),
-            xh.astype(int), zh.astype(int),
-        )))
-        total = (2 * int(rh) + 2 * int(self.r[i]) + gsum) % 4
-        xh ^= self.x[i]
-        zh ^= self.z[i]
-        return np.int8(total // 2)
-
-    def _rowsum(self, h, i):
-        self.r[h] = self._rowsum_into(self.x[h], self.z[h], self.r[h], i)
-
     # -- measurements --------------------------------------------------------
+
+    def _measure(self, px, pz, sign: int, rng) -> int:
+        """Measure the Pauli (-1)^sign X^px Z^pz; returns the outcome bit.
+
+        Random branch: every other anticommuting row is multiplied by the
+        first anticommuting stabilizer (the pivot) in one vectorized rowsum,
+        the pivot moves to its destabilizer slot and is replaced by the
+        measured Pauli with sign ``draw ^ sign``.  Deterministic branch: the
+        outcome is the sign of the product of the stabilizers whose
+        destabilizers anticommute, built as a prefix XOR plus one g-sum.
+        """
+        n = self.n
+        x, z, r = self.x, self.z, self.r
+        # symplectic product with every row (the int8 sums accumulate in int)
+        anti = (x[:, pz == 1].sum(axis=1) + z[:, px == 1].sum(axis=1)) % 2 == 1
+        hits = np.nonzero(anti[n:])[0]
+        if len(hits):
+            p = int(hits[0]) + n
+            anti[p] = False
+            rows = np.nonzero(anti)[0]
+            gsum = self._g(x[p], z[p], x[rows], z[rows]).sum(axis=1)
+            r[rows] = (2 * r[rows] + 2 * int(r[p]) + gsum) % 4 // 2
+            x[rows] ^= x[p]
+            z[rows] ^= z[p]
+            x[p - n], z[p - n], r[p - n] = x[p], z[p], r[p]
+            draw = int(rng.integers(0, 2))
+            x[p], z[p], r[p] = px, pz, draw ^ sign
+            return draw
+        rows = np.nonzero(anti[:n])[0] + n
+        xs, zs = x[rows], z[rows]
+        # product of the rows before each one (exclusive prefix XOR)
+        x_pre = np.bitwise_xor.accumulate(xs) ^ xs
+        z_pre = np.bitwise_xor.accumulate(zs) ^ zs
+        total = 2 * int(r[rows].sum()) + int(self._g(xs, zs, x_pre, z_pre).sum())
+        return (total % 4 // 2) ^ sign
 
     def measure_z(self, q: int, rng) -> int:
         """Standard-basis measurement of qubit q; returns 0 or 1."""
-        n = self.n
-        stab_hits = np.nonzero(self.x[n:, q])[0]
-        if len(stab_hits):
-            p = int(stab_hits[0]) + n
-            for i in range(2 * n):
-                if i != p and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p].copy()
-            self.z[p - n] = self.z[p].copy()
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
-            self.r[p] = np.int8(rng.integers(0, 2))
-            return int(self.r[p])
-        xs = np.zeros(self.n, dtype=np.int8)
-        zs = np.zeros(self.n, dtype=np.int8)
-        rs = np.int8(0)
-        for i in range(n):
-            if self.x[i, q]:
-                rs = self._rowsum_into(xs, zs, rs, i + n)
-        return int(rs)
+        pz = np.zeros(self.n, dtype=np.int8)
+        pz[q] = 1
+        return self._measure(np.zeros(self.n, dtype=np.int8), pz, 0, rng)
 
     def measure_pauli(self, p: PauliString, rng) -> int:
         """Projective measurement of a Hermitian Pauli string; returns +-1."""
@@ -310,32 +313,9 @@ class StabilizerTableau:
             raise ValueError("Pauli length mismatch")
         if p.phase % 2:
             raise ValueError("measured Pauli must be Hermitian")
-        sign_bit = (p.phase // 2) % 2
-        px = np.array([1 if c in "XY" else 0 for c in p.letters], dtype=np.int8)
-        pz = np.array([1 if c in "ZY" else 0 for c in p.letters], dtype=np.int8)
-        n = self.n
-        anti = ((self.x @ pz.astype(int) + self.z @ px.astype(int)) % 2).astype(bool)
-        stab_hits = np.nonzero(anti[n:])[0]
-        if len(stab_hits):
-            pidx = int(stab_hits[0]) + n
-            for i in range(2 * n):
-                if i != pidx and anti[i]:
-                    self._rowsum(i, pidx)
-            self.x[pidx - n] = self.x[pidx].copy()
-            self.z[pidx - n] = self.z[pidx].copy()
-            self.r[pidx - n] = self.r[pidx]
-            outcome_bit = int(rng.integers(0, 2))
-            self.x[pidx] = px
-            self.z[pidx] = pz
-            self.r[pidx] = np.int8(outcome_bit ^ sign_bit)
-            return +1 if outcome_bit == 0 else -1
-        xs = np.zeros(n, dtype=np.int8)
-        zs = np.zeros(n, dtype=np.int8)
-        rs = np.int8(0)
-        for i in range(n):
-            if anti[i]:
-                rs = self._rowsum_into(xs, zs, rs, i + n)
-        return +1 if int(rs) == sign_bit else -1
+        px = np.array([c in "XY" for c in p.letters], dtype=np.int8)
+        pz = np.array([c in "ZY" for c in p.letters], dtype=np.int8)
+        return 1 - 2 * self._measure(px, pz, p.phase // 2, rng)
 
     def stabilizer_strings(self) -> list[PauliString]:
         out = []
@@ -462,10 +442,6 @@ class PauliFrame:
     x: np.ndarray
     z: np.ndarray
 
-    @classmethod
-    def empty(cls, n_data: int) -> "PauliFrame":
-        return cls(np.zeros(n_data, dtype=np.int8), np.zeros(n_data, dtype=np.int8))
-
 
 def lattice_tableau(lattice: SurfaceLattice) -> StabilizerTableau:
     """Fresh |0...0> tableau over every lattice cell (data + syndrome)."""
@@ -547,11 +523,14 @@ def syndrome_from_errors(lattice: SurfaceLattice, ex: np.ndarray,
     Agrees with :func:`syndrome_cycle` for the phenomenological model --
     the test suite asserts exactly that equivalence.
     """
-    a_x = lattice.adjacency("x")
-    a_z = lattice.adjacency("z")
-    x_bits = (ez @ a_x) % 2     # Z errors trip X checks
-    z_bits = (ex @ a_z) % 2     # X errors trip Z checks
-    return Syndrome(cycle, x_bits.astype(np.int8), z_bits.astype(np.int8))
+    return Syndrome(cycle, *_parities(lattice, ex, ez))
+
+
+def _parities(lattice: SurfaceLattice, ex, ez) -> tuple[np.ndarray, np.ndarray]:
+    """(X-check, Z-check) parities of error patterns, one row per shot."""
+    x_bits = (ez @ lattice.adjacency("x")) % 2     # Z errors trip X checks
+    z_bits = (ex @ lattice.adjacency("z")) % 2     # X errors trip Z checks
+    return x_bits, z_bits
 
 
 def syndromes_to_csv(syndromes, path) -> None:
@@ -567,6 +546,14 @@ def syndromes_to_csv(syndromes, path) -> None:
 # ---------------------------------------------------------------------------
 
 MAX_DEFECTS = 14
+
+
+def _check_capacity(n_defects: int) -> None:
+    if n_defects > MAX_DEFECTS:
+        raise DecoderCapacityError(
+            f"{n_defects} defects exceed the exhaustive-matching capacity "
+            f"{MAX_DEFECTS}"
+        )
 
 
 def _boundary_distance(pos, size: int, kind: str) -> int:
@@ -631,10 +618,7 @@ def _min_weight_matching(defects: list, size: int, kind: str):
     and only strict improvements replace the incumbent.
     """
     n = len(defects)
-    if n > MAX_DEFECTS:
-        raise DecoderCapacityError(
-            f"{n} defects exceed the exhaustive-matching capacity {MAX_DEFECTS}"
-        )
+    _check_capacity(n)
 
     @lru_cache(maxsize=None)
     def solve(mask: int):
@@ -676,23 +660,27 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
         if not seq:
             raise ValueError("no syndromes to decode")
         syn = seq[-1]
-    frame = PauliFrame.empty(lattice.n_data)
-    for kind, bits, checks, target in (
-        ("z", syn.z_bits, lattice.z_checks, frame.x),
-        ("x", syn.x_bits, lattice.x_checks, frame.z),
-    ):
-        defects = [checks[i] for i in np.nonzero(bits)[0]]
-        if not defects:
-            continue
-        _, pairs = _min_weight_matching(defects, lattice.size, kind)
-        for i, j in pairs:
-            if j is None:
-                path = _boundary_path(defects[i], lattice.size, kind)
-            else:
-                path = _pair_path(defects[i], defects[j], kind)
-            for pos in path:
-                target[lattice.data_index(pos)] ^= 1
-    return frame
+    return PauliFrame(_correction(syn.z_bits, lattice, "z"),
+                      _correction(syn.x_bits, lattice, "x"))
+
+
+def _correction(bits, lattice: SurfaceLattice, kind: str) -> np.ndarray:
+    """Matching correction on the data qubits for one kind of check bits:
+    Z-check bits (kind "z") give the X correction, X-check bits the Z one."""
+    checks = lattice.z_checks if kind == "z" else lattice.x_checks
+    defects = [checks[i] for i in np.nonzero(bits)[0]]
+    out = np.zeros(lattice.n_data, dtype=np.int8)
+    if not defects:
+        return out
+    _, pairs = _min_weight_matching(defects, lattice.size, kind)
+    for i, j in pairs:
+        if j is None:
+            path = _boundary_path(defects[i], lattice.size, kind)
+        else:
+            path = _pair_path(defects[i], defects[j], kind)
+        for pos in path:
+            out[lattice.data_index(pos)] ^= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -734,16 +722,16 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
 
     The RNG is counter-based (Philox keyed by ``seed``): shot i consumes
     row i of one pre-drawn array, so any shot is reproducible from
-    (seed, shot index) alone.
+    (seed, shot index) alone.  Each distinct syndrome of each kind is
+    decoded once and its correction's logical parity gathered back to the
+    shots that share it.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")
+    if not (0.0 <= p <= 1.0 and cycles >= 1 and shots >= 1):
+        raise ValueError("need 0 <= p <= 1, cycles >= 1 and shots >= 1")
     lattice = SurfaceLattice(d)
     x_l, z_l = logical_ops(lattice)
-    xl_sup = np.zeros(lattice.n_data, dtype=np.int8)
-    xl_sup[list(x_l.support())] = 1
-    zl_sup = np.zeros(lattice.n_data, dtype=np.int8)
-    zl_sup[list(z_l.support())] = 1
 
     p_cum = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -751,25 +739,20 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     errors_x = (draws[:, :, 0] < p_cum).astype(np.int8)
     errors_z = (draws[:, :, 1] < p_cum).astype(np.int8)
 
-    a_x = lattice.adjacency("x")
-    a_z = lattice.adjacency("z")
-    syn_z = (errors_x @ a_z) % 2
-    syn_x = (errors_z @ a_x) % 2
+    syn_x, syn_z = _parities(lattice, errors_x, errors_z)
+    _check_capacity(int(max(syn_x.sum(axis=1).max(), syn_z.sum(axis=1).max())))
 
-    failures = 0
-    nx = len(lattice.x_checks)
-    nz = len(lattice.z_checks)
-    for i in range(shots):
-        if not syn_z[i].any() and not errors_x[i].any() \
-                and not syn_x[i].any() and not errors_z[i].any():
-            continue
-        syn = Syndrome(cycles - 1, syn_x[i], syn_z[i])
-        frame = mwpm_decode(syn, lattice)
-        residual_x = errors_x[i] ^ frame.x
-        residual_z = errors_z[i] ^ frame.z
-        fail = (int(residual_x @ zl_sup) % 2) or (int(residual_z @ xl_sup) % 2)
-        if fail:
-            failures += 1
+    # a shot fails when its residual X error flips Z_L or its Z error X_L
+    failed = np.zeros(shots, dtype=bool)
+    for kind, syn, errors, logical in (("z", syn_z, errors_x, z_l),
+                                       ("x", syn_x, errors_z, x_l)):
+        sup = np.zeros(lattice.n_data, dtype=np.int8)
+        sup[list(logical.support())] = 1
+        keys = syn.astype(np.int64) @ (1 << np.arange(syn.shape[1], dtype=np.int64))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        flips = np.array([_correction(syn[i], lattice, kind) @ sup for i in first])
+        failed |= (errors @ sup + flips[inverse]) % 2 == 1
+    failures = int(failed.sum())
     rate = failures / shots
     lo, hi = _wilson_interval(failures, shots)
     return LogicalRateResult(rate, lo, hi, failures, shots, d, p, cycles, seed)

@@ -211,6 +211,30 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "t_end_ns = 10.0\ndt_ns = 0\n",
+    "t_end_ns = 10.0\ndt_ns = -0.01\n",
+    "t_end_ns = 10.0\ndt_ns = inf\n",
+    "t_end_ns = -10.0\n",
+    "t_end_ns = inf\n",
+])
+def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t1_ns = 100.0\nsamples = 3\n" + text)
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", 2], ["--p", -0.1], ["--cycles", 0], ["--cycles", -1], ["--shots", 0],
+])
+def test_qec_out_of_range_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "qec"
+    # the last of two equal flags wins, so "--shots 0" overrides 100
+    assert run_cli(["qec", "--d", 3, "--shots", 100, *flags, "--out", out]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, text", [
     ("spectrum", "e_j_ghz = 20.0\ne_c_ghz = x\n"),
     ("couple", "omega_q_ghz = 5.0\nomega_r_ghz = 6.0\ng_ghz = true\n"),

@@ -192,6 +192,31 @@ def test_unitary_evolve_rejects_density_matrix():
             dyn.unitary_evolve(h, state, times=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("dt, t_span", [
+    (0.0, 1.0), (-0.01, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+    (1e-2, -10.0), (1e-2, np.inf),
+])
+def test_bad_step_or_span_raises(dt, t_span):
+    h = 2 * np.pi * 0.1 * SX
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="must be finite"):
+        dyn.lindblad_evolve(h, rho, [], dt=dt, t_span=t_span)
+    with pytest.raises(ValueError, match="must be finite"):
+        dyn.unitary_evolve(h, q.ket(0, 2), dt=dt, t_span=t_span)
+    with pytest.raises(ValueError, match="must be finite"):
+        dyn.total_propagator(h, t_span, dt)
+
+
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, np.nan], [0.0, np.inf]])
+def test_bad_sample_times_raise(times):
+    h = 2 * np.pi * 0.1 * SX
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        dyn.lindblad_evolve(h, rho, [], times=np.array(times))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        dyn.unitary_evolve(h, q.ket(0, 2), times=np.array(times))
+
+
 def test_unitary_evolve_static_exact():
     h = 2 * np.pi * np.array([[0.5, 0.1], [0.1, -0.2]], dtype=complex)
     psi0 = q.ket(0, 2)

@@ -191,6 +191,92 @@ def test_tableau_d2_encoding_matches_stabilizer_set():
     assert tab.measure_pauli(sc.D2_LOGICAL_Z, rng) == +1
 
 
+def _g_scalar(x1, z1, x2, z2):
+    """Exponent of i in the product of two single-qubit Paulis, case by
+    case as Aaronson and Gottesman define it."""
+    if x1 and z1:                       # Y
+        return z2 - x2
+    if x1:                              # X
+        return z2 * (2 * x2 - 1)
+    if z1:                              # Z
+        return x2 * (1 - 2 * z2)
+    return 0
+
+
+def _looped_rowsum(x, z, r, h, i):
+    """Row h <- row i * row h, one row and one qubit at a time."""
+    gsum = sum(_g_scalar(int(x[i, j]), int(z[i, j]), int(x[h, j]), int(z[h, j]))
+               for j in range(x.shape[1]))
+    r[h] = (2 * int(r[h]) + 2 * int(r[i]) + gsum) % 4 // 2
+    x[h] ^= x[i]
+    z[h] ^= z[i]
+
+
+def _looped_measure(tab, px, pz, sign, rng):
+    """Test oracle for ``StabilizerTableau._measure``: the textbook CHP
+    measurement with one rowsum per row, on a scratch row for the
+    deterministic outcome."""
+    n = tab.n
+    x, z, r = tab.x, tab.z, tab.r
+    anti = [sum(int(x[i, j]) * int(pz[j]) + int(z[i, j]) * int(px[j])
+                for j in range(n)) % 2 for i in range(2 * n)]
+    pivots = [i for i in range(n, 2 * n) if anti[i]]
+    if pivots:
+        p = pivots[0]
+        for i in range(2 * n):
+            if i != p and anti[i]:
+                _looped_rowsum(x, z, r, i, p)
+        x[p - n], z[p - n], r[p - n] = x[p], z[p], r[p]
+        draw = int(rng.integers(0, 2))
+        x[p], z[p], r[p] = px, pz, draw ^ sign
+        return "random", draw
+    xs = np.vstack([x, np.zeros((1, n), np.int8)])
+    zs = np.vstack([z, np.zeros((1, n), np.int8)])
+    rs = np.append(r, np.int8(0))
+    for i in range(n):
+        if anti[i]:
+            _looped_rowsum(xs, zs, rs, 2 * n, i + n)
+    return "deterministic", int(rs[2 * n]) ^ sign
+
+
+def test_measure_matches_looped_rowsum_oracle():
+    """Seeded random Clifford circuits with Z and Pauli-string measurements:
+    the vectorized measurement gives the oracle's outcomes and leaves the
+    same x, z and r."""
+    meta = np.random.default_rng(21)
+    branches = {"random": 0, "deterministic": 0}
+    for circuit in range(60):
+        n = int(meta.integers(2, 9))
+        fast, slow = sc.StabilizerTableau(n), sc.StabilizerTableau(n)
+        rng_fast = np.random.default_rng(circuit)
+        rng_slow = np.random.default_rng(circuit)
+        for _ in range(40):
+            if meta.random() < 0.6:
+                gate = ["H", "S", "CNOT", "X", "Z"][int(meta.integers(0, 5))]
+                qubits = meta.choice(n, 2 if gate == "CNOT" else 1, replace=False)
+                for tab in (fast, slow):
+                    tab.apply(gate, *(int(v) for v in qubits))
+                continue
+            if meta.random() < 0.5:
+                q = int(meta.integers(0, n))
+                pz = (np.arange(n) == q).astype(np.int8)
+                branch, want = _looped_measure(slow, 0 * pz, pz, 0, rng_slow)
+                assert fast.measure_z(q, rng_fast) == want
+            else:
+                pauli = sc.PauliString("".join(meta.choice(list("IXYZ"), n)),
+                                       2 * int(meta.integers(0, 2)))
+                px = np.array([c in "XY" for c in pauli.letters], dtype=np.int8)
+                pz = np.array([c in "ZY" for c in pauli.letters], dtype=np.int8)
+                branch, want = _looped_measure(slow, px, pz, pauli.phase // 2,
+                                               rng_slow)
+                assert fast.measure_pauli(pauli, rng_fast) == 1 - 2 * want
+            branches[branch] += 1
+            assert np.array_equal(fast.x, slow.x)
+            assert np.array_equal(fast.z, slow.z)
+            assert np.array_equal(fast.r, slow.r)
+    assert min(branches.values()) > 100
+
+
 def _cnot_matrix_5q(control: int, target: int) -> np.ndarray:
     m = np.zeros((32, 32))
     for idx in range(32):
@@ -496,6 +582,64 @@ def test_cycles_compound_error_probability():
     one = sc.logical_error_rate(3, 2e-2, cycles=1, shots=20000, seed=15)
     five = sc.logical_error_rate(3, 2e-2, cycles=5, shots=20000, seed=15)
     assert five.rate > one.rate
+
+
+def _looped_failures(d, p, cycles, shots, seed):
+    """Test oracle for ``logical_error_rate``: the same documented draws,
+    one ``mwpm_decode`` per shot."""
+    lat = sc.SurfaceLattice(d)
+    x_l, z_l = sc.logical_ops(lat)
+    p_cum = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(
+        (shots, lat.n_data, 2))
+    failures = 0
+    for ex, ez in zip((draws[:, :, 0] < p_cum).astype(np.int8),
+                      (draws[:, :, 1] < p_cum).astype(np.int8)):
+        frame = sc.mwpm_decode(sc.syndrome_from_errors(lat, ex, ez), lat)
+        flips_z_l = (ex ^ frame.x)[list(z_l.support())].sum() % 2
+        flips_x_l = (ez ^ frame.z)[list(x_l.support())].sum() % 2
+        failures += bool(flips_z_l or flips_x_l)
+    return failures
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("p", [1e-3, 0.03, 0.08])
+@pytest.mark.parametrize("cycles", [1, 3])
+def test_decode_once_matches_per_shot_loop(d, p, cycles):
+    shots, seed = 300, 17
+    try:
+        want = _looped_failures(d, p, cycles, shots, seed)
+    except sc.DecoderCapacityError:
+        with pytest.raises(sc.DecoderCapacityError):
+            sc.logical_error_rate(d, p, cycles, shots, seed)
+        return
+    assert sc.logical_error_rate(d, p, cycles, shots, seed).failures == want
+
+
+def test_monte_carlo_capacity_error():
+    """d = 5, p = 0.15, seed 7: the draws hold shots with more defects than
+    the matcher takes, and the whole call raises before decoding."""
+    d, p, shots, seed = 5, 0.15, 10000, 7
+    lat = sc.SurfaceLattice(d)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(
+        (shots, lat.n_data, 2))
+    most = max(
+        int(((draws[:, :, 0] < p).astype(int) @ lat.adjacency("z") % 2).sum(1).max()),
+        int(((draws[:, :, 1] < p).astype(int) @ lat.adjacency("x") % 2).sum(1).max()),
+    )
+    assert most > sc.MAX_DEFECTS
+    with pytest.raises(sc.DecoderCapacityError,
+                       match=f"^{most} defects exceed the exhaustive-matching "
+                             f"capacity {sc.MAX_DEFECTS}$"):
+        sc.logical_error_rate(d, p, 1, shots, seed)
+
+
+@pytest.mark.parametrize("p, cycles, shots", [
+    (2.0, 1, 10), (-0.1, 1, 10), (np.nan, 1, 10), (0.01, 0, 10), (0.01, 1, 0),
+])
+def test_monte_carlo_rejects_out_of_range_inputs(p, cycles, shots):
+    with pytest.raises(ValueError, match="0 <= p <= 1"):
+        sc.logical_error_rate(3, p, cycles, shots)
 
 
 def test_unsupported_distance():
