@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Operator
+from .qcore import Operator, _as_matrix
 
 DEFAULT_NCUT = 30
 DEFAULT_EXTENT = 8 * np.pi
@@ -262,7 +262,7 @@ def _spectrum_from_eigen(evals, vecs, nlevels) -> SpectrumResult:
 
 def spectrum(h, nlevels: int = 5) -> SpectrumResult:
     """Ground-referenced spectrum of a Hermitian Hamiltonian in GHz."""
-    m = h.entries if isinstance(h, Operator) else np.asarray(h, dtype=complex)
+    m = _as_matrix(h)
     if np.max(np.abs(m - m.conj().T)) > 1e-9:
         raise ValueError("spectrum requires a Hermitian matrix")
     if nlevels > m.shape[0]:

@@ -38,7 +38,7 @@ import scipy
 from . import __version__, circuits, control, coupling, experiments, gates
 from . import dynamics as dyn
 from . import surface_code as sc
-from .qcore import SIGMA_X, SIGMA_Z, to_angular
+from .qcore import CZ_GATE, SIGMA_X, SIGMA_Z, global_phase_distance, to_angular
 
 
 class ConfigError(ValueError):
@@ -258,6 +258,8 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
         to_angular(c["detuning_ghz"]) * np.diag([0.0, 1.0]).astype(complex)
         + 0.5 * to_angular(c["drive_ghz"]) * SIGMA_X.entries
     )
+    if not (np.isfinite(c["t_end_ns"]) and c["t_end_ns"] >= 0):
+        raise ConfigError(f"t_end_ns must be finite and >= 0, got {c['t_end_ns']}")
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
                               times=times, dt=c["dt_ns"],
@@ -284,7 +286,6 @@ def run_gate(cfg: dict, out: Path, seed: int) -> None:
     elif kind == "cz":
         u6 = gates.cz_coherent_exchange(j_ang, c["tau_ns"])
         u = gates.Operator(u6.entries[:4, :4])
-        from .qcore import CZ_GATE
         target = CZ_GATE
     elif kind == "cr":
         q = coupling.TwoQubitParams(c["omega_q1_ghz"], c["omega_q2_ghz"],
@@ -345,7 +346,6 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
     h_qe = control.qubit_env_coupling(to_angular(c["j_z_ghz"]), "z",
                                       SIGMA_Z.entries)
     u = control.sequence_propagator(seq, h_qe)
-    from .qcore import global_phase_distance
     residual = global_phase_distance(u.entries, np.eye(4))
     write_json(out / "echo.json", {
         "kind": c["kind"],

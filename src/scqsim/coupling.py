@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Operator, annihilation, number_op, tensor
+from .qcore import SIGMA_MINUS, Operator, _as_matrix, annihilation, number_op, tensor
 
 DISPERSIVE_RATIO = 10.0
 
@@ -122,7 +122,7 @@ def jc_hamiltonian(p: JCParams) -> Operator:
     nr = p.n_max + 1
     a = annihilation(nr).entries
     nq = number_op(2).entries
-    q_raise = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
+    q_raise = SIGMA_MINUS.entries   # |1><0|
     h = (
         p.omega_q * tensor(nq, np.eye(nr)).entries
         + p.omega_r * tensor(np.eye(2), a.conj().T @ a).entries
@@ -173,7 +173,7 @@ def fock_headroom(rho, n_max: int, threshold: float = 1e-6) -> float:
     1e-6) or the truncation at n_max is eating real dynamics; raises
     ValueError beyond it.
     """
-    m = rho.entries if hasattr(rho, "entries") else np.asarray(rho)
+    m = _as_matrix(rho)
     nr = n_max + 1
     if m.shape[0] != 2 * nr:
         raise ValueError(f"expected a 2 x {nr} dim state, got dim {m.shape[0]}")
@@ -258,7 +258,7 @@ def two_qubit_hamiltonian(p: TwoQubitParams, rwa: bool = False) -> Operator:
     n = number_op(2).entries
     eye = np.eye(2)
     h = p.omega_q1 * tensor(n, eye).entries + p.omega_q2 * tensor(eye, n).entries
-    raise_ = np.array([[0, 0], [1, 0]], dtype=complex)
+    raise_ = SIGMA_MINUS.entries
     lower = raise_.conj().T
     if rwa:
         h = h + p.j * (

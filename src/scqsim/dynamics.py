@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcore import (DensityMatrix, Operator, StateVector, annihilation,
-                    expm_hermitian, step_unitaries)
+from .qcore import (SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator, StateVector,
+                    _as_matrix, annihilation, expm_hermitian, step_unitaries)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
@@ -47,9 +47,9 @@ class TimeDependentH:
     drives: Sequence[tuple[np.ndarray, Callable[[float], float]]] = ()
 
     def __post_init__(self):
-        h0 = _as_array(self.static)
+        h0 = _as_matrix(self.static)
         object.__setattr__(self, "static", h0)
-        drives = tuple((_as_array(op), fn) for op, fn in self.drives)
+        drives = tuple((_as_matrix(op), fn) for op, fn in self.drives)
         for op, _ in drives:
             if op.shape != h0.shape:
                 raise ValueError("all drive operators must share the static dim")
@@ -66,16 +66,10 @@ class TimeDependentH:
         return h
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Operator):
-        return np.asarray(x.entries, dtype=complex)
-    return np.asarray(x, dtype=complex)
-
-
 def _as_hamiltonian(h) -> TimeDependentH:
     if isinstance(h, TimeDependentH):
         return h
-    return TimeDependentH(_as_array(h))
+    return TimeDependentH(_as_matrix(h))
 
 
 def _sample_times(times, t_span, dt) -> np.ndarray:
@@ -119,16 +113,14 @@ def qubit_decay(gamma_par: float) -> Operator:
     """sqrt(Gamma_par) |0><1|: thermalization of a two-level system."""
     if gamma_par < 0:
         raise ValueError("Gamma_par must be >= 0")
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = np.sqrt(gamma_par)
-    return Operator(m)
+    return SIGMA_PLUS * np.sqrt(gamma_par)
 
 
 def qubit_dephasing(gamma_phi: float) -> Operator:
     """sqrt(Gamma_phi / 2) sigma_z: pure dephasing of a two-level system."""
     if gamma_phi < 0:
         raise ValueError("Gamma_phi must be >= 0")
-    return Operator(np.sqrt(gamma_phi / 2) * np.diag([1.0, -1.0]).astype(complex))
+    return SIGMA_Z * np.sqrt(gamma_phi / 2)
 
 
 def resonator_decay(kappa: float, n_levels: int) -> Operator:
@@ -174,11 +166,11 @@ def liouvillian(h, collapse: Sequence = ()) -> np.ndarray:
     """Superoperator of the Lindblad generator of a static H on row-major
     vec(rho) = rho.reshape(-1): -i (H x I - I x H^T)
     + sum_k (L_k x L_k^* - (L_k^dag L_k x I + I x (L_k^dag L_k)^T) / 2)."""
-    hm = _as_array(h)
+    hm = _as_matrix(h)
     eye = np.eye(hm.shape[0])
     out = -1j * (np.kron(hm, eye) - np.kron(eye, hm.T))
     for c in collapse:
-        l = _as_array(c)
+        l = _as_matrix(c)
         ll = l.conj().T @ l
         out += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
     return out
@@ -232,7 +224,7 @@ def lindblad_evolve(
         return out
 
     rho = _coerce_rho(rho0)
-    e_arr = {k: _as_array(v) for k, v in (e_ops or {}).items()}
+    e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
     states = [DensityMatrix(_repair(rho))]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
@@ -322,7 +314,7 @@ def unitary_evolve(
                          "with lindblad_evolve(h, rho, [])")
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)
-    e_arr = {k: _as_array(v) for k, v in (e_ops or {}).items()}
+    e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
     psi = np.array(psi, dtype=complex)
     states = [StateVector(psi.copy(), _skip_norm_check=True)]
@@ -350,8 +342,8 @@ def total_propagator(h, t_span: float, dt: float = 1e-2) -> Operator:
 
 def rotating_frame(h, h0, t: float) -> np.ndarray:
     """Frame-transformed generator e^{i H0 t} (H - H0) e^{-i H0 t} at time t."""
-    hm = _as_array(h.at(t) if isinstance(h, TimeDependentH) else h)
-    h0m = _as_array(h0)
+    hm = _as_matrix(h.at(t) if isinstance(h, TimeDependentH) else h)
+    h0m = _as_matrix(h0)
     u = expm_hermitian(h0m, scale=1j * t)
     return u @ (hm - h0m) @ u.conj().T
 
@@ -363,8 +355,8 @@ def rwa_filter(h, h0, cutoff: float) -> np.ndarray:
     generator oscillates at |E_i - E_j| (rad/ns); elements above the cutoff
     are zeroed and the result is rotated back to the original basis.
     """
-    hm = _as_array(h)
-    h0m = _as_array(h0)
+    hm = _as_matrix(h)
+    h0m = _as_matrix(h0)
     evals, vecs = np.linalg.eigh(h0m)
     delta = hm - h0m
     tilde = vecs.conj().T @ delta @ vecs

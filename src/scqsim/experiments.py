@@ -20,7 +20,8 @@ import numpy as np
 
 from .coupling import DispersiveLimitError, JCParams
 from .dynamics import lindblad_evolve, qubit_collapse_ops
-from .qcore import H_GATE, PAULIS, S_GATE, SIGMA_X, Operator, to_angular
+from .qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, Operator, rotation_operator,
+                    to_angular)
 
 N_Q = np.diag([0.0, 1.0]).astype(complex)
 
@@ -180,9 +181,7 @@ def run_t1(taus: np.ndarray, t1: float, t2: float | None = None,
     taus = np.asarray(taus, dtype=float)
     if t2 is None:
         t2 = 2 * t1
-    theta = np.pi * (1.0 - pi_pulse_error)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    u = np.array([[c, -1j * s], [-1j * s, c]])
+    u = rotation_operator("x", np.pi * (1.0 - pi_pulse_error)).entries
     rho0 = u @ np.diag([1.0, 0.0]).astype(complex) @ u.conj().T
     if dt is None:
         dt = t1 / 200.0
@@ -539,7 +538,9 @@ class RBConfig:
     random Clifford including the closing inversion.  ``interleaved``
     names the gate of interest by its index in :func:`clifford_1q`;
     ``interleaved_error`` (same form as ``error``; default none) models
-    that gate's own noise.
+    that gate's own noise.  ``eps01`` = P(report 1 | qubit in 0) and
+    ``eps10`` = P(report 0 | qubit in 1) are the readout misassignment
+    rates, as in :class:`ReadoutModel`.
     """
 
     lengths: tuple
@@ -610,7 +611,7 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
                     acc = table[acc, cfg.interleaved]
             v = e_ptm @ (ptms[inverse[acc]] @ v)
             p1 = 0.5 * (1.0 - v[3])
-            q = (1 - cfg.eps10) * (1 - p1) + cfg.eps01 * p1   # observed P(0)
+            q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1   # observed P(0)
             q = float(np.clip(q, 0.0, 1.0))
             if cfg.shots:
                 vals[s] = rng.binomial(cfg.shots, q) / cfg.shots

@@ -15,10 +15,13 @@ import numpy as np
 
 from .coupling import DispersiveLimitError, JCParams, TwoQubitParams
 from .qcore import (
+    CZ_GATE,
     Operator,
+    _as_matrix,
     annihilation,
     number_op,
     pauli,
+    rotation_operator,
     step_unitaries,
     tensor,
     to_angular,
@@ -89,11 +92,7 @@ def rabi_gate(omega_rabi: float, tau: float, axis: str = "x") -> Operator:
 
     Omega_R tau = pi gives the X (or Y) gate up to global phase.
     """
-    theta = omega_rabi * tau
-    sk = pauli(axis).entries
-    return Operator(
-        np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * sk, unitary=True
-    )
+    return rotation_operator(axis, omega_rabi * tau)
 
 
 def xy_rotation(theta: float, phase: float) -> Operator:
@@ -212,8 +211,6 @@ def cz_adiabatic(zeta, tau: float, nsteps: int = 4001, check: bool = True) -> Ga
             f"{abs(abs(theta) - np.pi):.4f} rad: recalibrate the schedule"
         )
     u = cz_phase_propagator(0.0, 0.0, theta)
-    from .qcore import CZ_GATE
-
     return GateReport(u, CZ_GATE, gate_infidelity(u, CZ_GATE))
 
 
@@ -416,10 +413,7 @@ def gate_infidelity(u, u_target) -> float:
     gates to 0 and typical random unitaries near 1, and it makes the value
     immune to global phase.
     """
-    m = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
-    t = u_target.entries if isinstance(u_target, Operator) else np.asarray(
-        u_target, dtype=complex
-    )
+    m, t = _as_matrix(u), _as_matrix(u_target)
     if m.shape != t.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {t.shape}")
     d = m.shape[0]

@@ -38,8 +38,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _as_matrix(op) -> np.ndarray:
-    """Accept an Operator or a raw ndarray and return the complex matrix."""
-    if isinstance(op, Operator):
+    """The complex matrix of an Operator, a DensityMatrix or an array-like."""
+    if isinstance(op, (Operator, DensityMatrix)):
         return op.entries
     return np.asarray(op, dtype=complex)
 
@@ -400,7 +400,7 @@ def partial_trace(rho, keep, dims) -> DensityMatrix:
     ``dims`` lists the subsystem dimensions in tensor order (leftmost most
     significant); ``keep`` holds the indices of the subsystems to retain.
     """
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     dims = list(dims)
     n = len(dims)
     if m.shape[0] != int(np.prod(dims)):

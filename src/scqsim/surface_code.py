@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import PAULIS, StateVector
+from .qcore import H_GATE, PAULIS, StateVector, basis_ket, tensor
 
 # (letter1, letter2) -> (letter, phase-exponent of i) for single-qubit products
 _PAULI_MUL = {
@@ -97,10 +97,7 @@ class PauliString:
         return PauliString("".join(letters), phase)
 
     def to_matrix(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
-        for c in self.letters:
-            m = np.kron(m, PAULIS[c].entries)
-        return self.sign * m
+        return self.sign * tensor([PAULIS[c] for c in self.letters]).entries
 
     @classmethod
     def from_support(cls, n: int, letter: str, support, phase: int = 0) -> "PauliString":
@@ -125,12 +122,6 @@ D2_LOGICAL_Z = PauliString("ZZIII")
 D2_LOGICAL_X = PauliString("XIIXI")
 
 
-def _ket(bits: str) -> np.ndarray:
-    v = np.zeros(32, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
 def d2_codewords() -> tuple[StateVector, StateVector]:
     """The distance-2 logical codewords as 32-dim state vectors.
 
@@ -139,8 +130,10 @@ def d2_codewords() -> tuple[StateVector, StateVector]:
 
     with |psi_D0 ... psi_D4> bit ordering (D0 most significant).
     """
-    zero = 0.5 * (_ket("00000") + _ket("00111") + _ket("11011") + _ket("11100"))
-    one = 0.5 * (_ket("10010") + _ket("10101") + _ket("01001") + _ket("01110"))
+    zero = 0.5 * sum(basis_ket(b).amplitudes
+                     for b in ("00000", "00111", "11011", "11100"))
+    one = 0.5 * sum(basis_ket(b).amplitudes
+                    for b in ("10010", "10101", "01001", "01110"))
     return StateVector(zero), StateVector(one)
 
 
@@ -173,22 +166,9 @@ def logical_h_d2(state: StateVector) -> StateVector:
     lattice rotation, realized as the index relabeling
     D0->D1, D1->D4, D3->D0, D4->D3 (D2 fixed).
     """
-    h1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    h5 = np.array([[1.0 + 0j]])
-    for _ in range(5):
-        h5 = np.kron(h5, h1)
-    psi = h5 @ state.amplitudes
-    # move the state of old slot i to new slot perm[i]
-    perm = {0: 1, 1: 4, 2: 2, 3: 0, 4: 3}
-    out = np.zeros_like(psi)
-    for idx in range(32):
-        bits = [(idx >> (4 - q)) & 1 for q in range(5)]
-        new_bits = [0] * 5
-        for q in range(5):
-            new_bits[perm[q]] = bits[q]
-        new_idx = sum(b << (4 - q) for q, b in enumerate(new_bits))
-        out[new_idx] = psi[idx]
-    return StateVector(out)
+    psi = tensor([H_GATE] * 5).entries @ state.amplitudes
+    # new qubit axis j holds old axis (3, 0, 2, 4, 1)[j]
+    return StateVector(psi.reshape((2,) * 5).transpose(3, 0, 2, 4, 1).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scqsim import cli
 
@@ -69,6 +71,48 @@ def test_validate_keys_coerces_to_schema_types():
                 {"x_ghz": 1.0, "kind": 3}, {"x_ghz": 1.0, "lengths": [1, 1.5]}):
         with pytest.raises(cli.ConfigError, match="must be"):
             cli.validate_keys(bad, schema)
+
+
+def _plain_word(s):
+    # key = value text has no quoting, so a word spelled as a bool or a
+    # number (true, inf, nan, ...) is read as one; JSON keeps it a string
+    try:
+        float(s)
+    except ValueError:
+        return s.lower() not in ("true", "false")
+    return False
+
+
+_KEYS = st.from_regex(r"[a-c]{1,2}", fullmatch=True)
+_VALUES = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(_plain_word),
+)
+_SPECS = st.sampled_from([int, float, str, ..., 3, 2.5, "word", [1.0], [2]])
+
+
+def _as_text(v):
+    # str of a float is its shortest round-trip repr
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
+def _validated(cfg, schema):
+    try:
+        return repr(sorted(cli.validate_keys(cfg, schema).items()))
+    except cli.ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=5),
+       st.dictionaries(_KEYS, _SPECS, max_size=5))
+def test_config_text_and_json_validate_alike(flat, schema):
+    text = "".join(f"{k} = {_as_text(v)}\n" for k, v in flat.items())
+    from_text = cli.parse_config(text)
+    from_json = cli.parse_config(json.dumps(flat))
+    assert _validated(from_text, schema) == _validated(from_json, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +262,7 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     "t_end_ns = -10.0\n",
     "t_end_ns = inf\n",
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "e.cfg"
     cfg.write_text("t1_ns = 100.0\nsamples = 3\n" + text)

@@ -334,6 +334,18 @@ def test_rb_zero_noise():
     assert res.r == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("eps01, eps10", [(0.1, 0.0), (0.0, 0.1), (0.05, 0.2)])
+def test_rb_readout_error_convention(eps01, eps10):
+    # noiseless gates return |0>, so survival = P(report 0 | 0) = 1 - eps01,
+    # the misassignment convention of ReadoutModel
+    cfg = ex.RBConfig(lengths=(1, 4, 16), sequences_per_length=4, shots=0,
+                      error={}, eps01=eps01, eps10=eps10, seed=0)
+    want = 1.0 - ex.ReadoutModel(eps01, eps10).observed_p1(0.0)
+    assert want == pytest.approx(1.0 - eps01)
+    survival, _ = ex._rb_survival(cfg, interleave=False)
+    assert np.allclose(survival, want, atol=1e-12)
+
+
 def test_rb_recovers_depolarizing_rate():
     cfg = ex.RBConfig(lengths=RB_LENGTHS, sequences_per_length=45, shots=250,
                       error={"depolarizing": 0.01}, seed=3)

@@ -176,6 +176,14 @@ def test_partial_trace_three_subsystems():
     assert np.allclose(red.entries, np.diag([0.0, 1.0]))
 
 
+def test_as_matrix_unwraps_every_operator_form():
+    rho = q.bloch_to_density(q.BlochVector(0.3, -0.2, 0.5))
+    assert q._as_matrix(rho) is rho.entries
+    assert q._as_matrix(q.SIGMA_Y) is q.SIGMA_Y.entries
+    m = q._as_matrix([[1, 2], [3, 4]])
+    assert m.dtype == complex and np.array_equal(m, [[1, 2], [3, 4]])
+
+
 def test_partial_trace_dim_mismatch():
     with pytest.raises(ValueError, match="inconsistent"):
         q.partial_trace(np.eye(4) / 4, keep=[0], dims=[2, 3])

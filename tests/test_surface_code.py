@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from scqsim import surface_code as sc
+from scqsim.qcore import StateVector
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,34 @@ def test_logical_h_d2():
     minus = sc.logical_h_d2(one)
     want = (zero.amplitudes - one.amplitudes) / np.sqrt(2)
     assert np.max(np.abs(minus.amplitudes - want)) < 1e-12
+
+
+def _logical_h_d2_looped(psi):
+    """Oracle: H on each of the five qubits, then the slot relabeling
+    D0->D1, D1->D4, D3->D0, D4->D3 index by index."""
+    h1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    h5 = np.array([[1.0 + 0j]])
+    for _ in range(5):
+        h5 = np.kron(h5, h1)
+    psi = h5 @ psi
+    perm = {0: 1, 1: 4, 2: 2, 3: 0, 4: 3}
+    out = np.zeros_like(psi)
+    for idx in range(32):
+        bits = [(idx >> (4 - q)) & 1 for q in range(5)]
+        new_bits = [0] * 5
+        for q in range(5):
+            new_bits[perm[q]] = bits[q]
+        out[sum(b << (4 - q) for q, b in enumerate(new_bits))] = psi[idx]
+    return out
+
+
+def test_logical_h_d2_matches_looped_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        state = StateVector(v / np.linalg.norm(v))
+        got = sc.logical_h_d2(state).amplitudes
+        assert np.array_equal(got, _logical_h_d2_looped(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
