@@ -30,6 +30,7 @@ import datetime
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -476,8 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (``parse_args`` leaves it as is)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config is not None:
             config_bytes = args.config.read_bytes()

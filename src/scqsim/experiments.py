@@ -13,7 +13,7 @@ of scope here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -654,17 +654,30 @@ def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
     return _lm_fit(wmodel, wjac, m, y * w, [a0, p0, b0], ["a", "p", "b"])
 
 
+def _rb_decay(lengths, survival, sem, name: str) -> tuple[FitResult, float]:
+    """:func:`fit_rb_decay` and its decay parameter, which must lie in
+    (0, 1]; a flat zero-noise decay fits p = 1 + fuzz and is clipped to 1.
+    A constant curve (equal up to round-off, peak-to-peak <= 1e-12) does not
+    identify p in A p^m + B, so where its fit lands outside (0, 1] it is
+    reported as p = 1 with the fit marked not converged; any other curve
+    raises :class:`FitQualityError`.
+    """
+    fit = fit_rb_decay(lengths, survival, sem)
+    p = fit.params["p"]
+    if not 0.0 < p <= 1.0 + 1e-6:
+        if np.ptp(survival) > 1e-12:
+            raise FitQualityError(f"{name} = {p!r} outside (0, 1]")
+        fit = replace(fit, params={**fit.params, "p": 1.0}, converged=False)
+    return fit, min(fit.params["p"], 1.0)
+
+
 def rb_standard(cfg: RBConfig) -> RBResult:
     """Standard Clifford-group RB: random sequences closed by the exact
     inverse (a Clifford-table lookup), survival fit A p^m + B, and the average
     infidelity r = (d - 1)(1 - p)/d with d = 2.
     """
     means, sems = _rb_survival(cfg, interleave=False)
-    fit = fit_rb_decay(cfg.lengths, means, sems)
-    p = fit.params["p"]
-    if not 0.0 < p <= 1.0 + 1e-6:
-        raise FitQualityError(f"decay parameter p = {p!r} outside (0, 1]")
-    p = min(p, 1.0)                      # flat zero-noise decay fits p = 1 + fuzz
+    fit, p = _rb_decay(cfg.lengths, means, sems, "decay parameter p")
     r = 0.5 * (1.0 - p)
     return RBResult(np.asarray(cfg.lengths, float), means, sems,
                     fit.params["a"], p, fit.params["b"], r,
@@ -693,11 +706,7 @@ def rb_interleaved(cfg: RBConfig) -> InterleavedRBResult:
         raise ValueError("cfg.interleaved must name a Clifford index")
     std = rb_standard(cfg)
     means, sems = _rb_survival(cfg, interleave=True)
-    fit = fit_rb_decay(cfg.lengths, means, sems)
-    p_c = fit.params["p"]
-    if not 0.0 < p_c <= 1.0 + 1e-6:
-        raise FitQualityError(f"interleaved decay p_C = {p_c!r} outside (0, 1]")
-    p_c = min(p_c, 1.0)
+    fit, p_c = _rb_decay(cfg.lengths, means, sems, "interleaved decay p_C")
     p = std.p
     d = 2.0
     r_c = (d - 1) * (1.0 - p_c / p) / d

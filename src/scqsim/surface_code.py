@@ -1,5 +1,5 @@
 """Surface-code engine: worked d=2 example as state vectors, a CHP-style
-stabilizer tableau for d >= 3, syndrome extraction, exhaustive
+stabilizer tableau for d >= 3, syndrome extraction, exact
 minimum-weight matching, logical operators, and logical-error-rate
 Monte Carlo.
 
@@ -26,7 +26,7 @@ syndrome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -42,7 +42,8 @@ _PAULI_MUL = {
 
 
 class DecoderCapacityError(RuntimeError):
-    """Too many defects for the exhaustive matcher."""
+    """More than ``MAX_DEFECTS`` defects of one check type in a syndrome: too
+    many for the exact matcher."""
 
 
 @dataclass(frozen=True)
@@ -522,10 +523,21 @@ def syndromes_to_csv(syndromes, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive minimum-weight matching
+# Exact minimum-weight matching
 # ---------------------------------------------------------------------------
 
-MAX_DEFECTS = 14
+MAX_DEFECTS = 19
+"""Most defects of one check type the exact matcher takes in one syndrome.
+
+The matcher is a DP over subsets of the defects that always matches the
+lowest one left, to the boundary or to a partner.  From the full set that
+reaches only Fibonacci-many subsets, and it visits no others: 987 at 14
+defects and 10,946 at 19 (counting the empty one), against 2^19 = 524,288
+for the full table.  Each further defect multiplies the states and the run
+time by ~1.6; past 19, :class:`DecoderCapacityError` is raised instead."""
+
+_NO_MOVE = 1 << 20      # weight of a move that does not exist (> any matching)
+_MOVE_BITS = 5          # low bits of a DP key that hold the move (1 + n <= 32)
 
 
 def _check_capacity(n_defects: int) -> None:
@@ -536,15 +548,27 @@ def _check_capacity(n_defects: int) -> None:
         )
 
 
-def _boundary_distance(pos, size: int, kind: str) -> int:
+def _boundary_distance(pos, size: int, kind: str):
+    """Path length from a defect at ``pos`` = (r, c) to its nearest boundary
+    (r and c may be arrays)."""
     r, c = pos
     if kind == "z":     # X-error chains end on the top/bottom boundary
-        return min((r + 1) // 2, (size - r) // 2)
-    return min((c + 1) // 2, (size - c) // 2)
+        return np.minimum((r + 1) // 2, (size - r) // 2)
+    return np.minimum((c + 1) // 2, (size - c) // 2)
 
 
-def _pair_distance(p1, p2) -> int:
+def _pair_distance(p1, p2):
+    """Path length between two same-type defects (coordinates may be
+    arrays, broadcast against each other)."""
     return (abs(p1[0] - p2[0]) + abs(p1[1] - p2[1])) // 2
+
+
+def _move_weights(defects, size: int, kind: str) -> np.ndarray:
+    """(n, 1 + n) matching-move weights of n defects: column 0 the boundary
+    match, column 1 + j the pairing with defect j."""
+    r, c = np.asarray(defects, dtype=np.int32).reshape(-1, 2).T
+    return np.concatenate((_boundary_distance((r, c), size, kind)[:, None],
+                           _pair_distance((r[:, None], c[:, None]), (r, c))), axis=1)
 
 
 def _boundary_path(pos, size: int, kind: str) -> list:
@@ -589,39 +613,98 @@ def _pair_path(p1, p2, kind: str) -> list:
     return out
 
 
+@cache
+def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of the matching DP over n defects, built once per n.
+
+    A state is the set (bit mask) of defects still unmatched.  Its lowest
+    defect f goes to the boundary (move 0, to the state without f) or to a
+    partner j > f in the set (move 1 + j, to the state without f and j).
+    Only the states these moves reach from the full set are kept, ordered
+    by size, so each size level depends on smaller ones only; state 0 is
+    the empty set and the last state the full set.
+
+    Returns ``first`` (f of every state), ``child`` ((states, 1 + n) int32:
+    the state each move leads to, or ``len(first)`` where the move does not
+    exist) and ``levels`` (the index where each size level starts, plus the
+    end).
+    """
+    seen = {(1 << n) - 1}
+    frontier = list(seen)
+    while frontier:
+        reached = []
+        for mask in frontier:
+            rest = mask & (mask - 1)
+            moves = [rest] + [rest & ~(1 << j) for j in range(n) if rest >> j & 1]
+            for m in moves:
+                if m not in seen:
+                    seen.add(m)
+                    reached.append(m)
+        frontier = reached
+    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
+    index = {m: i for i, m in enumerate(masks)}
+    first = np.zeros(len(masks), dtype=np.int32)
+    child = np.full((len(masks), 1 + n), len(masks), dtype=np.int32)
+    for i, mask in enumerate(masks[1:], start=1):
+        rest = mask & (mask - 1)
+        first[i] = (mask ^ rest).bit_length() - 1
+        child[i, 0] = index[rest]
+        for j in range(n):
+            if rest >> j & 1:
+                child[i, 1 + j] = index[rest & ~(1 << j)]
+    sizes = np.bincount([m.bit_count() for m in masks])
+    levels = np.concatenate(([0], np.cumsum(sizes)))
+    for shared in (first, child, levels):     # cached: every caller gets these
+        shared.flags.writeable = False
+    return first, child, levels
+
+
+def _match(move_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum-weight matching of S defect sets of one size n at once.
+
+    ``move_weight`` is (S, n, 1 + n), a :func:`_move_weights` table per
+    set.  Every state of :func:`_matching_plan` is solved for all S sets,
+    one size level at a time.  A candidate's key is its weight times 32
+    plus its move, so the smallest key is the lightest candidate and, among
+    equal weights, the first one scanned (boundary first, then partners in
+    ascending order): a later candidate must be strictly lighter to win.
+
+    Returns the weight of each set's matching, (S,), and the move chosen in
+    every state, (states, S), from which the matching is read back.
+    """
+    s, n = move_weight.shape[:2]
+    first, child, levels = _matching_plan(n)
+    move_key = np.ascontiguousarray(   # (1 + n, n, S)
+        ((move_weight << _MOVE_BITS) + np.arange(1 + n, dtype=np.int32)).T)
+    key = np.zeros((len(first) + 1, s), dtype=np.int32)
+    key[-1] = _NO_MOVE << _MOVE_BITS
+    choice = np.zeros((len(first), s), dtype=np.int8)
+    for lo, hi in zip(levels[1:-1], levels[2:]):
+        best = (key[child[lo:hi].T] + move_key[:, first[lo:hi]]).min(axis=0)
+        choice[lo:hi] = best & (1 << _MOVE_BITS) - 1
+        key[lo:hi] = best - choice[lo:hi]
+    return key[-2] >> _MOVE_BITS, choice
+
+
 def _min_weight_matching(defects: list, size: int, kind: str):
-    """Exhaustive minimum-weight pairing with virtual boundary nodes.
+    """Exact minimum-weight pairing with virtual boundary nodes.
 
     Returns (weight, pairs) where each pair is (i, j) into ``defects`` or
     (i, None) for a boundary match.  Ties resolve deterministically:
     options are scanned boundary-first, partners in ascending index order,
-    and only strict improvements replace the incumbent.
+    and only strict improvements replace the incumbent (see :func:`_match`).
     """
     n = len(defects)
     _check_capacity(n)
-
-    @lru_cache(maxsize=None)
-    def solve(mask: int):
-        if mask == 0:
-            return 0, ()
-        first = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << first)
-        best_w, best_pairs = None, None
-        w, pairs = solve(rest)
-        cand = w + _boundary_distance(defects[first], size, kind)
-        best_w, best_pairs = cand, pairs + ((first, None),)
-        for j in range(first + 1, n):
-            if not (rest >> j) & 1:
-                continue
-            w, pairs = solve(rest & ~(1 << j))
-            cand = w + _pair_distance(defects[first], defects[j])
-            if cand < best_w:
-                best_w, best_pairs = cand, pairs + ((first, j),)
-        return best_w, best_pairs
-
-    weight, pairs = solve((1 << n) - 1)
-    solve.cache_clear()
-    return weight, pairs
+    weight, choice = _match(_move_weights(defects, size, kind)[None])
+    first, child, _ = _matching_plan(n)
+    pairs = []
+    state = len(first) - 1
+    while state:
+        move = int(choice[state, 0])
+        pairs.append((int(first[state]), move - 1 if move else None))
+        state = child[state, move]
+    return int(weight[0]), tuple(reversed(pairs))
 
 
 def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
@@ -669,6 +752,11 @@ def _correction(bits, lattice: SurfaceLattice, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogicalRateResult:
+    """Monte Carlo outcome.  ``max_defects`` and ``distinct_syndromes`` are
+    keyed by check kind ("z": Z-check defects from X errors, "x": X-check
+    defects from Z errors): the most defects in one shot and the number of
+    distinct syndromes matched."""
+
     rate: float
     ci_low: float
     ci_high: float
@@ -678,6 +766,8 @@ class LogicalRateResult:
     p: float
     cycles: int
     seed: int
+    max_defects: dict = field(default_factory=dict)
+    distinct_syndromes: dict = field(default_factory=dict)
 
 
 def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -688,6 +778,64 @@ def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     center = (ph + z**2 / (2 * n)) / denom
     half = z * np.sqrt(ph * (1 - ph) / n + z**2 / (4 * n**2)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
+
+
+_CHUNK = 1 << 16        # DP candidates (sets x states x moves) per level step
+_DRAW_SHOTS = 1024      # shots per block of uniform draws
+
+
+@cache
+def _move_parities(d: int, kind: str) -> np.ndarray:
+    """Logical parity of every matching move at distance d, for defects on
+    checks of ``kind``: row c is a defect on check c, column 0 its boundary
+    path, column 1 + c2 its path to a defect on check c2.  The parity is the
+    path's overlap, mod 2, with the logical operator its correction can
+    flip (Z_L for Z-check defects, X_L for X-check ones)."""
+    lattice = SurfaceLattice(d)
+    checks = lattice.z_checks if kind == "z" else lattice.x_checks
+    x_l, z_l = logical_ops(lattice)
+    support = {lattice.data[q] for q in (z_l if kind == "z" else x_l).support()}
+    parity = np.array([[len(support.intersection(path)) % 2
+                        for path in [_boundary_path(c, lattice.size, kind)]
+                        + [_pair_path(c, c2, kind) for c2 in checks]]
+                       for c in checks], dtype=np.int8)
+    parity.flags.writeable = False      # cached: every caller gets this array
+    return parity
+
+
+def _logical_flips(syn: np.ndarray, lattice: SurfaceLattice, kind: str) -> np.ndarray:
+    """Whether the matching correction of each syndrome row flips the
+    logical operator, without building the corrections.  Rows with the same
+    defect count are matched together, in chunks of at most about
+    ``_CHUNK`` DP candidates per level, and each matching is read back from
+    the full set to XOR the parities of its moves."""
+    checks = lattice.z_checks if kind == "z" else lattice.x_checks
+    weight_table = _move_weights(checks, lattice.size, kind)
+    parity_table = _move_parities(lattice.d, kind)
+    counts = syn.sum(axis=1)
+    flips = np.zeros(len(syn), dtype=np.int8)
+    for n in sorted(set(counts.tolist()) - {0}):
+        first, child, levels = _matching_plan(n)
+        rows = np.nonzero(counts == n)[0]
+        step = max(1, _CHUNK // (int(np.diff(levels).max()) * (1 + n)))
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            defects = np.nonzero(syn[part])[1].reshape(len(part), n)
+            cols = np.concatenate((np.zeros((len(part), 1), dtype=defects.dtype),
+                                   1 + defects), axis=1)
+            at = (defects[:, :, None], cols[:, None, :])
+            _, choice = _match(weight_table[at])
+            move_parity = parity_table[at]
+            sets = np.arange(len(part))
+            state = np.full(len(part), len(first) - 1)
+            flip = np.zeros(len(part), dtype=np.int8)
+            while state.any():
+                move = choice[state, sets]
+                live = state > 0
+                flip ^= move_parity[sets, first[state], move] & live
+                state = np.where(live, child[state, move], 0)
+            flips[part] = flip
+    return flips
 
 
 def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
@@ -701,10 +849,14 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     error after matching anticommutes with Z_L or X_L.
 
     The RNG is counter-based (Philox keyed by ``seed``): shot i consumes
-    row i of one pre-drawn array, so any shot is reproducible from
-    (seed, shot index) alone.  Each distinct syndrome of each kind is
-    decoded once and its correction's logical parity gathered back to the
-    shots that share it.
+    row i of one (shots, n_data, 2) array of uniform draws, so any shot is
+    reproducible from (seed, shot index) alone.  The array is drawn in
+    blocks of ``_DRAW_SHOTS`` rows, which gives the same numbers.  Each
+    distinct syndrome of each kind is matched once, in batches of equal
+    defect count, and only the logical parity of its correction is
+    gathered back to the shots that share it.  A shot with more than
+    ``MAX_DEFECTS`` defects of one kind raises :class:`DecoderCapacityError`
+    before any matching.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")
@@ -715,24 +867,31 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
 
     p_cum = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.random((shots, lattice.n_data, 2))
-    errors_x = (draws[:, :, 0] < p_cum).astype(np.int8)
-    errors_z = (draws[:, :, 1] < p_cum).astype(np.int8)
+    errors_x = np.empty((shots, lattice.n_data), dtype=np.int8)
+    errors_z = np.empty_like(errors_x)
+    for lo in range(0, shots, _DRAW_SHOTS):
+        draws = rng.random((min(_DRAW_SHOTS, shots - lo), lattice.n_data, 2))
+        errors_x[lo:lo + len(draws)] = draws[:, :, 0] < p_cum
+        errors_z[lo:lo + len(draws)] = draws[:, :, 1] < p_cum
 
     syn_x, syn_z = _parities(lattice, errors_x, errors_z)
-    _check_capacity(int(max(syn_x.sum(axis=1).max(), syn_z.sum(axis=1).max())))
+    most = {"z": int(syn_z.sum(axis=1).max()), "x": int(syn_x.sum(axis=1).max())}
+    _check_capacity(max(most.values()))
 
     # a shot fails when its residual X error flips Z_L or its Z error X_L
     failed = np.zeros(shots, dtype=bool)
+    distinct = {}
     for kind, syn, errors, logical in (("z", syn_z, errors_x, z_l),
                                        ("x", syn_x, errors_z, x_l)):
         sup = np.zeros(lattice.n_data, dtype=np.int8)
         sup[list(logical.support())] = 1
         keys = syn.astype(np.int64) @ (1 << np.arange(syn.shape[1], dtype=np.int64))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        flips = np.array([_correction(syn[i], lattice, kind) @ sup for i in first])
+        distinct[kind] = len(first)
+        flips = _logical_flips(syn[first], lattice, kind)
         failed |= (errors @ sup + flips[inverse]) % 2 == 1
     failures = int(failed.sum())
     rate = failures / shots
     lo, hi = _wilson_interval(failures, shots)
-    return LogicalRateResult(rate, lo, hi, failures, shots, d, p, cycles, seed)
+    return LogicalRateResult(rate, lo, hi, failures, shots, d, p, cycles, seed,
+                             most, distinct)

@@ -299,6 +299,20 @@ def test_wrong_typed_value_exit_2(tmp_path, capsys, subcommand, text):
     assert "must be" in capsys.readouterr().err
 
 
+def test_parser_built_once_reads_as_fresh(capsys):
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == cli.build_parser().format_help()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qec", "--d", "three"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["qec", "--d", "three"])
+    assert errors[0] == errors[1] == capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert run_cli(["spectrum", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path]) == 2

@@ -346,6 +346,24 @@ def test_rb_readout_error_convention(eps01, eps10):
     assert np.allclose(survival, want, atol=1e-12)
 
 
+def test_rb_flat_curve_reports_p_one():
+    # noiseless gates give survival 1 - eps01 at every length, which does not
+    # identify p; at this level the fit lands on p > 1 and used to abort
+    cfg = ex.RBConfig(lengths=(1, 4, 16), sequences_per_length=4, shots=0,
+                      error={}, eps01=0.05, eps10=0.2, seed=0)
+    res = ex.rb_standard(cfg)
+    assert np.ptp(res.survival) <= 1e-12
+    assert res.p == 1.0 and res.r == 0.0
+    assert res.fit.params["p"] == 1.0 and not res.fit.converged
+    # a flat curve whose fit lands in (0, 1] keeps it as it comes; at this
+    # level the interleaved fit for gate 7 lands on p_C > 1 and used to abort
+    cfg = ex.RBConfig(lengths=(1, 4, 16), sequences_per_length=4, shots=0,
+                      error={}, eps01=0.2, eps10=0.05, interleaved=7, seed=0)
+    res = ex.rb_interleaved(cfg)
+    assert res.standard.fit.converged and 0.0 < res.standard.p < 1.0
+    assert res.p_c == 1.0 and not res.interleaved.fit.converged
+
+
 def test_rb_recovers_depolarizing_rate():
     cfg = ex.RBConfig(lengths=RB_LENGTHS, sequences_per_length=45, shots=250,
                       error={"depolarizing": 0.01}, seed=3)

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from scqsim import surface_code as sc
@@ -569,6 +573,79 @@ def test_decoder_matches_brute_force_weight():
         assert weight == brute_force(defects)
 
 
+def _recursive_matching(defects, size, kind):
+    """Slow oracle for ``_min_weight_matching``: the memoized top-down
+    recursion over subsets, matching the lowest defect left first.  Options
+    are scanned boundary first, partners in ascending order, and only a
+    strict improvement replaces the incumbent.  Move weights as in
+    ``_move_weights``: column 0 the boundary, column 1 + j partner j."""
+    n = len(defects)
+    moves = sc._move_weights(defects, size, kind).tolist()
+
+    @lru_cache(maxsize=None)
+    def solve(mask):
+        if mask == 0:
+            return 0, ()
+        first = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << first)
+        w, pairs = solve(rest)
+        best_w = w + moves[first][0]
+        best_pairs = pairs + ((first, None),)
+        for j in range(first + 1, n):
+            if (rest >> j) & 1:
+                w, pairs = solve(rest & ~(1 << j))
+                cand = w + moves[first][1 + j]
+                if cand < best_w:
+                    best_w, best_pairs = cand, pairs + ((first, j),)
+        return best_w, best_pairs
+
+    return solve((1 << n) - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_move_weights_are_path_lengths(d, kind):
+    lat = sc.SurfaceLattice(d)
+    checks = lat.z_checks if kind == "z" else lat.x_checks
+    want = [[len(sc._boundary_path(c, lat.size, kind))]
+            + [len(sc._pair_path(c, c2, kind)) for c2 in checks] for c in checks]
+    assert sc._move_weights(checks, lat.size, kind).tolist() == want
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_matcher_equals_recursion(d, kind):
+    """Weight, pairs and their order agree with the recursion on 20 random
+    defect sets of every size up to the capacity (or the number of checks)."""
+    lat = sc.SurfaceLattice(d)
+    checks = lat.z_checks if kind == "z" else lat.x_checks
+    rng = np.random.default_rng(40 + d)
+    for n in range(1, min(len(checks), sc.MAX_DEFECTS) + 1):
+        for _ in range(20):
+            picks = np.sort(rng.choice(len(checks), size=n, replace=False))
+            defects = [checks[i] for i in picks]
+            assert (sc._min_weight_matching(defects, lat.size, kind)
+                    == _recursive_matching(defects, lat.size, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decode_clears_its_own_syndrome(data):
+    d = data.draw(st.sampled_from([2, 3, 5]))
+    lat = sc.SurfaceLattice(d)
+    n_checks = len(lat.z_checks)
+    bits = st.sets(st.integers(0, n_checks - 1),
+                   max_size=min(n_checks, sc.MAX_DEFECTS))
+    x_bits = np.zeros(n_checks, dtype=np.int8)
+    z_bits = np.zeros(n_checks, dtype=np.int8)
+    x_bits[list(data.draw(bits))] = 1
+    z_bits[list(data.draw(bits))] = 1
+    frame = sc.mwpm_decode(sc.Syndrome(0, x_bits, z_bits), lat)
+    again = sc.syndrome_from_errors(lat, frame.x, frame.z)
+    assert np.array_equal(again.x_bits, x_bits)
+    assert np.array_equal(again.z_bits, z_bits)
+
+
 def test_decoder_capacity_limit():
     lat = sc.SurfaceLattice(5)
     syn = sc.Syndrome(0, np.zeros(len(lat.x_checks), np.int8),
@@ -645,17 +722,40 @@ def test_decode_once_matches_per_shot_loop(d, p, cycles):
     assert sc.logical_error_rate(d, p, cycles, shots, seed).failures == want
 
 
-def test_monte_carlo_capacity_error():
-    """d = 5, p = 0.15, seed 7: the draws hold shots with more defects than
-    the matcher takes, and the whole call raises before decoding."""
-    d, p, shots, seed = 5, 0.15, 10000, 7
+def _documented_syndromes(d, p, shots, seed):
+    """(Z-check, X-check) syndromes of the draws documented for
+    ``logical_error_rate`` at one cycle."""
     lat = sc.SurfaceLattice(d)
     draws = np.random.Generator(np.random.Philox(key=seed)).random(
         (shots, lat.n_data, 2))
-    most = max(
-        int(((draws[:, :, 0] < p).astype(int) @ lat.adjacency("z") % 2).sum(1).max()),
-        int(((draws[:, :, 1] < p).astype(int) @ lat.adjacency("x") % 2).sum(1).max()),
-    )
+    return ((draws[:, :, 0] < p).astype(int) @ lat.adjacency("z") % 2,
+            (draws[:, :, 1] < p).astype(int) @ lat.adjacency("x") % 2)
+
+
+def test_monte_carlo_past_the_old_capacity():
+    """d = 5, p = 0.15, seed 7 holds 16-defect shots; it completes, with the
+    failure count of the exact matcher."""
+    res = sc.logical_error_rate(5, 0.15, 1, 10000, 7)
+    assert res.failures == 5170
+    assert max(res.max_defects.values()) == 16
+
+
+@pytest.mark.parametrize("d, p, shots, seed", [
+    (3, 1e-3, 2000, 3), (3, 0.08, 2000, 4), (5, 0.03, 1000, 5), (5, 0.15, 3000, 6),
+])
+def test_monte_carlo_counts(d, p, shots, seed):
+    res = sc.logical_error_rate(d, p, 1, shots, seed)
+    for kind, syn in zip("zx", _documented_syndromes(d, p, shots, seed)):
+        assert res.max_defects[kind] == syn.sum(axis=1).max()
+        assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
+
+
+def test_monte_carlo_capacity_error():
+    """d = 5, p = 0.5, seed 9: the draws hold a shot with more defects than
+    the matcher takes, and the whole call raises before decoding."""
+    d, p, shots, seed = 5, 0.5, 10000, 9
+    most = max(int(syn.sum(axis=1).max())
+               for syn in _documented_syndromes(d, p, shots, seed))
     assert most > sc.MAX_DEFECTS
     with pytest.raises(sc.DecoderCapacityError,
                        match=f"^{most} defects exceed the exhaustive-matching "
