@@ -629,31 +629,34 @@ def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exist) and ``levels`` (the index where each size level starts, plus the
     end).
     """
-    seen = {(1 << n) - 1}
-    frontier = list(seen)
-    while frontier:
-        reached = []
-        for mask in frontier:
-            rest = mask & (mask - 1)
-            moves = [rest] + [rest & ~(1 << j) for j in range(n) if rest >> j & 1]
-            for m in moves:
-                if m not in seen:
-                    seen.add(m)
-                    reached.append(m)
-        frontier = reached
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    index = {m: i for i, m in enumerate(masks)}
-    first = np.zeros(len(masks), dtype=np.int32)
-    child = np.full((len(masks), 1 + n), len(masks), dtype=np.int32)
-    for i, mask in enumerate(masks[1:], start=1):
-        rest = mask & (mask - 1)
-        first[i] = (mask ^ rest).bit_length() - 1
-        child[i, 0] = index[rest]
-        for j in range(n):
-            if rest >> j & 1:
-                child[i, 1 + j] = index[rest & ~(1 << j)]
-    sizes = np.bincount([m.bit_count() for m in masks])
-    levels = np.concatenate(([0], np.cumsum(sizes)))
+    bit = 1 << np.arange(n, dtype=np.int64)
+
+    def moves(masks):       # the state each move leads to (pairs: -1 if none)
+        rest = masks & (masks - 1)
+        return rest, np.where(rest[:, None] & bit != 0, rest[:, None] ^ bit, -1)
+
+    by_size = [np.zeros(0, dtype=np.int64)] * (n + 1)
+    by_size[n] = np.array([(1 << n) - 1], dtype=np.int64)
+    for k in range(n - 1, -1, -1):      # a state of size k comes from k + 1 or k + 2
+        pairs = moves(by_size[k + 2])[1] if k + 2 <= n else np.zeros(0, np.int64)
+        found = np.sort(np.concatenate((moves(by_size[k + 1])[0], pairs[pairs >= 0])))
+        by_size[k] = found[np.r_[True, found[1:] != found[:-1]]]
+    levels = np.concatenate(([0], np.cumsum([len(m) for m in by_size])))
+    masks = np.concatenate(by_size)
+
+    def index(to, k):       # state index of each mask, len(masks) for none
+        if k < 0:
+            return len(masks)
+        at = levels[k] + np.searchsorted(by_size[k], to)
+        return np.where(to >= 0, at, len(masks))
+
+    child = np.empty((len(masks), 1 + n), dtype=np.int32)
+    child[0] = len(masks)
+    for k in range(1, n + 1):
+        rest, pair = moves(by_size[k])
+        child[levels[k]:levels[k + 1], 0] = index(rest, k - 1)
+        child[levels[k]:levels[k + 1], 1:] = index(pair, k - 2)
+    first = np.log2(np.maximum(masks & -masks, 1)).astype(np.int32)
     for shared in (first, child, levels):     # cached: every caller gets these
         shared.flags.writeable = False
     return first, child, levels
