@@ -621,8 +621,8 @@ def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     defect f goes to the boundary (move 0, to the state without f) or to a
     partner j > f in the set (move 1 + j, to the state without f and j).
     Only the states these moves reach from the full set are kept, ordered
-    by size, so each size level depends on smaller ones only; state 0 is
-    the empty set and the last state the full set.
+    by size (then by mask), so each size level depends on smaller ones
+    only; state 0 is the empty set and the last state the full set.
 
     Returns ``first`` (f of every state), ``child`` ((states, 1 + n) int32:
     the state each move leads to, or ``len(first)`` where the move does not
@@ -684,9 +684,9 @@ def _match(move_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     choice = np.zeros((len(first), s), dtype=np.int8)
     for lo, hi in zip(levels[1:-1], levels[2:]):
         best = (key[child[lo:hi].T] + move_key[:, first[lo:hi]]).min(axis=0)
-        choice[lo:hi] = best & (1 << _MOVE_BITS) - 1
+        choice[lo:hi] = best & ((1 << _MOVE_BITS) - 1)
         key[lo:hi] = best - choice[lo:hi]
-    return key[-2] >> _MOVE_BITS, choice
+    return key[len(first) - 1] >> _MOVE_BITS, choice
 
 
 def _min_weight_matching(defects: list, size: int, kind: str):
