@@ -414,31 +414,20 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
         seed=seed,
     )
     if cfg_rb.interleaved is None:
-        res = experiments.rb_standard(cfg_rb)
-        summary = {
-            "A": res.a, "p": res.p, "B": res.b, "r": res.r,
-            "CI": [res.r - 1.96 * res.r_sigma, res.r + 1.96 * res.r_sigma],
-        }
-        write_csv(out / "rb.csv", ["m", "survival", "sem"],
-                  [(int(m), float(s), float(e))
-                   for m, s, e in zip(res.lengths, res.survival, res.sem)])
+        std = curve = experiments.rb_standard(cfg_rb)
     else:
         res = experiments.rb_interleaved(cfg_rb)
-        summary = {
-            "A": res.standard.a, "p": res.standard.p, "B": res.standard.b,
-            "r": res.standard.r,
-            "CI": [res.standard.r - 1.96 * res.standard.r_sigma,
-                   res.standard.r + 1.96 * res.standard.r_sigma],
-            "p_C": res.p_c, "r_C": res.r_c,
-            "r_C_CI": [res.r_c - 1.96 * res.r_c_sigma,
-                       res.r_c + 1.96 * res.r_c_sigma],
-            "bounds": list(res.bounds),
-        }
-        write_csv(out / "rb.csv", ["m", "survival", "sem"],
-                  [(int(m), float(s), float(e))
-                   for m, s, e in zip(res.interleaved.lengths,
-                                      res.interleaved.survival,
-                                      res.interleaved.sem)])
+        std, curve = res.standard, res.interleaved
+    summary = {"A": std.a, "p": std.p, "B": std.b, "r": std.r,
+               "CI": [std.r - 1.96 * std.r_sigma, std.r + 1.96 * std.r_sigma]}
+    if cfg_rb.interleaved is not None:
+        summary.update({"p_C": res.p_c, "r_C": res.r_c,
+                        "r_C_CI": [res.r_c - 1.96 * res.r_c_sigma,
+                                   res.r_c + 1.96 * res.r_c_sigma],
+                        "bounds": list(res.bounds)})
+    write_csv(out / "rb.csv", ["m", "survival", "sem"],
+              [(int(m), float(s), float(e))
+               for m, s, e in zip(curve.lengths, curve.survival, curve.sem)])
     write_json(out / "rb.json", summary)
 
 

@@ -412,8 +412,11 @@ class Syndrome:
     z_bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_bits", np.asarray(self.x_bits, dtype=np.int8))
-        object.__setattr__(self, "z_bits", np.asarray(self.z_bits, dtype=np.int8))
+        for name in ("x_bits", "z_bits"):
+            bits = np.asarray(getattr(self, name))
+            if not np.isin(bits, (0, 1)).all():
+                raise ValueError(f"{name} must hold only 0 and 1")
+            object.__setattr__(self, name, np.asarray(bits, dtype=np.int8))
 
 
 @dataclass
@@ -548,29 +551,6 @@ def _check_capacity(n_defects: int) -> None:
         )
 
 
-def _boundary_distance(pos, size: int, kind: str):
-    """Path length from a defect at ``pos`` = (r, c) to its nearest boundary
-    (r and c may be arrays)."""
-    r, c = pos
-    if kind == "z":     # X-error chains end on the top/bottom boundary
-        return np.minimum((r + 1) // 2, (size - r) // 2)
-    return np.minimum((c + 1) // 2, (size - c) // 2)
-
-
-def _pair_distance(p1, p2):
-    """Path length between two same-type defects (coordinates may be
-    arrays, broadcast against each other)."""
-    return (abs(p1[0] - p2[0]) + abs(p1[1] - p2[1])) // 2
-
-
-def _move_weights(defects, size: int, kind: str) -> np.ndarray:
-    """(n, 1 + n) matching-move weights of n defects: column 0 the boundary
-    match, column 1 + j the pairing with defect j."""
-    r, c = np.asarray(defects, dtype=np.int32).reshape(-1, 2).T
-    return np.concatenate((_boundary_distance((r, c), size, kind)[:, None],
-                           _pair_distance((r[:, None], c[:, None]), (r, c))), axis=1)
-
-
 def _boundary_path(pos, size: int, kind: str) -> list:
     """Data qubits on the straight path from a defect to its nearest boundary."""
     r, c = pos
@@ -611,6 +591,30 @@ def _pair_path(p1, p2, kind: str) -> list:
         for rr in range(r1, r2, step):
             out.append((rr + step // 2, c2))
     return out
+
+
+@cache
+def _move_table(d: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every matching move at distance d for defects on checks of ``kind``,
+    built once from :func:`_boundary_path` and :func:`_pair_path`.
+
+    Returns ``paths``, (checks, 1 + checks, n_data) 0/1: row c is a defect
+    on check c, column 0 its boundary path and column 1 + c2 its path to a
+    defect on check c2; and ``weights``, the path lengths, (checks,
+    1 + checks) int32.
+    """
+    lattice = SurfaceLattice(d)
+    checks = lattice.z_checks if kind == "z" else lattice.x_checks
+    paths = np.zeros((len(checks), 1 + len(checks), lattice.n_data), dtype=np.int8)
+    for i, c in enumerate(checks):
+        moves = [_boundary_path(c, lattice.size, kind)]
+        moves += [_pair_path(c, c2, kind) for c2 in checks]
+        for j, path in enumerate(moves):
+            paths[i, j, [lattice.data_index(pos) for pos in path]] = 1
+    weights = paths.sum(axis=-1, dtype=np.int32)
+    for shared in (paths, weights):     # cached: every caller gets these
+        shared.flags.writeable = False
+    return paths, weights
 
 
 @cache
@@ -665,12 +669,13 @@ def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _match(move_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum-weight matching of S defect sets of one size n at once.
 
-    ``move_weight`` is (S, n, 1 + n), a :func:`_move_weights` table per
-    set.  Every state of :func:`_matching_plan` is solved for all S sets,
-    one size level at a time.  A candidate's key is its weight times 32
-    plus its move, so the smallest key is the lightest candidate and, among
-    equal weights, the first one scanned (boundary first, then partners in
-    ascending order): a later candidate must be strictly lighter to win.
+    ``move_weight`` is (S, n, 1 + n): per set, the :func:`_move_table`
+    weights of its defects' moves.  Every state of :func:`_matching_plan`
+    is solved for all S sets, one size level at a time.  A candidate's key
+    is its weight times 32 plus its move, so the smallest key is the
+    lightest candidate and, among equal weights, the first one scanned
+    (boundary first, then partners in ascending order): a later candidate
+    must be strictly lighter to win.
 
     Returns the weight of each set's matching, (S,), and the move chosen in
     every state, (states, S), from which the matching is read back.
@@ -689,25 +694,44 @@ def _match(move_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key[len(first) - 1] >> _MOVE_BITS, choice
 
 
-def _min_weight_matching(defects: list, size: int, kind: str):
-    """Exact minimum-weight pairing with virtual boundary nodes.
+_CHUNK = 1 << 16        # DP candidates (sets x states x moves) per level step
 
-    Returns (weight, pairs) where each pair is (i, j) into ``defects`` or
-    (i, None) for a boundary match.  Ties resolve deterministically:
-    options are scanned boundary-first, partners in ascending index order,
-    and only strict improvements replace the incumbent (see :func:`_match`).
+
+def _matched_xor(syn: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The minimum-weight matching of each syndrome row, read back as the
+    XOR of ``table``'s entries over its moves.
+
+    ``syn`` is (rows, checks) of 0/1 bits; ``weights`` and ``table`` are
+    indexed like a :func:`_move_table` (defect check, move), and ``table``
+    may carry trailing axes (a path over the data qubits, or none for a
+    logical parity).  Rows with the same defect count are matched together,
+    in chunks of at most about ``_CHUNK`` DP candidates per level, and each
+    matching is walked back from the full set along the chosen moves.
     """
-    n = len(defects)
-    _check_capacity(n)
-    weight, choice = _match(_move_weights(defects, size, kind)[None])
-    first, child, _ = _matching_plan(n)
-    pairs = []
-    state = len(first) - 1
-    while state:
-        move = int(choice[state, 0])
-        pairs.append((int(first[state]), move - 1 if move else None))
-        state = child[state, move]
-    return int(weight[0]), tuple(reversed(pairs))
+    counts = syn.sum(axis=1)
+    _check_capacity(int(counts.max(initial=0)))
+    out = np.zeros((len(syn),) + table.shape[2:], dtype=table.dtype)
+    for n in sorted(set(counts.tolist()) - {0}):
+        first, child, levels = _matching_plan(n)
+        rows = np.nonzero(counts == n)[0]
+        step = max(1, _CHUNK // (int(np.diff(levels).max()) * (1 + n)))
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            defects = np.nonzero(syn[part])[1].reshape(len(part), n)
+            cols = np.concatenate((np.zeros((len(part), 1), dtype=defects.dtype),
+                                   1 + defects), axis=1)
+            at = (defects[:, :, None], cols[:, None, :])
+            _, choice = _match(weights[at])
+            move_entry = table[at]
+            sets = np.arange(len(part))
+            state = np.full(len(part), len(first) - 1)
+            while len(sets):
+                move = choice[state, sets]
+                out[part[sets]] ^= move_entry[sets, first[state], move]
+                state = child[state, move]
+                live = state > 0
+                sets, state = sets[live], state[live]
+    return out
 
 
 def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
@@ -716,8 +740,13 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
     Accepts a single :class:`Syndrome` or a sequence over cycles; with the
     phenomenological model (perfect extraction) each cycle reports the
     parity of the cumulative error, so the final cycle carries all the
-    information and is the one decoded.  Corrections land in a Pauli
-    frame, never on the state.
+    information and is the one decoded.  Each kind of check bits is one
+    syndrome row of the matcher :func:`logical_error_rate` runs, read back
+    as the XOR of the :func:`_move_table` paths of its moves: Z-check bits
+    give the X correction, X-check bits the Z one.  Corrections land in a
+    Pauli frame, never on the state.  Raises ``ValueError`` unless each bit
+    array holds one bit per check of the lattice, and
+    :class:`DecoderCapacityError` past ``MAX_DEFECTS`` defects of one kind.
     """
     if isinstance(syndromes, Syndrome):
         syn = syndromes
@@ -726,27 +755,15 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
         if not seq:
             raise ValueError("no syndromes to decode")
         syn = seq[-1]
-    return PauliFrame(_correction(syn.z_bits, lattice, "z"),
-                      _correction(syn.x_bits, lattice, "x"))
-
-
-def _correction(bits, lattice: SurfaceLattice, kind: str) -> np.ndarray:
-    """Matching correction on the data qubits for one kind of check bits:
-    Z-check bits (kind "z") give the X correction, X-check bits the Z one."""
-    checks = lattice.z_checks if kind == "z" else lattice.x_checks
-    defects = [checks[i] for i in np.nonzero(bits)[0]]
-    out = np.zeros(lattice.n_data, dtype=np.int8)
-    if not defects:
-        return out
-    _, pairs = _min_weight_matching(defects, lattice.size, kind)
-    for i, j in pairs:
-        if j is None:
-            path = _boundary_path(defects[i], lattice.size, kind)
-        else:
-            path = _pair_path(defects[i], defects[j], kind)
-        for pos in path:
-            out[lattice.data_index(pos)] ^= 1
-    return out
+    frame = {}
+    n_checks = len(lattice.z_checks)        # as many as X checks
+    for kind, bits in (("z", syn.z_bits), ("x", syn.x_bits)):
+        if bits.shape != (n_checks,):
+            raise ValueError(f"{kind.upper()}-check bits of shape {bits.shape} for "
+                             f"{n_checks} checks at d = {lattice.d}")
+        paths, weights = _move_table(lattice.d, kind)
+        frame[kind] = _matched_xor(bits[None], weights, paths)[0]
+    return PauliFrame(frame["z"], frame["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -783,62 +800,7 @@ def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-_CHUNK = 1 << 16        # DP candidates (sets x states x moves) per level step
 _DRAW_SHOTS = 1024      # shots per block of uniform draws
-
-
-@cache
-def _move_parities(d: int, kind: str) -> np.ndarray:
-    """Logical parity of every matching move at distance d, for defects on
-    checks of ``kind``: row c is a defect on check c, column 0 its boundary
-    path, column 1 + c2 its path to a defect on check c2.  The parity is the
-    path's overlap, mod 2, with the logical operator its correction can
-    flip (Z_L for Z-check defects, X_L for X-check ones)."""
-    lattice = SurfaceLattice(d)
-    checks = lattice.z_checks if kind == "z" else lattice.x_checks
-    x_l, z_l = logical_ops(lattice)
-    support = {lattice.data[q] for q in (z_l if kind == "z" else x_l).support()}
-    parity = np.array([[len(support.intersection(path)) % 2
-                        for path in [_boundary_path(c, lattice.size, kind)]
-                        + [_pair_path(c, c2, kind) for c2 in checks]]
-                       for c in checks], dtype=np.int8)
-    parity.flags.writeable = False      # cached: every caller gets this array
-    return parity
-
-
-def _logical_flips(syn: np.ndarray, lattice: SurfaceLattice, kind: str) -> np.ndarray:
-    """Whether the matching correction of each syndrome row flips the
-    logical operator, without building the corrections.  Rows with the same
-    defect count are matched together, in chunks of at most about
-    ``_CHUNK`` DP candidates per level, and each matching is read back from
-    the full set to XOR the parities of its moves."""
-    checks = lattice.z_checks if kind == "z" else lattice.x_checks
-    weight_table = _move_weights(checks, lattice.size, kind)
-    parity_table = _move_parities(lattice.d, kind)
-    counts = syn.sum(axis=1)
-    flips = np.zeros(len(syn), dtype=np.int8)
-    for n in sorted(set(counts.tolist()) - {0}):
-        first, child, levels = _matching_plan(n)
-        rows = np.nonzero(counts == n)[0]
-        step = max(1, _CHUNK // (int(np.diff(levels).max()) * (1 + n)))
-        for lo in range(0, len(rows), step):
-            part = rows[lo:lo + step]
-            defects = np.nonzero(syn[part])[1].reshape(len(part), n)
-            cols = np.concatenate((np.zeros((len(part), 1), dtype=defects.dtype),
-                                   1 + defects), axis=1)
-            at = (defects[:, :, None], cols[:, None, :])
-            _, choice = _match(weight_table[at])
-            move_parity = parity_table[at]
-            sets = np.arange(len(part))
-            state = np.full(len(part), len(first) - 1)
-            flip = np.zeros(len(part), dtype=np.int8)
-            while state.any():
-                move = choice[state, sets]
-                live = state > 0
-                flip ^= move_parity[sets, first[state], move] & live
-                state = np.where(live, child[state, move], 0)
-            flips[part] = flip
-    return flips
 
 
 def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
@@ -855,11 +817,14 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     row i of one (shots, n_data, 2) array of uniform draws, so any shot is
     reproducible from (seed, shot index) alone.  The array is drawn in
     blocks of ``_DRAW_SHOTS`` rows, which gives the same numbers.  Each
-    distinct syndrome of each kind is matched once, in batches of equal
-    defect count, and only the logical parity of its correction is
-    gathered back to the shots that share it.  A shot with more than
-    ``MAX_DEFECTS`` defects of one kind raises :class:`DecoderCapacityError`
-    before any matching.
+    distinct syndrome of each kind is matched once, by the read-back
+    :func:`mwpm_decode` uses, in batches of equal defect count; instead of
+    the paths of the chosen moves it XORs their logical parities (each
+    :func:`_move_table` path's overlap with the logical operator, mod 2),
+    so no correction is built, and the parity is gathered back to the
+    shots that share the syndrome.  A shot with more than ``MAX_DEFECTS``
+    defects of one kind raises :class:`DecoderCapacityError` before any
+    matching.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")
@@ -888,10 +853,12 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
                                        ("x", syn_x, errors_z, x_l)):
         sup = np.zeros(lattice.n_data, dtype=np.int8)
         sup[list(logical.support())] = 1
-        keys = syn.astype(np.int64) @ (1 << np.arange(syn.shape[1], dtype=np.int64))
+        # int32 keys fit: d <= 5 has at most 20 checks of a kind
+        keys = syn.astype(np.int32) @ (1 << np.arange(syn.shape[1], dtype=np.int32))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         distinct[kind] = len(first)
-        flips = _logical_flips(syn[first], lattice, kind)
+        paths, weights = _move_table(d, kind)
+        flips = _matched_xor(syn[first], weights, paths @ sup % 2)
         failed |= (errors @ sup + flips[inverse]) % 2 == 1
     failures = int(failed.sum())
     rate = failures / shots

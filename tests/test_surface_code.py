@@ -548,7 +548,7 @@ def test_decoder_matches_brute_force_weight():
                 if len(rest) % 2:
                     continue
                 base = sum(
-                    sc._boundary_distance(defects[i], lat.size, "z")
+                    len(sc._boundary_path(defects[i], lat.size, "z"))
                     for i in bound_set
                 )
 
@@ -558,7 +558,7 @@ def test_decoder_matches_brute_force_weight():
                         return
                     first, rest_items = items[0], items[1:]
                     for k, other in enumerate(rest_items):
-                        w = sc._pair_distance(defects[first], defects[other])
+                        w = len(sc._pair_path(defects[first], defects[other], "z"))
                         for sub in pairings(rest_items[:k] + rest_items[k + 1:]):
                             yield w + sub
 
@@ -569,18 +569,28 @@ def test_decoder_matches_brute_force_weight():
     for _ in range(10):
         picks = rng.choice(len(lat.z_checks), size=6, replace=False)
         defects = [lat.z_checks[i] for i in sorted(picks)]
-        weight, _ = sc._min_weight_matching(defects, lat.size, "z")
-        assert weight == brute_force(defects)
+        assert _table_weight(sorted(picks), 5, "z") == brute_force(defects)
+
+
+def _table_weight(picks, d, kind):
+    """Matching weight ``_match`` gives over the move-table weights of
+    defects on the checks ``picks`` (ascending)."""
+    _, weights = sc._move_table(d, kind)
+    cols = [0] + [1 + i for i in picks]
+    weight, _ = sc._match(weights[np.ix_(picks, cols)][None])
+    return int(weight[0])
 
 
 def _recursive_matching(defects, size, kind):
-    """Slow oracle for ``_min_weight_matching``: the memoized top-down
-    recursion over subsets, matching the lowest defect left first.  Options
-    are scanned boundary first, partners in ascending order, and only a
-    strict improvement replaces the incumbent.  Move weights as in
-    ``_move_weights``: column 0 the boundary, column 1 + j partner j."""
+    """Slow oracle for the matcher: the memoized top-down recursion over
+    subsets, matching the lowest defect left first.  Options are scanned
+    boundary first, partners in ascending order, and only a strict
+    improvement replaces the incumbent.  Move weights are the lengths of
+    ``_boundary_path`` and ``_pair_path``.  Returns (weight, pairs), a pair
+    being (i, j) into ``defects`` or (i, None) for a boundary match."""
     n = len(defects)
-    moves = sc._move_weights(defects, size, kind).tolist()
+    moves = [[len(sc._boundary_path(p, size, kind))]
+             + [len(sc._pair_path(p, q, kind)) for q in defects] for p in defects]
 
     @lru_cache(maxsize=None)
     def solve(mask):
@@ -609,23 +619,63 @@ def test_move_weights_are_path_lengths(d, kind):
     checks = lat.z_checks if kind == "z" else lat.x_checks
     want = [[len(sc._boundary_path(c, lat.size, kind))]
             + [len(sc._pair_path(c, c2, kind)) for c2 in checks] for c in checks]
-    assert sc._move_weights(checks, lat.size, kind).tolist() == want
+    paths, weights = sc._move_table(d, kind)
+    assert weights.tolist() == want
+    assert set(np.unique(paths).tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["x", "z"])
+def test_move_paths_light_their_own_defects(d, kind):
+    """A boundary path trips its own check only, a pair path its two
+    checks, and a defect paired with itself none."""
+    lat = sc.SurfaceLattice(d)
+    paths, _ = sc._move_table(d, kind)
+    lit = paths.astype(int) @ lat.adjacency(kind) % 2
+    n = len(paths)
+    for c in range(n):
+        assert lit[c, 0].tolist() == np.eye(n, dtype=int)[c].tolist()
+        for c2 in range(n):
+            want = np.zeros(n, dtype=int)
+            want[[c, c2]] = 1 if c != c2 else 0
+            assert lit[c, 1 + c2].tolist() == want.tolist()
+
+
+def _pairs_correction(defects, pairs, lat, kind):
+    """The data-qubit correction built from matched pairs of ``defects``."""
+    out = np.zeros(lat.n_data, dtype=np.int8)
+    for i, j in pairs:
+        if j is None:
+            path = sc._boundary_path(defects[i], lat.size, kind)
+        else:
+            path = sc._pair_path(defects[i], defects[j], kind)
+        for pos in path:
+            out[lat.data_index(pos)] ^= 1
+    return out
 
 
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("kind", ["x", "z"])
 def test_matcher_equals_recursion(d, kind):
-    """Weight, pairs and their order agree with the recursion on 20 random
-    defect sets of every size up to the capacity (or the number of checks)."""
+    """Weight and correction agree with the recursion on 20 random defect
+    sets of every size up to the capacity (or the number of checks)."""
     lat = sc.SurfaceLattice(d)
     checks = lat.z_checks if kind == "z" else lat.x_checks
     rng = np.random.default_rng(40 + d)
+    none = np.zeros(len(checks), dtype=np.int8)
     for n in range(1, min(len(checks), sc.MAX_DEFECTS) + 1):
         for _ in range(20):
             picks = np.sort(rng.choice(len(checks), size=n, replace=False))
             defects = [checks[i] for i in picks]
-            assert (sc._min_weight_matching(defects, lat.size, kind)
-                    == _recursive_matching(defects, lat.size, kind))
+            weight, pairs = _recursive_matching(defects, lat.size, kind)
+            assert _table_weight(picks.tolist(), d, kind) == weight
+            bits = none.copy()
+            bits[picks] = 1
+            if kind == "z":
+                got = sc.mwpm_decode(sc.Syndrome(0, none, bits), lat).x
+            else:
+                got = sc.mwpm_decode(sc.Syndrome(0, bits, none), lat).z
+            assert np.array_equal(got, _pairs_correction(defects, pairs, lat, kind))
 
 
 @settings(max_examples=100, deadline=None)
@@ -652,6 +702,28 @@ def test_decoder_capacity_limit():
                       np.ones(len(lat.z_checks), np.int8))
     with pytest.raises(sc.DecoderCapacityError):
         sc.mwpm_decode(syn, lat)
+
+
+@pytest.mark.parametrize("d_bits, d_lattice", [(3, 5), (5, 3), (3, 2)])
+def test_decode_rejects_syndrome_of_another_distance(d_bits, d_lattice):
+    n_bits = len(sc.SurfaceLattice(d_bits).z_checks)
+    for kind in "xz":
+        bits = {k: np.zeros(n_bits if k == kind else d_lattice**2 - d_lattice,
+                            dtype=np.int8) for k in "xz"}
+        bits[kind][-1] = 1
+        syn = sc.Syndrome(0, bits["x"], bits["z"])
+        with pytest.raises(ValueError, match=f"{kind.upper()}-check bits"):
+            sc.mwpm_decode(syn, sc.SurfaceLattice(d_lattice))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_syndrome_rejects_non_bits(bad):
+    bits = np.zeros(6)
+    bits[1] = bad
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        sc.Syndrome(0, bits, np.zeros(6))
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        sc.Syndrome(0, np.zeros(6), bits)
 
 
 # ---------------------------------------------------------------------------
