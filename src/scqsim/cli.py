@@ -37,9 +37,8 @@ import numpy as np
 import scipy
 
 from . import __version__, circuits, control, coupling, experiments, gates
-from . import dynamics as dyn
 from . import surface_code as sc
-from .qcore import CZ_GATE, SIGMA_X, SIGMA_Z, global_phase_distance, to_angular
+from .qcore import CZ_GATE, SIGMA_Z, global_phase_distance, to_angular
 
 
 class ConfigError(ValueError):
@@ -252,19 +251,12 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
                "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
     c = validate_keys(cfg, allowed)
-    # the default T2 = inf means no pure dephasing, i.e. T2 = 2 T1
-    t2 = c["t2_ns"] if np.isfinite(c["t2_ns"]) else 2 * c["t1_ns"]
-    collapse = dyn.qubit_collapse_ops(c["t1_ns"], t2)
-    h = (
-        to_angular(c["detuning_ghz"]) * np.diag([0.0, 1.0]).astype(complex)
-        + 0.5 * to_angular(c["drive_ghz"]) * SIGMA_X.entries
-    )
     if not (np.isfinite(c["t_end_ns"]) and c["t_end_ns"] >= 0):
         raise ConfigError(f"t_end_ns must be finite and >= 0, got {c['t_end_ns']}")
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
-    res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
-                              times=times, dt=c["dt_ns"],
-                              e_ops={"p1": np.diag([0.0, 1.0]).astype(complex)})
+    res = experiments.qubit_run(times, c["t1_ns"], c["t2_ns"],
+                                to_angular(c["detuning_ghz"]),
+                                to_angular(c["drive_ghz"]), c["dt_ns"])
     rows = [
         (float(t), float(p1), float(state.purity()))
         for t, p1, state in zip(res.times, res.expectations["p1"], res.states)

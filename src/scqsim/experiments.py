@@ -57,17 +57,18 @@ class ReadoutModel:
     eps10: float = 0.0
     shots: int | None = None
 
-    def observed_p1(self, p1: float) -> float:
+    def observed_p1(self, p1):
         return (1 - self.eps10) * p1 + self.eps01 * (1 - p1)
 
-    def sample(self, p1: float, rng) -> tuple[float, float]:
-        """Returns (mean, sem) of the observed excited-state fraction."""
-        q = float(np.clip(self.observed_p1(p1), 0.0, 1.0))
+    def sample(self, p1, rng) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, sem) arrays of the observed excited-state fraction for a
+        series of true p1 values (a scalar gives 0-d arrays); one binomial
+        draw per point, in order, as one scalar call per point would draw."""
+        q = np.clip(self.observed_p1(np.asarray(p1, dtype=float)), 0.0, 1.0)
         if self.shots is None:
-            return q, 0.0
-        k = rng.binomial(self.shots, q)
-        mean = k / self.shots
-        sem = np.sqrt(max(mean * (1 - mean), 1e-12) / self.shots)
+            return q, np.zeros_like(q)
+        mean = rng.binomial(self.shots, q) / self.shots
+        sem = np.sqrt(np.maximum(mean * (1 - mean), 1e-12) / self.shots)
         return mean, sem
 
 
@@ -77,6 +78,23 @@ class ExperimentData:
     signal: np.ndarray
     sem: np.ndarray
     label: str = ""
+
+
+def qubit_run(times: np.ndarray, t1: float = np.inf, t2: float = np.inf,
+              detuning: float = 0.0, rabi_rate: float = 0.0, dt: float = 1e-2,
+              prep: np.ndarray | None = None):
+    """The driven qubit in the rotating frame, every characterization run's
+    model: H = detuning |1><1| + rabi_rate sigma_x / 2 (rad/ns), decay and
+    dephasing from :func:`qubit_collapse_ops`, started in prep |0><0| prep^dag
+    (|0><0| when ``prep`` is None).  Returns the :func:`lindblad_evolve`
+    result with the excited population as expectation ``"p1"``.
+    """
+    h = detuning * N_Q + 0.5 * rabi_rate * SIGMA_X.entries
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    if prep is not None:
+        rho0 = prep @ rho0 @ prep.conj().T
+    return lindblad_evolve(h, rho0, qubit_collapse_ops(t1, t2), times=times,
+                           dt=dt, e_ops={"p1": N_Q})
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +147,12 @@ def two_tone_scan(
             stacklevel=2,
         )
     peak = omega_q - chi
-    collapse = qubit_collapse_ops(t1, t2)
-    t_end = settle * t2
+    times = np.array([0.0, settle * t2])
     if dt is None:
         dt = min(t2 / 200.0, 0.5)
-    out = np.empty(len(omega_d))
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    for i, wd in enumerate(np.asarray(omega_d, dtype=float)):
-        delta = to_angular(peak - wd)
-        h = delta * N_Q + 0.5 * drive_rate * SIGMA_X.entries
-        res = lindblad_evolve(h, rho0, collapse, times=np.array([0.0, t_end]),
-                              dt=dt, e_ops={"p1": N_Q})
-        out[i] = res.expectations["p1"][-1]
-    return out
+    return np.array([qubit_run(times, t1, t2, to_angular(peak - wd), drive_rate,
+                               dt).expectations["p1"][-1]
+                     for wd in np.asarray(omega_d, dtype=float)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,38 +171,27 @@ def run_rabi(rabi_rate: float, taus: np.ndarray, t1: float = np.inf,
     taus = np.asarray(taus, dtype=float)
     if dt is None:
         dt = min(0.05 / max(rabi_rate / (2 * np.pi), 1e-6), 1.0)
-    h = 0.5 * rabi_rate * SIGMA_X.entries
-    res = lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex),
-                          qubit_collapse_ops(t1, t2), times=taus, dt=dt,
-                          e_ops={"p1": N_Q})
+    p1 = qubit_run(taus, t1, t2, rabi_rate=rabi_rate, dt=dt).expectations["p1"]
     rng = np.random.default_rng(seed)
-    pairs = [readout.sample(p, rng) for p in res.expectations["p1"]]
-    return ExperimentData(taus, np.array([m for m, _ in pairs]),
-                          np.array([s for _, s in pairs]), "rabi")
+    return ExperimentData(taus, *readout.sample(p1, rng), "rabi")
 
 
-def run_t1(taus: np.ndarray, t1: float, t2: float | None = None,
+def run_t1(taus: np.ndarray, t1: float, t2: float = np.inf,
            readout: ReadoutModel = ReadoutModel(), seed: int = 0,
            pi_pulse_error: float = 0.0, dt: float | None = None) -> ExperimentData:
     """Inversion-recovery: pi pulse, wait tau, read the excited population.
 
+    The default T2 = inf adds no pure dephasing, i.e. T2 = 2 T1.
     ``pi_pulse_error`` rotates by pi(1 - error) to model the miscalibration
     left over from the preceding Rabi calibration.
     """
     taus = np.asarray(taus, dtype=float)
-    if t2 is None:
-        t2 = 2 * t1
     u = rotation_operator("x", np.pi * (1.0 - pi_pulse_error)).entries
-    rho0 = u @ np.diag([1.0, 0.0]).astype(complex) @ u.conj().T
     if dt is None:
         dt = t1 / 200.0
-    res = lindblad_evolve(np.zeros((2, 2), dtype=complex), rho0,
-                          qubit_collapse_ops(t1, t2), times=taus, dt=dt,
-                          e_ops={"p1": N_Q})
+    p1 = qubit_run(taus, t1, t2, dt=dt, prep=u).expectations["p1"]
     rng = np.random.default_rng(seed)
-    pairs = [readout.sample(p, rng) for p in res.expectations["p1"]]
-    return ExperimentData(taus, np.array([m for m, _ in pairs]),
-                          np.array([s for _, s in pairs]), "t1")
+    return ExperimentData(taus, *readout.sample(p1, rng), "t1")
 
 
 def run_ramsey(taus: np.ndarray, t1: float, t2: float, detuning: float,
@@ -206,19 +206,13 @@ def run_ramsey(taus: np.ndarray, t1: float, t2: float, detuning: float,
     c = 1 / np.sqrt(2)
     u_half = np.array([[c, -1j * c], [-1j * c, c]])        # R_x(pi/2)
     u_back = u_half.conj().T                               # R_x(-pi/2)
-    rho0 = u_half @ np.diag([1.0, 0.0]).astype(complex) @ u_half.conj().T
-    h = to_angular(detuning) * N_Q
-    if dt is None:
-        dt = min(t2 / 200.0, 0.05 / max(abs(detuning), 1e-6))
-    res = lindblad_evolve(h, rho0, qubit_collapse_ops(t1, t2), times=taus, dt=dt)
+    if dt is None:    # T2 is at most 2 T1, and an infinite T2 means 2 T1
+        dt = min(t2 / 200.0, t1 / 100.0, 0.05 / max(abs(detuning), 1e-6))
+    res = qubit_run(taus, t1, t2, to_angular(detuning), dt=dt, prep=u_half)
+    p1 = [(u_back @ state.entries @ u_back.conj().T)[1, 1].real
+          for state in res.states]
     rng = np.random.default_rng(seed)
-    means, sems = [], []
-    for state in res.states:
-        rho = u_back @ state.entries @ u_back.conj().T
-        m, s = readout.sample(float(rho[1, 1].real), rng)
-        means.append(m)
-        sems.append(s)
-    return ExperimentData(taus, np.array(means), np.array(sems), "ramsey")
+    return ExperimentData(taus, *readout.sample(p1, rng), "ramsey")
 
 
 def projective_readout(rho: np.ndarray, rng,
@@ -284,6 +278,17 @@ def _bic(fit: FitResult, n: int, k: int, rss_floor: float) -> float:
     return n * np.log(rss / n) + k * np.log(n)
 
 
+def _series(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays: 1-D, of one length, at least 8 points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x, y must be 1-D of one length, got {x.shape}, {y.shape}")
+    if len(x) < 8:
+        raise ValueError("need at least 8 points")
+    return x, y
+
+
 def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
     """A0 + A1 cos(Omega t + A2) exp(-t / T_R); Omega seeded from the FFT.
 
@@ -306,10 +311,7 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
     stretch of cosine almost as well as the oscillating model, so either
     branch may win, and an oscillating fit there may not recover Omega.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 8:
-        raise ValueError("need at least 8 points")
+    x, y = _series(x, y)
     omega0, peak_bin = _fft_frequency(x, y)
     span = x[-1] - x[0]
 
@@ -342,19 +344,14 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
     if (osc.converged and osc.params["t_r"] > 0
             and _bic(osc, n, 5, floor) < _bic(dec, n, 3, floor)):
         return osc
-    params = {"a0": dec.params["a0"], "a1": dec.params["a1"], "a2": 0.0,
-              "omega": 0.0, "t_r": dec.params["t1"]}
-    sigmas = {"a0": dec.sigmas["a0"], "a1": dec.sigmas["a1"], "a2": 0.0,
-              "omega": 0.0, "t_r": dec.sigmas["t1"]}
+    params, sigmas = ({"a0": d["a0"], "a1": d["a1"], "a2": 0.0, "omega": 0.0,
+                       "t_r": d["t1"]} for d in (dec.params, dec.sigmas))
     return FitResult(params, sigmas, dec.residual_norm, dec.converged)
 
 
 def fit_t1(x: np.ndarray, y: np.ndarray) -> FitResult:
     """A0 + A1 exp(-t / T1), seeded from the log-linear slope."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 8:
-        raise ValueError("need at least 8 points")
+    x, y = _series(x, y)
     a0 = float(y[-1])
     a1 = float(y[0] - a0)
     resid = np.abs(y - a0)
@@ -379,12 +376,9 @@ def fit_t1(x: np.ndarray, y: np.ndarray) -> FitResult:
 def fit_ramsey(x: np.ndarray, y: np.ndarray) -> FitResult:
     """A0 + A1 cos(omega_qd t + A2) exp(-t / T2): the Rabi form, renamed."""
     res = fit_rabi(x, y)
-    params = {"a0": res.params["a0"], "a1": res.params["a1"],
-              "a2": res.params["a2"], "omega_qd": res.params["omega"],
-              "t2": res.params["t_r"]}
-    sigmas = {"a0": res.sigmas["a0"], "a1": res.sigmas["a1"],
-              "a2": res.sigmas["a2"], "omega_qd": res.sigmas["omega"],
-              "t2": res.sigmas["t_r"]}
+    new = {"omega": "omega_qd", "t_r": "t2"}
+    params, sigmas = ({new.get(k, k): v for k, v in d.items()}
+                      for d in (res.params, res.sigmas))
     return FitResult(params, sigmas, res.residual_norm, res.converged)
 
 
@@ -394,10 +388,7 @@ def fit_ramsey_gaussian(x: np.ndarray, y: np.ndarray, t1: float) -> FitResult:
     The Gaussian envelope models dephasing dominated by low-frequency
     noise; T1 must come from an independent measurement.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 8:
-        raise ValueError("need at least 8 points")
+    x, y = _series(x, y)
     if not np.isfinite(t1) or t1 <= 0:
         raise ValueError("a measured, finite T1 is required")
     a0 = float(y[-1])
@@ -519,11 +510,12 @@ def depolarizing_ptm(rate: float) -> np.ndarray:
 
 
 def t1t2_ptm(t1: float, t2: float, gate_time: float) -> np.ndarray:
-    """Affine PTM of amplitude damping toward |0> plus dephasing."""
-    if t2 > 2 * t1 + 1e-12:
+    """Affine PTM of amplitude damping toward |0> plus dephasing, with the
+    T2 rule of :func:`qubit_collapse_ops`: an infinite T2 means T2 = 2 T1."""
+    if np.isfinite(t2) and t2 > 2 * t1 + 1e-12:
         raise ValueError("T2 cannot exceed 2 T1")
-    ez = np.exp(-gate_time / t1) if np.isfinite(t1) else 1.0
-    et = np.exp(-gate_time / t2) if np.isfinite(t2) else 1.0
+    ez = np.exp(-gate_time / t1)
+    et = np.exp(-gate_time / (t2 if np.isfinite(t2) else 2 * t1))
     m = np.diag([1.0, et, et, ez])
     m[3, 0] = 1.0 - ez           # relax toward z = +1 (ground = |0>)
     return m
@@ -639,19 +631,14 @@ def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
     p0 = float(np.clip(np.exp(slope), 1e-4, 0.99999))
 
     def model(p, t):
-        return p[0] * p[1] ** t + p[2]
+        return (p[0] * p[1] ** t + p[2]) * w
 
     def jac(p, t):
         pt = p[1] ** t
-        return np.stack([pt, p[0] * t * p[1] ** (t - 1), np.ones_like(t)], axis=1)
+        return np.stack([pt, p[0] * t * p[1] ** (t - 1), np.ones_like(t)],
+                        axis=1) * w[:, None]
 
-    def wmodel(p, t):
-        return model(p, t) * w
-
-    def wjac(p, t):
-        return jac(p, t) * w[:, None]
-
-    return _lm_fit(wmodel, wjac, m, y * w, [a0, p0, b0], ["a", "p", "b"])
+    return _lm_fit(model, jac, m, y * w, [a0, p0, b0], ["a", "p", "b"])
 
 
 def _rb_decay(lengths, survival, sem, name: str) -> tuple[FitResult, float]:

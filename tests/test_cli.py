@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scqsim import cli
+from scqsim import dynamics as dyn
+from scqsim.qcore import to_angular
 
 
 def run_cli(args):
@@ -180,16 +182,46 @@ def test_evolve_t2_above_twice_t1_exit_2(tmp_path, capsys):
 
 
 def test_evolve_default_t2_is_twice_t1(tmp_path):
-    """The default T2 = inf adds no pure dephasing: same bytes as T2 = 2 T1."""
-    outs = []
-    for name, t2 in (("default", ""), ("explicit", "t2_ns = 160.0\n")):
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text("t1_ns = 80.0\ndrive_ghz = 0.02\nt_end_ns = 5.0\n"
-                       "samples = 6\n" + t2)
-        out = tmp_path / name
-        assert run_cli(["evolve", "--config", cfg, "--out", out]) == 0
-        outs.append((out / "evolve.csv").read_bytes())
-    assert outs[0] == outs[1]
+    """The default T2 = inf adds no pure dephasing: same bytes as T2 = 2 T1.
+    ``experiment`` reads an explicit ``t2_ns = inf`` the same way."""
+    runs = [("evolve", "t1_ns = 80.0\ndrive_ghz = 0.02\nt_end_ns = 5.0\n"
+                       "samples = 6\n", "", "t2_ns = 160.0\n", ["evolve.csv"])]
+    runs += [("experiment", f"kind = {kind}\nt1_ns = 800.0\ntau_max_ns = 300.0\n"
+                            "points = 31\nshots = 500\n", "t2_ns = inf\n",
+              "t2_ns = 1600.0\n", [f"{kind}.csv", f"{kind}_fit.json"])
+             for kind in ("rabi", "t1", "ramsey")]
+    for sub, base, t2_inf, t2_twice, files in runs:
+        outs = []
+        for name, t2 in (("inf", t2_inf), ("twice", t2_twice)):
+            cfg = tmp_path / f"{files[0]}-{name}.cfg"
+            cfg.write_text(base + t2)
+            out = tmp_path / f"{files[0]}-{name}"
+            assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+            outs.append([(out / f).read_bytes() for f in files])
+        assert outs[0] == outs[1], files
+
+
+def test_evolve_rows_are_the_rotating_frame_model(tmp_path):
+    """evolve.csv is the driven qubit in the rotating frame, built by hand:
+    H = 2 pi (detuning |1><1| + drive sigma_x / 2), start in |0><0|, T1 decay
+    and pure dephasing at 1/T2 - 1/(2 T1)."""
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t1_ns = 100.0\nt2_ns = 150.0\ndrive_ghz = 0.005\n"
+                   "detuning_ghz = 0.001\nt_end_ns = 20.0\nsamples = 21\n")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    h = (to_angular(0.001) * excited
+         + 0.5 * to_angular(0.005) * np.array([[0, 1], [1, 0]], dtype=complex))
+    res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex),
+                              dyn.qubit_collapse_ops(100.0, 150.0),
+                              times=np.linspace(0.0, 20.0, 21), dt=0.01,
+                              e_ops={"p1": excited})
+    cli.write_csv(tmp_path / "want.csv", ["t_ns", "p1", "purity"],
+                  [(float(t), float(p1), float(state.purity()))
+                   for t, p1, state in zip(res.times, res.expectations["p1"],
+                                           res.states)])
+    assert ((tmp_path / "o" / "evolve.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_gate_subcommand(tmp_path):

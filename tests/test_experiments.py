@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
+from scqsim import dynamics as dyn
 from scqsim import experiments as ex
 from scqsim.coupling import JCParams
-from scqsim.qcore import H_GATE, S_GATE, equal_up_to_global_phase, to_angular
+from scqsim.qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, equal_up_to_global_phase,
+                          rotation_operator, to_angular)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,106 @@ def test_projective_readout_is_qnd():
         assert np.allclose(post, post2)
 
 
+# Every run is the rotating-frame qubit H = Delta |1><1| + Omega sigma_x / 2
+# with T1/T2 collapse operators; each oracle below builds that model by hand
+# and reads it out one point at a time.
+
+GROUND = np.diag([1.0, 0.0]).astype(complex)
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
+SHOT_READOUT = ex.ReadoutModel(eps01=0.03, eps10=0.08, shots=700)
+
+
+def _per_point_readout(p1s, readout, seed):
+    """One scalar binomial draw per point, in order."""
+    rng = np.random.default_rng(seed)
+    means, sems = [], []
+    for p in p1s:
+        q = float(np.clip((1 - readout.eps10) * p + readout.eps01 * (1 - p), 0.0, 1.0))
+        if readout.shots is None:
+            means.append(q)
+            sems.append(0.0)
+            continue
+        mean = rng.binomial(readout.shots, q) / readout.shots
+        means.append(mean)
+        sems.append(np.sqrt(max(mean * (1 - mean), 1e-12) / readout.shots))
+    return np.array(means), np.array(sems)
+
+
+def _assert_data(data, p1s, readout, seed):
+    mean, sem = _per_point_readout(p1s, readout, seed)
+    assert np.array_equal(data.signal, mean)
+    assert np.array_equal(data.sem, sem)
+
+
+@pytest.mark.parametrize("readout", [ex.ReadoutModel(), SHOT_READOUT])
+def test_run_rabi_is_the_driven_qubit(readout):
+    rate, taus = to_angular(0.01), np.linspace(0.0, 300.0, 31)
+    data = ex.run_rabi(rate, taus, 2000.0, 3000.0, readout, seed=5, dt=0.5)
+    res = dyn.lindblad_evolve(0.5 * rate * SIGMA_X.entries, GROUND,
+                              dyn.qubit_collapse_ops(2000.0, 3000.0), times=taus,
+                              dt=0.5, e_ops={"p1": EXCITED})
+    _assert_data(data, res.expectations["p1"], readout, 5)
+
+
+@pytest.mark.parametrize("pi_pulse_error", [0.0, 0.03])
+def test_run_t1_is_the_inverted_qubit(pi_pulse_error):
+    """Inversion recovery at the default T2, which is 2 T1."""
+    taus = np.linspace(0.0, 2500.0, 41)
+    data = ex.run_t1(taus, 500.0, readout=SHOT_READOUT, seed=6,
+                     pi_pulse_error=pi_pulse_error)
+    u = rotation_operator("x", np.pi * (1.0 - pi_pulse_error)).entries
+    res = dyn.lindblad_evolve(np.zeros((2, 2), dtype=complex),
+                              u @ GROUND @ u.conj().T,
+                              dyn.qubit_collapse_ops(500.0, 1000.0), times=taus,
+                              dt=2.5, e_ops={"p1": EXCITED})
+    _assert_data(data, res.expectations["p1"], SHOT_READOUT, 6)
+
+
+def test_run_ramsey_is_the_free_qubit_between_half_pulses():
+    taus = np.linspace(0.0, 2000.0, 101)
+    data = ex.run_ramsey(taus, 5000.0, 1500.0, 0.002, SHOT_READOUT, seed=7)
+    c = 1 / np.sqrt(2)
+    u_half = np.array([[c, -1j * c], [-1j * c, c]])
+    res = dyn.lindblad_evolve(to_angular(0.002) * EXCITED,
+                              u_half @ GROUND @ u_half.conj().T,
+                              dyn.qubit_collapse_ops(5000.0, 1500.0), times=taus,
+                              dt=1500.0 / 200.0)
+    u_back = u_half.conj().T
+    p1s = [(u_back @ st.entries @ u_back.conj().T)[1, 1].real for st in res.states]
+    _assert_data(data, p1s, SHOT_READOUT, 7)
+
+
+def test_two_tone_scan_is_the_driven_qubit_per_point():
+    t1, t2 = 250.0, 200.0
+    drive = np.sqrt(0.1 / (t1 * t2))
+    grid = np.array([4.999, 5.0015])
+    pops = ex.two_tone_scan(5.0, t1, t2, drive, grid, settle=2.0, dt=0.5)
+    want = [dyn.lindblad_evolve(to_angular(5.0 - wd) * EXCITED
+                                + 0.5 * drive * SIGMA_X.entries, GROUND,
+                                dyn.qubit_collapse_ops(t1, t2),
+                                times=np.array([0.0, 2.0 * t2]), dt=0.5,
+                                e_ops={"p1": EXCITED}).expectations["p1"][-1]
+            for wd in grid]
+    assert np.array_equal(pops, want)
+
+
+@pytest.mark.parametrize("shots", [None, 1, 7, 1000, 100_000])
+@pytest.mark.parametrize("eps01, eps10", [(0.0, 0.0), (0.03, 0.08)])
+def test_readout_series_equals_per_point_draws(shots, eps01, eps10):
+    """One call on the series draws what one call per point draws, p1 = 0
+    and 1 included, and leaves the rng where the per-point calls leave it."""
+    p1s = np.array([0.0, 1.0, 0.25, 0.5, 1.0, 0.0, 0.9, 1e-9, 1.0 - 1e-9])
+    ro = ex.ReadoutModel(eps01, eps10, shots)
+    rng, rng_points = np.random.default_rng(11), np.random.default_rng(11)
+    mean, sem = ro.sample(p1s, rng)
+    pairs = [ro.sample(p, rng_points) for p in p1s]
+    want_mean, want_sem = _per_point_readout(p1s, ro, 11)
+    assert np.array_equal(mean, want_mean) and np.array_equal(sem, want_sem)
+    assert np.array_equal([float(m) for m, _ in pairs], want_mean)
+    assert np.array_equal([float(s) for _, s in pairs], want_sem)
+    assert rng.random() == rng_points.random()
+
+
 # ---------------------------------------------------------------------------
 # Fits
 # ---------------------------------------------------------------------------
@@ -254,6 +358,19 @@ def test_fit_gaussian_requires_t1():
 def test_fits_require_enough_points():
     with pytest.raises(ValueError, match="8 points"):
         ex.fit_t1(np.arange(5.0), np.ones(5))
+
+
+@pytest.mark.parametrize("fit", [
+    ex.fit_rabi, ex.fit_t1, ex.fit_ramsey,
+    lambda x, y: ex.fit_ramsey_gaussian(x, y, t1=80.0),
+], ids=["rabi", "t1", "ramsey", "ramsey_gaussian"])
+def test_fits_reject_series_of_two_lengths(fit):
+    x = np.linspace(0.0, 100.0, 40)
+    y = 0.5 + 0.4 * np.cos(0.2 * x) * np.exp(-x / 50.0)
+    with pytest.raises(ValueError, match="one length"):
+        fit(x, y[:37])
+    with pytest.raises(ValueError, match="one length"):
+        fit(x.reshape(8, 5), y.reshape(8, 5))
 
 
 def test_fit_determinism():
@@ -421,6 +538,21 @@ def test_rb_t1t2_channel():
     res = ex.rb_standard(cfg)
     assert 0.0 < res.r < 0.02
     assert res.p < 1.0
+
+
+@pytest.mark.parametrize("t1, t2", [(100.0, 150.0), (100.0, 200.0), (50.0, 20.0),
+                                    (np.inf, 80.0), (np.inf, np.inf),
+                                    (100.0, np.inf)])
+def test_t1t2_ptm_is_the_lindblad_channel(t1, t2):
+    """The closed form equals the Pauli transfer matrix of the Lindblad
+    channel exp(L t) with the qubit's own collapse operators."""
+    gate_time = 10.0
+    chan = expm(dyn.liouvillian(np.zeros((2, 2)), dyn.qubit_collapse_ops(t1, t2))
+                * gate_time)
+    paulis = [PAULIS[l].entries for l in "IXYZ"]
+    want = np.array([[0.5 * np.trace(pi @ (chan @ pj.reshape(-1)).reshape(2, 2)).real
+                      for pj in paulis] for pi in paulis])
+    assert np.max(np.abs(ex.t1t2_ptm(t1, t2, gate_time) - want)) < 1e-15
 
 
 def test_rb_config_validation():
