@@ -139,9 +139,9 @@ def qubit_collapse_ops(t1: float, t2: float) -> list:
 
     An infinite T1 drops the decay operator; pure dephasing at
     Gamma_phi = 1/T2 - 1/(2 T1) is added only when positive, so T2 = 2 T1
-    means no pure dephasing.  An infinite T2 means the same at any T1
-    (1/(2 T1) and 0.5/T1 are one double).  A finite T2 > 2 T1 is unphysical
-    and raises ValueError.
+    means no pure dephasing (1/(2 T1) and 0.5/T1 are one double, so
+    Gamma_phi is exactly 0).  An infinite T2 means the same at any T1.  A
+    finite T2 > 2 T1 is unphysical and raises ValueError.
     """
     if np.isfinite(t2) and t2 > 2 * t1 + 1e-12:
         raise ValueError("T2 cannot exceed 2 T1")

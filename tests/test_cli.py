@@ -187,7 +187,7 @@ def test_evolve_default_t2_is_twice_t1(tmp_path):
     runs = [("evolve", "t1_ns = 80.0\ndrive_ghz = 0.02\nt_end_ns = 5.0\n"
                        "samples = 6\n", "", "t2_ns = 160.0\n", ["evolve.csv"])]
     runs += [("experiment", f"kind = {kind}\nt1_ns = 800.0\ntau_max_ns = 300.0\n"
-                            "points = 31\nshots = 500\n", "t2_ns = inf\n",
+                            "points = 31\n", "t2_ns = inf\n",
               "t2_ns = 1600.0\n", [f"{kind}.csv", f"{kind}_fit.json"])
              for kind in ("rabi", "t1", "ramsey")]
     for sub, base, t2_inf, t2_twice, files in runs:

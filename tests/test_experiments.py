@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-
 from scipy.linalg import expm
 
 from scqsim import dynamics as dyn
