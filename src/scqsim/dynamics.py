@@ -134,21 +134,29 @@ def resonator_decay(kappa: float, n_levels: int) -> Operator:
     return Operator(np.sqrt(kappa / (2 * np.pi)) * annihilation(n_levels).entries)
 
 
+def effective_t2(t1: float, t2: float) -> float:
+    """T2 (ns) of a qubit with decay T1: an infinite T2 means no pure
+    dephasing, i.e. 2 T1; a finite T2 > 2 T1 is unphysical and raises."""
+    if not np.isfinite(t2):
+        return 2 * t1
+    if t2 > 2 * t1 + 1e-12:
+        raise ValueError("T2 cannot exceed 2 T1")
+    return t2
+
+
 def qubit_collapse_ops(t1: float, t2: float) -> list:
     """Collapse operators of a qubit with energy decay T1 and coherence T2 (ns).
 
     An infinite T1 drops the decay operator; pure dephasing at
     Gamma_phi = 1/T2 - 1/(2 T1) is added only when positive, so T2 = 2 T1
     means no pure dephasing (1/(2 T1) and 0.5/T1 are one double, so
-    Gamma_phi is exactly 0).  An infinite T2 means the same at any T1.  A
-    finite T2 > 2 T1 is unphysical and raises ValueError.
+    Gamma_phi is exactly 0); T2 follows :func:`effective_t2`.
     """
-    if np.isfinite(t2) and t2 > 2 * t1 + 1e-12:
-        raise ValueError("T2 cannot exceed 2 T1")
+    t2 = effective_t2(t1, t2)
     ops = []
     if np.isfinite(t1):
         ops.append(qubit_decay(1.0 / t1))
-    gamma_phi = (1.0 / t2 - 0.5 / t1) if np.isfinite(t2) else 0.0
+    gamma_phi = 1.0 / t2 - 0.5 / t1
     if gamma_phi > 0:
         ops.append(qubit_dephasing(gamma_phi))
     return ops

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import DispersiveLimitError, JCParams
-from .dynamics import lindblad_evolve, qubit_collapse_ops
+from .dynamics import effective_t2, lindblad_evolve, qubit_collapse_ops
 from .qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, Operator, rotation_operator,
                     to_angular)
 
@@ -50,12 +50,17 @@ class ReadoutModel:
 
     eps01 = P(report 1 | qubit in 0), eps10 = P(report 0 | qubit in 1).
     ``shots`` = None returns noiseless expectation values; an integer
-    samples binomially with the supplied rng.
+    >= 1 samples binomially with the supplied rng.
     """
 
     eps01: float = 0.0
     eps10: float = 0.0
     shots: int | None = None
+
+    def __post_init__(self):
+        if not (self.shots is None or isinstance(self.shots, (int, np.integer))
+                and not isinstance(self.shots, bool) and self.shots >= 1):
+            raise ValueError(f"shots must be None or an integer >= 1, got {self.shots!r}")
 
     def observed_p1(self, p1):
         return (1 - self.eps10) * p1 + self.eps01 * (1 - p1)
@@ -139,7 +144,11 @@ def two_tone_scan(
     s = drive_rate^2 T1 T2 << 1 (warned above 0.5).  When the qubit is
     measured through its resonator the line sits at the Lamb-shifted
     frequency omega_q - chi; passing ``chi`` applies that convention.
+    T2 follows :func:`effective_t2`; the window needs a finite T1 or T2.
     """
+    t2 = effective_t2(t1, t2)
+    if not np.isfinite(t2):
+        raise ValueError("two_tone_scan needs a finite T1 or T2 (window settle * T2)")
     s = drive_rate**2 * t1 * t2
     if s > 0.5:
         warnings.warn(
@@ -511,11 +520,9 @@ def depolarizing_ptm(rate: float) -> np.ndarray:
 
 def t1t2_ptm(t1: float, t2: float, gate_time: float) -> np.ndarray:
     """Affine PTM of amplitude damping toward |0> plus dephasing, with the
-    T2 rule of :func:`qubit_collapse_ops`: an infinite T2 means T2 = 2 T1."""
-    if np.isfinite(t2) and t2 > 2 * t1 + 1e-12:
-        raise ValueError("T2 cannot exceed 2 T1")
+    T2 rule of :func:`effective_t2`: an infinite T2 means T2 = 2 T1."""
     ez = np.exp(-gate_time / t1)
-    et = np.exp(-gate_time / (t2 if np.isfinite(t2) else 2 * t1))
+    et = np.exp(-gate_time / effective_t2(t1, t2))
     m = np.diag([1.0, et, et, ez])
     m[3, 0] = 1.0 - ez           # relax toward z = +1 (ground = |0>)
     return m

@@ -144,15 +144,21 @@ def driven_qubit_frame(p: JCParams, d: DriveParams):
 # iSWAP / bSWAP
 # ---------------------------------------------------------------------------
 
+def _exchange(dim: int, i: int, j: int, angle: float) -> Operator:
+    """exp(-i angle (|i><j| + |j><i|)) on ``dim`` levels: the identity with
+    cos(angle) at (i, i) and (j, j) and -i sin(angle) at (i, j) and (j, i)."""
+    u = np.eye(dim, dtype=complex)
+    u[i, i] = u[j, j] = np.cos(angle)
+    u[i, j] = u[j, i] = -1j * np.sin(angle)
+    return Operator(u, unitary=True)
+
+
 def coherent_exchange(j: float, tau: float) -> Operator:
     """Propagator of the resonant exchange J (s+ s- + s- s+), angle J tau.
 
     J tau = pi/2 implements the iSWAP gate.
     """
-    c, s = np.cos(j * tau), -1j * np.sin(j * tau)
-    return Operator(
-        [[1, 0, 0, 0], [0, c, s, 0], [0, s, c, 0], [0, 0, 0, 1]], unitary=True
-    )
+    return _exchange(4, 1, 2, j * tau)
 
 
 iswap = coherent_exchange
@@ -169,10 +175,7 @@ def iswap_parametric(j_m: float, tau: float) -> Operator:
 
 def bswap(j_m: float, tau: float) -> Operator:
     """Parametric |00> <-> |11> exchange; J_m tau = pi implements bSWAP."""
-    c, s = np.cos(j_m * tau / 2), -1j * np.sin(j_m * tau / 2)
-    return Operator(
-        [[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]], unitary=True
-    )
+    return _exchange(4, 0, 3, j_m * tau / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +224,7 @@ def cz_coherent_exchange(j: float, tau: float) -> Operator:
     The |11>-|02> matrix element is sqrt(2) J, so sqrt(2) J tau = pi gives
     <11|U|11> = -1 with the computational block otherwise untouched.
     """
-    c = np.cos(np.sqrt(2) * j * tau)
-    s = -1j * np.sin(np.sqrt(2) * j * tau)
-    u = np.eye(6, dtype=complex)
-    u[3, 3] = c
-    u[3, 4] = s
-    u[4, 3] = s
-    u[4, 4] = c
-    return Operator(u, unitary=True)
+    return _exchange(6, 3, 4, np.sqrt(2) * j * tau)
 
 
 def cz_parametric(j_m: float, tau: float) -> Operator:

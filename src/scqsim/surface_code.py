@@ -32,13 +32,25 @@ import numpy as np
 
 from .qcore import H_GATE, PAULIS, StateVector, basis_ket, tensor
 
-# (letter1, letter2) -> (letter, phase-exponent of i) for single-qubit products
-_PAULI_MUL = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0), ("X", "X"): ("I", 0), ("X", "Y"): ("Z", 1), ("X", "Z"): ("Y", 3),
-    ("Y", "I"): ("Y", 0), ("Y", "X"): ("Z", 3), ("Y", "Y"): ("I", 0), ("Y", "Z"): ("X", 1),
-    ("Z", "I"): ("Z", 0), ("Z", "X"): ("Y", 1), ("Z", "Y"): ("X", 3), ("Z", "Z"): ("I", 0),
-}
+_LETTERS = "IXZY"       # the letter of the bits (x, z) is _LETTERS[x + 2 z]
+_CODES = bytes.maketrans(_LETTERS.encode(), bytes(range(4)))     # letter -> x + 2 z
+
+
+def _g(x1, z1, x2, z2):
+    """Exponent of i in the product of the single-qubit Paulis with bits
+    (x1, z1) and (x2, z2), Y = (1, 1) (Aaronson-Gottesman); each term is -1,
+    0 or 1, so int8 bit arrays do not overflow."""
+    return (
+        x1 * z1 * (z2 - x2)
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+    )
+
+
+def _symplectic(x, z, px, pz):
+    """1 where the Pauli (x, z) (qubits on the last axis) anticommutes with
+    (px, pz): the symplectic product mod 2, its int8 sums accumulated in int."""
+    return (x[..., pz == 1].sum(axis=-1) + z[..., px == 1].sum(axis=-1)) % 2
 
 
 class DecoderCapacityError(RuntimeError):
@@ -51,7 +63,11 @@ class PauliString:
     """n-qubit Pauli operator: letters in {I, X, Y, Z} plus an overall phase.
 
     ``phase`` is the exponent k of i^k, so k = 0, 1, 2, 3 means
-    +1, +i, -1, -i.
+    +1, +i, -1, -i.  The algebra runs on the tableau's bits: :meth:`bits`
+    gives (x, z) per qubit, I = (0, 0), X = (1, 0), Z = (0, 1), Y = (1, 1)
+    (the letter, not XZ = -iY), and :meth:`from_bits` reads them back.
+    Products take the phase rule of the tableau's rowsum; commutation is
+    the symplectic product.
     """
 
     letters: str
@@ -76,26 +92,28 @@ class PauliString:
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
+    def bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, z) int8 bits per qubit, Y = (1, 1); the phase is not included."""
+        code = np.frombuffer(self.letters.encode().translate(_CODES), dtype=np.int8)
+        return code & 1, code >> 1
+
+    @classmethod
+    def from_bits(cls, x, z, phase: int = 0) -> "PauliString":
+        """The Pauli string i^phase P with P's letters given by bits (x, z)."""
+        code = np.asarray(x, dtype=int) + 2 * np.asarray(z, dtype=int)
+        return cls("".join(_LETTERS[k] for k in code.tolist()), phase)
+
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError("length mismatch")
-        anti = sum(
-            1
-            for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
+        return int(_symplectic(*self.bits(), *other.bits())) == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("length mismatch")
-        phase = self.phase + other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            c, k = _PAULI_MUL[(a, b)]
-            letters.append(c)
-            phase += k
-        return PauliString("".join(letters), phase)
+        (x1, z1), (x2, z2) = self.bits(), other.bits()
+        phase = self.phase + other.phase + int(_g(x1, z1, x2, z2).sum())
+        return PauliString.from_bits(x1 ^ x2, z1 ^ z2, phase)
 
     def to_matrix(self) -> np.ndarray:
         return self.sign * tensor([PAULIS[c] for c in self.letters]).entries
@@ -233,18 +251,6 @@ class StabilizerTableau:
             raise ValueError(f"unsupported (non-Clifford?) gate {name!r}")
         return table[name.upper()](*qubits)
 
-    # -- phase bookkeeping ---------------------------------------------------
-
-    @staticmethod
-    def _g(x1, z1, x2, z2):
-        # exponent of i when multiplying single-qubit Paulis (AG convention);
-        # each term is -1, 0 or 1, so int8 bit arrays do not overflow
-        return (
-            x1 * z1 * (z2 - x2)
-            + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-            + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-        )
-
     # -- measurements --------------------------------------------------------
 
     def _measure(self, px, pz, sign: int, rng) -> int:
@@ -259,14 +265,13 @@ class StabilizerTableau:
         """
         n = self.n
         x, z, r = self.x, self.z, self.r
-        # symplectic product with every row (the int8 sums accumulate in int)
-        anti = (x[:, pz == 1].sum(axis=1) + z[:, px == 1].sum(axis=1)) % 2 == 1
+        anti = _symplectic(x, z, px, pz) == 1
         hits = np.nonzero(anti[n:])[0]
         if len(hits):
             p = int(hits[0]) + n
             anti[p] = False
             rows = np.nonzero(anti)[0]
-            gsum = self._g(x[p], z[p], x[rows], z[rows]).sum(axis=1)
+            gsum = _g(x[p], z[p], x[rows], z[rows]).sum(axis=1)
             r[rows] = (2 * r[rows] + 2 * int(r[p]) + gsum) % 4 // 2
             x[rows] ^= x[p]
             z[rows] ^= z[p]
@@ -279,7 +284,7 @@ class StabilizerTableau:
         # product of the rows before each one (exclusive prefix XOR)
         x_pre = np.bitwise_xor.accumulate(xs) ^ xs
         z_pre = np.bitwise_xor.accumulate(zs) ^ zs
-        total = 2 * int(r[rows].sum()) + int(self._g(xs, zs, x_pre, z_pre).sum())
+        total = 2 * int(r[rows].sum()) + int(_g(xs, zs, x_pre, z_pre).sum())
         return (total % 4 // 2) ^ sign
 
     def measure_z(self, q: int, rng) -> int:
@@ -294,20 +299,11 @@ class StabilizerTableau:
             raise ValueError("Pauli length mismatch")
         if p.phase % 2:
             raise ValueError("measured Pauli must be Hermitian")
-        px = np.array([c in "XY" for c in p.letters], dtype=np.int8)
-        pz = np.array([c in "ZY" for c in p.letters], dtype=np.int8)
-        return 1 - 2 * self._measure(px, pz, p.phase // 2, rng)
+        return 1 - 2 * self._measure(*p.bits(), p.phase // 2, rng)
 
     def stabilizer_strings(self) -> list[PauliString]:
-        out = []
-        for i in range(self.n, 2 * self.n):
-            phase = 2 * int(self.r[i])
-            letters = "".join(
-                "IXZY"[int(self.x[i, q]) + 2 * int(self.z[i, q])]
-                for q in range(self.n)
-            )
-            out.append(PauliString(letters, phase))
-        return out
+        return [PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
+                for i in range(self.n, 2 * self.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +448,15 @@ def encode_logical_zero(lattice: SurfaceLattice, tab: StabilizerTableau,
 
 def inject_errors(lattice: SurfaceLattice, tab: StabilizerTableau,
                   p_x: float, p_z: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """iid X / Z flips on the data qubits; returns the injected patterns."""
-    ex = np.zeros(lattice.n_data, dtype=np.int8)
-    ez = np.zeros(lattice.n_data, dtype=np.int8)
-    for i, pos in enumerate(lattice.data):
-        q = lattice.cell_index(pos)
-        if rng.random() < p_x:
-            tab.x_gate(q)
-            ex[i] = 1
-        if rng.random() < p_z:
-            tab.z_gate(q)
-            ez[i] = 1
+    """iid X / Z flips on the data qubits, drawn as one (n_data, 2) block
+    (row i: qubit i's X, then Z draw); returns the injected patterns."""
+    draws = rng.random((lattice.n_data, 2))
+    ex = (draws[:, 0] < p_x).astype(np.int8)
+    ez = (draws[:, 1] < p_z).astype(np.int8)
+    for i in np.nonzero(ex)[0]:
+        tab.x_gate(lattice.cell_index(lattice.data[i]))
+    for i in np.nonzero(ez)[0]:
+        tab.z_gate(lattice.cell_index(lattice.data[i]))
     return ex, ez
 
 
@@ -552,44 +546,38 @@ def _check_capacity(n_defects: int) -> None:
 
 
 def _boundary_path(pos, size: int, kind: str) -> list:
-    """Data qubits on the straight path from a defect to its nearest boundary."""
+    """Data qubits on the straight path from a defect to its nearest boundary.
+
+    A Z-check defect runs vertically to the top or bottom; an X-check path
+    is that rule on the transposed lattice.
+    """
+    if kind == "x":
+        return [(c, r) for r, c in _boundary_path(pos[::-1], size, "z")]
     r, c = pos
-    if kind == "z":
-        if (r + 1) // 2 <= (size - r) // 2:
-            rows = range(r - 1, -1, -2)
-        else:
-            rows = range(r + 1, size, 2)
-        return [(rr, c) for rr in rows]
-    if (c + 1) // 2 <= (size - c) // 2:
-        cols = range(c - 1, -1, -2)
+    if (r + 1) // 2 <= (size - r) // 2:
+        rows = range(r - 1, -1, -2)
     else:
-        cols = range(c + 1, size, 2)
-    return [(r, cc) for cc in cols]
+        rows = range(r + 1, size, 2)
+    return [(rr, c) for rr in rows]
 
 
 def _pair_path(p1, p2, kind: str) -> list:
     """Data qubits on a minimum path between two same-type defects.
 
-    Z-check defects connect vertically first, then horizontally; X-check
-    defects the transpose.  Any minimum path differs from this one by
-    stabilizers only.
+    Z-check defects connect vertically first, then horizontally; an
+    X-check path is that rule on the transposed lattice.  Any minimum path
+    differs from this one by stabilizers only.
     """
+    if kind == "x":
+        return [(c, r) for r, c in _pair_path(p1[::-1], p2[::-1], "z")]
     (r1, c1), (r2, c2) = p1, p2
     out = []
-    if kind == "z":
-        step = 2 if r2 >= r1 else -2
-        for rr in range(r1, r2, step):
-            out.append((rr + step // 2, c1))
-        step = 2 if c2 >= c1 else -2
-        for cc in range(c1, c2, step):
-            out.append((r2, cc + step // 2))
-    else:
-        step = 2 if c2 >= c1 else -2
-        for cc in range(c1, c2, step):
-            out.append((r1, cc + step // 2))
-        step = 2 if r2 >= r1 else -2
-        for rr in range(r1, r2, step):
-            out.append((rr + step // 2, c2))
+    step = 2 if r2 >= r1 else -2
+    for rr in range(r1, r2, step):
+        out.append((rr + step // 2, c1))
+    step = 2 if c2 >= c1 else -2
+    for cc in range(c1, c2, step):
+        out.append((r2, cc + step // 2))
     return out
 
 
@@ -851,8 +839,7 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     distinct = {}
     for kind, syn, errors, logical in (("z", syn_z, errors_x, z_l),
                                        ("x", syn_x, errors_z, x_l)):
-        sup = np.zeros(lattice.n_data, dtype=np.int8)
-        sup[list(logical.support())] = 1
+        sup = np.bitwise_or(*logical.bits())       # 0/1 support of the logical
         # int32 keys fit: d <= 5 has at most 20 checks of a kind
         keys = syn.astype(np.int32) @ (1 << np.arange(syn.shape[1], dtype=np.int32))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

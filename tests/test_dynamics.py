@@ -101,6 +101,15 @@ def test_qubit_collapse_ops():
         dyn.qubit_collapse_ops(80.0, 200.0)
 
 
+def test_effective_t2_rule():
+    assert dyn.effective_t2(100.0, np.inf) == 200.0
+    assert dyn.effective_t2(np.inf, np.inf) == np.inf
+    assert dyn.effective_t2(np.inf, 80.0) == 80.0
+    assert dyn.effective_t2(100.0, 150.0) == 150.0
+    with pytest.raises(ValueError, match="T2 cannot exceed 2 T1"):
+        dyn.effective_t2(80.0, 200.0)
+
+
 def test_integration_failure_raises():
     # absurdly large rate with a coarse step blows the trace budget
     with pytest.raises(dyn.IntegrationError, match="reduce dt"):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_two_tone_lamb_shift_convention():
 def test_two_tone_saturation_warning():
     with pytest.warns(UserWarning, match="saturation"):
         ex.two_tone_scan(5.0, 250.0, 200.0, 0.01, np.array([5.0]))
+
+
+def test_two_tone_infinite_t2_is_twice_t1():
+    """An infinite T2 sizes the window, step and saturation parameter as
+    T2 = 2 T1 does, and warns of nothing."""
+    grid = np.linspace(4.995, 5.005, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pops = ex.two_tone_scan(5.0, 100.0, np.inf, 1e-3, grid)
+    assert np.array_equal(pops, ex.two_tone_scan(5.0, 100.0, 200.0, 1e-3, grid))
+
+
+def test_two_tone_needs_a_finite_coherence_time():
+    with pytest.raises(ValueError, match="finite T1 or T2"):
+        ex.two_tone_scan(5.0, np.inf, np.inf, 1e-3, np.array([5.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +289,12 @@ def test_readout_series_equals_per_point_draws(shots, eps01, eps10):
     assert np.array_equal([float(m) for m, _ in pairs], want_mean)
     assert np.array_equal([float(s) for _, s in pairs], want_sem)
     assert rng.random() == rng_points.random()
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True])
+def test_readout_rejects_bad_shot_counts(shots):
+    with pytest.raises(ValueError, match="shots must be None or an integer"):
+        ex.ReadoutModel(shots=shots)
 
 
 # ---------------------------------------------------------------------------

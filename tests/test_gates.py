@@ -120,6 +120,25 @@ def test_bswap_matrix():
     assert np.allclose(gates.bswap(0.3, 0.0).entries, np.eye(4))
 
 
+def test_exchange_gates_equal_written_out_matrices():
+    """Byte for byte, signed zeros included, against the matrices written
+    out entry by entry."""
+    rng = np.random.default_rng(3)
+    for j, tau in zip(rng.normal(0.0, 0.05, 200), rng.uniform(-100.0, 100.0, 200)):
+        c, s = np.cos(j * tau), -1j * np.sin(j * tau)
+        want = np.array([[1, 0, 0, 0], [0, c, s, 0], [0, s, c, 0], [0, 0, 0, 1]],
+                         dtype=complex)
+        assert gates.coherent_exchange(j, tau).entries.tobytes() == want.tobytes()
+        c, s = np.cos(j * tau / 2), -1j * np.sin(j * tau / 2)
+        want = np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]],
+                        dtype=complex)
+        assert gates.bswap(j, tau).entries.tobytes() == want.tobytes()
+        c, s = np.cos(np.sqrt(2) * j * tau), -1j * np.sin(np.sqrt(2) * j * tau)
+        want = np.eye(6, dtype=complex)
+        want[3, 3], want[3, 4], want[4, 3], want[4, 4] = c, s, s, c
+        assert gates.cz_coherent_exchange(j, tau).entries.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CZ
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -157,6 +158,59 @@ def test_logical_h_d2_matches_looped_oracle():
         state = StateVector(v / np.linalg.norm(v))
         got = sc.logical_h_d2(state).amplitudes
         assert np.array_equal(got, _logical_h_d2_looped(state.amplitudes))
+
+
+# Reference letter table: (letter1, letter2) -> (letter, exponent of i)
+_PAULI_MUL = {
+    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
+    ("X", "I"): ("X", 0), ("X", "X"): ("I", 0), ("X", "Y"): ("Z", 1), ("X", "Z"): ("Y", 3),
+    ("Y", "I"): ("Y", 0), ("Y", "X"): ("Z", 3), ("Y", "Y"): ("I", 0), ("Y", "Z"): ("X", 1),
+    ("Z", "I"): ("Z", 0), ("Z", "X"): ("Y", 1), ("Z", "Y"): ("X", 3), ("Z", "Z"): ("I", 0),
+}
+
+
+def _letter_product(a: sc.PauliString, b: sc.PauliString) -> tuple[str, int]:
+    """(letters, phase mod 4) of a * b, one letter pair at a time."""
+    phase, letters = a.phase + b.phase, []
+    for pa, pb in zip(a.letters, b.letters):
+        c, k = _PAULI_MUL[(pa, pb)]
+        letters.append(c)
+        phase += k
+    return "".join(letters), phase % 4
+
+
+def _letters_commute(a: sc.PauliString, b: sc.PauliString) -> bool:
+    return sum(1 for pa, pb in zip(a.letters, b.letters)
+               if pa != "I" and pb != "I" and pa != pb) % 2 == 0
+
+
+def _random_pauli_pairs():
+    rng = np.random.default_rng(17)
+    pairs = [(sc.PauliString(a), sc.PauliString(b)) for a in "IXYZ" for b in "IXYZ"]
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        pairs.append(tuple(sc.PauliString("".join(rng.choice(list("IXYZ"), n)),
+                                          int(rng.integers(0, 4)))
+                           for _ in range(2)))
+    return pairs
+
+
+def test_pauli_algebra_matches_letter_table():
+    """Products (letters and phase) and commutation on the bits equal the
+    letter table on all 16 single-qubit pairs and 200 random strings."""
+    for a, b in _random_pauli_pairs():
+        prod = a * b
+        assert (prod.letters, prod.phase) == _letter_product(a, b)
+        assert a.commutes_with(b) is _letters_commute(a, b)
+
+
+def test_pauli_bits_round_trip():
+    p = sc.PauliString("IXYZ", 3)
+    x, z = p.bits()
+    assert x.dtype == z.dtype == np.int8
+    assert x.tolist() == [0, 1, 1, 0] and z.tolist() == [0, 0, 1, 1]
+    assert sc.PauliString.from_bits(x, z, 3) == p
+    assert sc.PauliString.from_bits([1, 0], [1, 1]) == sc.PauliString("YZ")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +510,40 @@ def test_circuit_and_parity_paths_agree():
         assert np.array_equal(syn_circuit.z_bits, syn_parity.z_bits)
 
 
+def _scalar_inject(lattice, tab, p_x, p_z, rng):
+    """Reference error injection: two scalar draws per data qubit."""
+    ex = np.zeros(lattice.n_data, dtype=np.int8)
+    ez = np.zeros(lattice.n_data, dtype=np.int8)
+    for i, pos in enumerate(lattice.data):
+        q = lattice.cell_index(pos)
+        if rng.random() < p_x:
+            tab.x_gate(q)
+            ex[i] = 1
+        if rng.random() < p_z:
+            tab.z_gate(q)
+            ez[i] = 1
+    return ex, ez
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_inject_errors_matches_scalar_draws(d):
+    """The block draw flips the same qubits, leaves the same tableau and
+    the rng where the scalar-draw loop leaves them."""
+    lat = sc.SurfaceLattice(d)
+    encoded = sc.lattice_tableau(lat)
+    sc.encode_logical_zero(lat, encoded, np.random.default_rng(1))
+    for seed in range(20):
+        fast, slow = copy.deepcopy(encoded), copy.deepcopy(encoded)
+        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sc.inject_errors(lat, fast, 0.1, 0.25, rng_fast)
+        want = _scalar_inject(lat, slow, 0.1, 0.25, rng_slow)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        for name in ("x", "z", "r"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
+        assert rng_fast.random() == rng_slow.random()
+
+
 def test_syndrome_csv_dump(tmp_path):
     lat = sc.SurfaceLattice(2)
     syn = sc.Syndrome(0, np.array([1, 0]), np.array([0, 1]))
@@ -639,6 +727,50 @@ def test_move_paths_light_their_own_defects(d, kind):
             want = np.zeros(n, dtype=int)
             want[[c, c2]] = 1 if c != c2 else 0
             assert lit[c, 1 + c2].tolist() == want.tolist()
+
+
+def _x_boundary_path(pos, size):
+    """Reference X-check boundary path: straight left or right."""
+    r, c = pos
+    if (c + 1) // 2 <= (size - c) // 2:
+        cols = range(c - 1, -1, -2)
+    else:
+        cols = range(c + 1, size, 2)
+    return [(r, cc) for cc in cols]
+
+
+def _x_pair_path(p1, p2):
+    """Reference X-check pair path: horizontally first, then vertically."""
+    (r1, c1), (r2, c2) = p1, p2
+    out = []
+    step = 2 if c2 >= c1 else -2
+    for cc in range(c1, c2, step):
+        out.append((r1, cc + step // 2))
+    step = 2 if r2 >= r1 else -2
+    for rr in range(r1, r2, step):
+        out.append((rr + step // 2, c2))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_x_paths_are_the_z_rule_transposed(d):
+    """Every X-check boundary and pair path covers the data qubits of the
+    reference X geometry, and the move table equals one built from it."""
+    lat = sc.SurfaceLattice(d)
+    want = np.zeros((len(lat.x_checks), 1 + len(lat.x_checks), lat.n_data), np.int8)
+    for i, c in enumerate(lat.x_checks):
+        ref = _x_boundary_path(c, lat.size)
+        assert set(sc._boundary_path(c, lat.size, "x")) == set(ref)
+        moves = [ref]
+        for c2 in lat.x_checks:
+            ref = _x_pair_path(c, c2)
+            assert set(sc._pair_path(c, c2, "x")) == set(ref)
+            moves.append(ref)
+        for j, path in enumerate(moves):
+            want[i, j, [lat.data_index(pos) for pos in path]] = 1
+    paths, weights = sc._move_table(d, "x")
+    assert np.array_equal(paths, want)
+    assert np.array_equal(weights, want.sum(axis=-1))
 
 
 def _pairs_correction(defects, pairs, lat, kind):
