@@ -12,7 +12,7 @@ Dirichlet boundaries.  Spectra are reported ground-referenced in GHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,6 +254,8 @@ def loop_spectrum(
 
 
 def _spectrum_from_eigen(evals, vecs, nlevels) -> SpectrumResult:
+    if nlevels < 2:
+        raise ValueError(f"nlevels must be >= 2 to give omega_q, got {nlevels}")
     levels = evals[:nlevels] - evals[0]
     omega_q = float(levels[1])
     alpha = float(levels[2] - 2 * levels[1]) if nlevels >= 3 else float("nan")
@@ -413,35 +415,36 @@ def find_derivative_zero(f, bracket: tuple[float, float], delta: float,
     return 0.5 * (lo + hi)
 
 
+_BIAS_FIELD = {"charge": "n_ext", "flux": "phi_ext", "ej": "e_j"}
+
+
+def _bias_step(p: CircuitParams, channel: str) -> float:
+    """Central-difference step for a bias channel: 1e-4 of its natural
+    period (charge 1, flux 2 pi, E_J its own scale max(E_J, 1))."""
+    if channel not in _BIAS_FIELD:
+        raise ValueError(f"unknown bias channel {channel!r}")
+    return 1e-4 * {"charge": 1.0, "flux": 2 * np.pi, "ej": max(p.e_j, 1.0)}[channel]
+
+
 def _omega_q_vs_bias(p: CircuitParams, channel: str, value: float,
                      ncut: int, extent: float, npoints: int) -> float:
-    if channel == "charge":
-        q = CircuitParams(p.e_j, p.e_c, p.e_l, value, p.phi_ext)
-    elif channel == "flux":
-        q = CircuitParams(p.e_j, p.e_c, p.e_l, p.n_ext, value)
-    elif channel == "ej":
-        q = CircuitParams(value, p.e_c, p.e_l, p.n_ext, p.phi_ext)
-    else:
-        raise ValueError(f"unknown bias channel {channel!r}")
+    q = replace(p, **{_BIAS_FIELD[channel]: value})
     return circuit_spectrum(q, 3, ncut, extent, npoints).omega_q
 
 
-def frequency_derivative(p: CircuitParams, channel: str, delta: float | None = None,
+def frequency_derivative(p: CircuitParams, channel: str,
                          ncut: int = DEFAULT_NCUT, extent: float = DEFAULT_EXTENT,
                          npoints: int = DEFAULT_NPOINTS) -> float:
-    """Central-difference d(omega_q)/d(lambda) in GHz per bias unit."""
-    bias0 = {"charge": p.n_ext, "flux": p.phi_ext, "ej": p.e_j}[channel]
-    if delta is None:
-        # 1e-4 of the natural bias period (charge period 1, flux period 2*pi)
-        period = {"charge": 1.0, "flux": 2 * np.pi, "ej": max(p.e_j, 1.0)}[channel]
-        delta = 1e-4 * period
+    """Central-difference d(omega_q)/d(lambda) in GHz per bias unit, for
+    ``channel`` 'charge' (n_ext), 'flux' (phi_ext) or 'ej' (E_J)."""
+    delta = _bias_step(p, channel)
     return central_difference(
         lambda v: _omega_q_vs_bias(p, channel, v, ncut, extent, npoints),
-        bias0, delta,
+        getattr(p, _BIAS_FIELD[channel]), delta,
     )
 
 
-def dephasing_rate(p: CircuitParams, noise: NoiseSpec, delta: float | None = None,
+def dephasing_rate(p: CircuitParams, noise: NoiseSpec,
                    ncut: int = DEFAULT_NCUT, extent: float = DEFAULT_EXTENT,
                    npoints: int = DEFAULT_NPOINTS) -> float:
     """Order-of-magnitude dephasing estimate Gamma_phi ~ A |d omega_q / d lambda|.
@@ -450,21 +453,19 @@ def dephasing_rate(p: CircuitParams, noise: NoiseSpec, delta: float | None = Non
     when A_lambda is calibrated accordingly.  This is an estimate, not an
     exact rate: the underlying relation is a proportionality.
     """
-    d = frequency_derivative(p, noise.channel, delta, ncut, extent, npoints)
+    d = frequency_derivative(p, noise.channel, ncut, extent, npoints)
     return float(noise.magnitude * abs(2 * np.pi * d))
 
 
 def sweet_spot(p: CircuitParams, channel: str, bracket: tuple[float, float],
-               tol: float = 1e-6, delta: float | None = None,
-               ncut: int = DEFAULT_NCUT, extent: float = DEFAULT_EXTENT,
+               tol: float = 1e-6, ncut: int = DEFAULT_NCUT,
+               extent: float = DEFAULT_EXTENT,
                npoints: int = DEFAULT_NPOINTS) -> float:
-    """Bias value where d(omega_q)/d(lambda) crosses zero, by bisection."""
-    if delta is None:
-        period = {"charge": 1.0, "flux": 2 * np.pi, "ej": max(p.e_j, 1.0)}[channel]
-        delta = 1e-4 * period
+    """Bias value where d(omega_q)/d(lambda), as a central difference with
+    :func:`frequency_derivative`'s step, crosses zero, by bisection."""
     return find_derivative_zero(
         lambda v: _omega_q_vs_bias(p, channel, v, ncut, extent, npoints),
-        bracket, delta, tol=tol,
+        bracket, _bias_step(p, channel), tol=tol,
     )
 
 

@@ -227,13 +227,13 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
 
 def run_couple(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"omega_q_ghz": float, "omega_r_ghz": float, "g_ghz": float,
-               "kappa_ghz": 0.0, "gamma_ghz": 0.0, "n_max": 10}
+               "kappa_ghz": 0.0, "n_max": 10}
     c = validate_keys(cfg, allowed)
     p = coupling.JCParams(c["omega_q_ghz"], c["omega_r_ghz"], c["g_ghz"],
-                          c["kappa_ghz"], c["gamma_ghz"], c["n_max"])
+                          c["kappa_ghz"], c["n_max"])
     report = {}
     resonant = coupling.JCParams(c["omega_q_ghz"], c["omega_q_ghz"], c["g_ghz"],
-                                 c["kappa_ghz"], c["gamma_ghz"], c["n_max"])
+                                 c["kappa_ghz"], c["n_max"])
     report["vacuum_rabi_splitting_ghz"] = coupling.vacuum_rabi_splitting(resonant)
     if p.is_dispersive:
         disp = coupling.dispersive_shift(p)

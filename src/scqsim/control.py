@@ -18,6 +18,7 @@ from .qcore import (Operator, _as_matrix, pauli, rotation_operator, step_unitari
                     tensor)
 
 TWO_PI = 2.0 * np.pi
+GRAPE_STEP = 0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -93,15 +94,14 @@ def make_envelope(
     area: float | None = None,
     nsamples: int = 513,
     sigma: float | None = None,
-    slices: np.ndarray | None = None,
 ) -> PulseEnvelope:
     """Build a single-quadrature envelope (Omega_y = 0).
 
     kinds: 'square'; 'gaussian' (truncated at +-2 sigma with the truncation
     offset subtracted so the endpoints are exactly zero; sigma defaults to
-    duration/4); 'cosine' (Hann, zero endpoints); 'piecewise' (equal-width
-    slices from ``slices``).  Exactly one of ``amplitude`` or ``area`` sets
-    the scale for the smooth kinds.
+    duration/4); 'cosine' (Hann, zero endpoints).  Exactly one of
+    ``amplitude`` or ``area`` sets the scale.  Piecewise-constant envelopes
+    come from :func:`grape_pulse` and :func:`pulse_from_csv`.
     """
     t = np.linspace(0.0, duration, nsamples)
     if kind == "square":
@@ -114,24 +114,15 @@ def make_envelope(
         np.clip(shape, 0.0, None, out=shape)
     elif kind == "cosine":
         shape = 0.5 * (1 - np.cos(TWO_PI * t / duration))
-    elif kind == "piecewise":
-        if slices is None:
-            raise ValueError("piecewise kind requires slice amplitudes")
-        slices = np.asarray(slices, dtype=float)
-        idx = np.minimum(
-            (t / duration * len(slices)).astype(int), len(slices) - 1
-        )
-        shape = slices[idx]
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
 
-    if kind != "piecewise":
-        if (amplitude is None) == (area is None):
-            raise ValueError("provide exactly one of amplitude or area")
-        if area is not None:
-            raw = np.trapezoid(shape, t)
-            amplitude = area / raw
-        shape = amplitude * shape
+    if (amplitude is None) == (area is None):
+        raise ValueError("provide exactly one of amplitude or area")
+    if area is not None:
+        raw = np.trapezoid(shape, t)
+        amplitude = area / raw
+    shape = amplitude * shape
     return PulseEnvelope(kind, t, shape, np.zeros_like(t))
 
 
@@ -247,7 +238,6 @@ class GrapeProblem:
     bounds: tuple | None = None
     target_infidelity: float = 1e-4
     max_iter: int = 3000
-    step: float = 0.5
 
     def __post_init__(self):
         h0 = np.asarray(self.h0, dtype=complex)
@@ -353,7 +343,8 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
 
 def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
                    seed: int | None = None) -> GrapeResult:
-    """Gradient ascent on fidelity with a fixed step and backtracking halving.
+    """Gradient ascent on fidelity with backtracking halving of a step that
+    starts at, and never grows past, ``GRAPE_STEP``.
 
     Deterministic for a given (u0, seed).  Stops at the target infidelity,
     at max_iter, or when 50 successive iterations fail to improve the
@@ -371,7 +362,7 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
 
     grad, fid, u_total, phi = _grape_gradient(prob, u)
     trace = [1.0 - fid]
-    eps = prob.step
+    eps = GRAPE_STEP
     stall = 0
     for _ in range(prob.max_iter):
         if 1.0 - fid <= prob.target_infidelity:
@@ -399,7 +390,7 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
             stall = 0
         u, fid, grad = u_new, fid_new, grad_new
         trace.append(1.0 - fid)
-        eps = min(eps * 1.5, prob.step)
+        eps = min(eps * 1.5, GRAPE_STEP)
         if stall >= 50:
             break
     return GrapeResult(
@@ -614,20 +605,18 @@ def refocus_sequence(kind: str, tau: float, n: int = 1,
     return RefocusSequence(tuple(core), tau, kind)
 
 
-def sequence_propagator(seq: RefocusSequence, h_qe, env_dim: int | None = None) -> Operator:
+def sequence_propagator(seq: RefocusSequence, h_qe) -> Operator:
     """Exact propagator: free evolution under H_qe interleaved with delta pulses.
 
-    ``h_qe`` acts on qubit x environment (qubit first, 2 x env_dim); pulses
-    rotate the qubit only.  Pulse length is treated as zero, so H_qe is
-    ignored while a pulse fires.
+    ``h_qe`` acts on qubit x environment (qubit first, so its dimension is
+    2 x the environment's and must be even); pulses rotate the qubit only.
+    Pulse length is treated as zero, so H_qe is ignored while a pulse fires.
     """
     hm = _as_matrix(h_qe)
     dim = hm.shape[0]
-    if env_dim is None:
-        if dim % 2:
-            raise ValueError("h_qe must act on qubit x environment")
-        env_dim = dim // 2
-    eye_env = np.eye(env_dim)
+    if dim % 2:
+        raise ValueError("h_qe must act on qubit x environment")
+    eye_env = np.eye(dim // 2)
     # free evolution before each pulse and after the last; zero gaps skipped
     edges = [0.0] + [t for t, _, _ in seq.pulses] + [seq.tau]
     gaps = [t1 - t0 for t0, t1 in zip(edges, edges[1:])]

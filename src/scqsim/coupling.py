@@ -28,20 +28,19 @@ class DispersiveLimitError(ValueError):
 class JCParams:
     """Qubit-resonator system: frequencies and rates in GHz.
 
-    kappa is the resonator linewidth, gamma the qubit linewidth, n_max the
-    Fock-space truncation (the resonator keeps n_max + 1 levels).
+    kappa is the resonator linewidth, n_max the Fock-space truncation (the
+    resonator keeps n_max + 1 levels).
     """
 
     omega_q: float
     omega_r: float
     g: float
     kappa: float = 0.0
-    gamma: float = 0.0
     n_max: int = 10
 
     def __post_init__(self):
-        if self.g < 0 or self.kappa < 0 or self.gamma < 0:
-            raise ValueError("g, kappa, gamma must be >= 0")
+        if self.g < 0 or self.kappa < 0:
+            raise ValueError("g, kappa must be >= 0")
         if self.n_max < 2:
             raise ValueError("n_max must be >= 2")
 
@@ -58,42 +57,33 @@ class JCParams:
 
 @dataclass(frozen=True)
 class CapacitiveCouplingSpec:
-    """Capacitance network for a direct qubit-qubit (or qubit-resonator) link.
-
-    beta is the ratio of coupling to total capacitance; v_r0 the zero-point
-    voltage of the resonator.  Capacitances share one (arbitrary) unit.
+    """Capacitance network for a direct qubit-qubit link: the coupling
+    capacitance c_12 and the qubit capacitances c_q1, c_q2, in one
+    (arbitrary) unit.
     """
 
     c_12: float
     c_q1: float
     c_q2: float
-    c_r: float = 1.0
-    beta: float = 0.0
-    v_r0: float = 0.0
 
     def __post_init__(self):
-        if min(self.c_q1, self.c_q2, self.c_r) <= 0 or self.c_12 < 0:
+        if min(self.c_q1, self.c_q2) <= 0 or self.c_12 < 0:
             raise ValueError("capacitances must be positive (c_12 >= 0)")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class TwoQubitParams:
-    """Two exchange-coupled qubits; anharmonicities only matter for CR/CZ."""
+    """Two exchange-coupled qubits in GHz; the control qubit's anharmonicity
+    alpha_1 only matters for the three-level CR model."""
 
     omega_q1: float
     omega_q2: float
     j: float
     alpha_1: float | None = None
-    alpha_2: float | None = None
-    levels: int = 2
 
     def __post_init__(self):
         if self.j < 0:
             raise ValueError("J must be >= 0")
-        if self.levels not in (2, 3):
-            raise ValueError("levels per qubit must be 2 or 3")
 
     @property
     def delta_qq(self) -> float:

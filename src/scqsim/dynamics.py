@@ -74,7 +74,8 @@ def _as_hamiltonian(h) -> TimeDependentH:
 
 def _sample_times(times, t_span, dt) -> np.ndarray:
     """The requested sample times, or a grid of steps <= dt over [0, t_span];
-    dt must be finite and > 0, the times finite and non-decreasing."""
+    dt must be finite and > 0, the times at least one, finite and
+    non-decreasing."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if times is None:
@@ -84,6 +85,8 @@ def _sample_times(times, t_span, dt) -> np.ndarray:
             raise ValueError(f"t_span must be finite and >= 0, got {t_span}")
         times = np.linspace(0.0, t_span, max(int(np.ceil(t_span / dt)) + 1, 2))
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("the sample grid is empty: give at least one sample time")
     if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
         raise ValueError("sample times must be finite and non-decreasing")
     return times

@@ -37,16 +37,10 @@ BSWAP_GATE = Operator(
 
 @dataclass(frozen=True)
 class DriveParams:
-    """External drive: amplitude and frequency in GHz, duration in ns."""
+    """External drive on the resonator: amplitude and frequency in GHz."""
 
     amplitude: float
     frequency: float
-    phase: float = 0.0
-    duration: float = 1.0
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("drive duration must be > 0")
 
 
 @dataclass(frozen=True)
@@ -191,24 +185,18 @@ def cz_phase_propagator(theta_01: float, theta_10: float, theta_11: float) -> Op
     )
 
 
-def cz_adiabatic(zeta, tau: float, nsteps: int = 4001, check: bool = True) -> GateReport:
+def cz_adiabatic(zeta, tau: float) -> GateReport:
     """CZ by accumulating the ZZ phase integral of a zeta(t) schedule.
 
-    ``zeta`` is either a callable t -> rad/ns or an array of samples over
+    ``zeta`` is a callable t -> rad/ns, sampled at 4001 points over
     [0, tau]; zeta = omega_10 + omega_01 - omega_11 is the effective ZZ
     rate.  The single-qubit phases are assumed absorbed into the local
     frames (virtual Z), leaving U = diag(1, 1, 1, e^{i integral}).
-    A schedule whose integral misses pi by more than 0.01 rad raises unless
-    ``check=False``.
+    A schedule whose integral misses pi by more than 0.01 rad raises.
     """
-    if callable(zeta):
-        ts = np.linspace(0.0, tau, nsteps)
-        samples = np.array([float(zeta(t)) for t in ts])
-    else:
-        samples = np.asarray(zeta, dtype=float)
-        ts = np.linspace(0.0, tau, len(samples))
-    theta = float(np.trapezoid(samples, ts))
-    if check and abs(abs(theta) - np.pi) > 0.01:
+    ts = np.linspace(0.0, tau, 4001)
+    theta = float(np.trapezoid([float(zeta(t)) for t in ts], ts))
+    if abs(abs(theta) - np.pi) > 0.01:
         raise ValueError(
             f"accumulated ZZ phase {theta:.6f} rad misses pi by "
             f"{abs(abs(theta) - np.pi):.4f} rad: recalibrate the schedule"
@@ -295,7 +283,6 @@ def cz_adiabatic_simulate(
     j: float,
     tau: float,
     dt: float = 0.005,
-    leakage_threshold: float = 1e-3,
 ) -> dict:
     """Time evolution of the two-transmon model under a flux-bias excursion.
 
@@ -332,7 +319,7 @@ def cz_adiabatic_simulate(
         "conditional_phase": cond,
         "leakage": leak,
         "max_02_population": max_02,
-        "adiabatic": max_02 < leakage_threshold,
+        "adiabatic": max_02 < 1e-3,
         "propagator": Operator(u),
     }
 

@@ -176,6 +176,18 @@ def test_spectrum_errors():
         cir.spectrum(np.array([[0, 1], [0, 0]], dtype=complex), 2)
 
 
+@pytest.mark.parametrize("nlevels", [0, 1])
+def test_spectrum_needs_two_levels(nlevels):
+    """omega_q is the 0-1 gap: fewer levels raise ValueError, not IndexError."""
+    with pytest.raises(ValueError, match="nlevels must be >= 2"):
+        cir.spectrum(np.diag([0.0, 1.0, 2.0]), nlevels)
+    with pytest.raises(ValueError, match="nlevels must be >= 2"):
+        cir.circuit_spectrum(cir.CircuitParams(20.0, 0.4), nlevels)
+    # at 0 scipy's eigensolver rejects the empty index range first
+    with pytest.raises(ValueError):
+        cir.loop_spectrum(cir.CircuitParams(5.0, 1.0, 1.0), nlevels, npoints=256)
+
+
 def test_spectrum_result_invariants():
     with pytest.raises(ValueError, match="ground-referenced"):
         cir.SpectrumResult(np.array([1.0, 2.0]), 1.0, 0.0)
@@ -274,6 +286,14 @@ def test_sweet_spot_not_found():
     p = cir.CircuitParams(5.0, 1.0, 1.0)
     with pytest.raises(cir.SweetSpotNotFound):
         cir.sweet_spot(p, "flux", (0.3, 1.2), npoints=512)
+
+
+def test_unknown_bias_channel_named():
+    p = cir.CircuitParams(5.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unknown bias channel 'bogus'"):
+        cir.frequency_derivative(p, "bogus")
+    with pytest.raises(ValueError, match="unknown bias channel 'bogus'"):
+        cir.sweet_spot(p, "bogus", (2.3, 3.8))
 
 
 def test_quadratic_oracle_derivative_and_root():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scqsim import cli
+from scqsim import cli, coupling, experiments, gates
 from scqsim import dynamics as dyn
-from scqsim.qcore import to_angular
+from scqsim.qcore import CZ_GATE, to_angular
 
 
 def run_cli(args):
@@ -19,6 +19,11 @@ def run_cli(args):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def printed(x):
+    """A float as the CLI prints it: 12 significant digits."""
+    return float(f"{x:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,16 @@ def test_qec_flags_without_config(tmp_path):
     assert report["shots"] == 100
 
 
+@pytest.mark.parametrize("circuit", ["island", "loop"])
+@pytest.mark.parametrize("nlevels", [0, 1])
+def test_spectrum_fewer_than_two_levels_exit_2(tmp_path, capsys, circuit, nlevels):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"circuit = {circuit}\ne_j_ghz = 5.0\ne_c_ghz = 1.0\n"
+                   f"e_l_ghz = 1.0\nnpoints = 256\nnlevels = {nlevels}\n")
+    assert run_cli(["spectrum", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_couple_subcommand(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
@@ -162,6 +177,14 @@ def test_couple_subcommand(tmp_path):
     assert rep["chi_ghz"] == pytest.approx(0.01)
     assert rep["vacuum_rabi_splitting_ghz"] == pytest.approx(0.2, rel=1e-6)
     assert rep["kappa_is_snr_optimal"] is True
+
+
+def test_couple_rejects_gamma_ghz(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "omega_q_ghz = 5.0\nomega_r_ghz = 6.0\ng_ghz = 0.1\ngamma_ghz = 0.01\n")
+    assert run_cli(["couple", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "unknown config key(s): gamma_ghz;" in capsys.readouterr().err
 
 
 def test_evolve_subcommand(tmp_path):
@@ -224,14 +247,39 @@ def test_evolve_rows_are_the_rotating_frame_model(tmp_path):
             == (tmp_path / "want.csv").read_bytes())
 
 
-def test_gate_subcommand(tmp_path):
+_J = 0.01
+_CR = gates.CRParams(coupling.TwoQubitParams(6.0, 5.5, _J, alpha_1=-0.3), 0.05)
+# each kind at the tau that calibrates it (as in perfbench/jobs.py)
+_GATE_TAU = {"iswap": (np.pi / 2) / (2 * np.pi * _J),
+             "bswap": np.pi / (2 * np.pi * _J),
+             "cz": np.pi / (np.sqrt(2) * 2 * np.pi * _J),
+             "cr": (np.pi / 2) / (2 * np.pi * _CR.omega_cr)}
+_GATE_LIBRARY = {
+    "iswap": lambda tau: (gates.iswap(to_angular(_J), tau), gates.ISWAP_GATE),
+    "bswap": lambda tau: (gates.bswap(to_angular(_J), tau), gates.BSWAP_GATE),
+    "cz": lambda tau: (gates.Operator(gates.cz_coherent_exchange(
+        to_angular(_J), tau).entries[:4, :4]), CZ_GATE),
+    "cr": lambda tau: (gates.cr_gate(_CR, tau).propagator,
+                       gates.cr_propagator(np.pi / 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["iswap", "bswap", "cz", "cr"])
+def test_gate_subcommand(tmp_path, kind):
+    """gate.json is the library propagator at the calibrated tau, as printed."""
+    tau = _GATE_TAU[kind]
     cfg = tmp_path / "g.cfg"
-    tau = (np.pi / 2) / (2 * np.pi * 0.01)
-    cfg.write_text(f"kind = iswap\nj_ghz = 0.01\ntau_ns = {tau}\n")
+    cfg.write_text(f"kind = {kind}\nj_ghz = {_J}\ntau_ns = {tau}\n"
+                   + ("omega_q1_ghz = 6.0\nepsilon_ghz = 0.05\n" if kind == "cr" else ""))
     out = tmp_path / "o"
     assert run_cli(["gate", "--config", cfg, "--out", out]) == 0
     rep = read_json(out / "gate.json")
-    assert rep["infidelity"] < 1e-9
+    u, target = _GATE_LIBRARY[kind](tau)
+    assert rep["kind"] == kind
+    assert rep["infidelity"] == printed(gates.gate_infidelity(u, target)) < 1e-9
+    for part, values in (("re", np.real(u.entries)), ("im", np.imag(u.entries))):
+        assert rep[f"propagator_{part}"] == [[printed(v) for v in row]
+                                             for row in values]
 
 
 def test_echo_subcommand(tmp_path):
@@ -240,6 +288,17 @@ def test_echo_subcommand(tmp_path):
     rep = read_json(out / "echo.json")
     assert rep["identity_residual"] < 1e-10
     assert rep["pi_pulses"] == 2
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("evolve", "t_end_ns = 10.0\nsamples = 0\n"),
+    ("experiment", "kind = t1\npoints = 0\n"),
+])
+def test_empty_sample_grid_exit_2(tmp_path, capsys, subcommand, text):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(text)
+    assert run_cli([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "sample grid is empty" in capsys.readouterr().err
 
 
 def test_experiment_subcommand(tmp_path):
@@ -265,6 +324,17 @@ def test_grape_subcommand(tmp_path):
     assert header == "t_ns,omega_x_GHz,omega_y_GHz"
 
 
+def test_grape_bound_clips_pulse(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("n_slices = 12\ndt_ns = 1.6\nbound_ghz = 0.04\nrestarts = 2\n")
+    out = tmp_path / "o"
+    assert run_cli(["grape", "--config", cfg, "--out", out]) == 0
+    rows = (out / "pulse.csv").read_text().splitlines()[1:]
+    amps = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+    assert amps.shape == (24, 2)
+    assert np.max(np.abs(amps)) <= 0.04 * (1 + 1e-12)
+
+
 def test_rb_subcommand(tmp_path):
     cfg = tmp_path / "rb.cfg"
     cfg.write_text(
@@ -275,6 +345,24 @@ def test_rb_subcommand(tmp_path):
     rep = read_json(out / "rb.json")
     assert abs(rep["r"] - 0.01) / 0.01 < 0.05
     assert {"A", "p", "B", "r", "CI"} <= set(rep)
+
+
+def test_rb_interleaved_subcommand(tmp_path):
+    """rb.json carries the interleaved estimate of the library call."""
+    cfg = tmp_path / "rb.cfg"
+    cfg.write_text("lengths = 1, 2, 4, 8, 16, 32, 64\nsequences_per_length = 12\n"
+                   "shots = 200\ndepolarizing = 0.01\ninterleaved = 3\n")
+    out = tmp_path / "o"
+    assert run_cli(["rb", "--config", cfg, "--out", out, "--seed", "5"]) == 0
+    rep = read_json(out / "rb.json")
+    res = experiments.rb_interleaved(experiments.RBConfig(
+        lengths=(1, 2, 4, 8, 16, 32, 64), sequences_per_length=12, shots=200,
+        error={"depolarizing": 0.01}, interleaved=3, seed=5))
+    assert rep["p_C"] == printed(res.p_c)
+    assert rep["r_C"] == printed(res.r_c)
+    assert rep["bounds"] == [printed(b) for b in res.bounds]
+    assert rep["bounds"][0] < rep["r_C"] < rep["bounds"][1]
+    assert 0.0 < rep["p_C"] <= 1.0
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):

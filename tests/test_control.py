@@ -57,7 +57,7 @@ def test_envelope_validation():
         ctl.make_envelope("square", 1.0)
     with pytest.raises(ValueError, match="unknown envelope"):
         ctl.make_envelope("sawtooth", 1.0, amplitude=1.0)
-    with pytest.raises(ValueError, match="slice"):
+    with pytest.raises(ValueError, match="unknown envelope"):
         ctl.make_envelope("piecewise", 1.0)
 
 

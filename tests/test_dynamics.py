@@ -226,6 +226,15 @@ def test_bad_sample_times_raise(times):
         dyn.unitary_evolve(h, q.ket(0, 2), times=np.array(times))
 
 
+def test_empty_sample_grid_raises():
+    h = 2 * np.pi * 0.1 * SX
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="sample grid is empty"):
+        dyn.lindblad_evolve(h, rho, [], times=np.array([]))
+    with pytest.raises(ValueError, match="sample grid is empty"):
+        dyn.unitary_evolve(h, q.ket(0, 2), times=[])
+
+
 def test_unitary_evolve_static_exact():
     h = 2 * np.pi * np.array([[0.5, 0.1], [0.1, -0.2]], dtype=complex)
     psi0 = q.ket(0, 2)

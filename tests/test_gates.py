@@ -40,14 +40,14 @@ def test_virtual_z_phase_shift():
 def test_driven_frame_zero_amplitude():
     p = JCParams(5.0, 6.0, 0.1, n_max=3)
     _, omega_rabi = gates.driven_qubit_frame(
-        p, gates.DriveParams(0.0, 4.99, duration=1.0))
+        p, gates.DriveParams(0.0, 4.99))
     assert omega_rabi == 0.0
 
 
 def test_driven_frame_rabi_rate_formula():
     p = JCParams(5.0, 6.0, 0.1, n_max=3)
     _, omega_rabi = gates.driven_qubit_frame(
-        p, gates.DriveParams(0.05, 4.99, duration=1.0))
+        p, gates.DriveParams(0.05, 4.99))
     assert omega_rabi == pytest.approx(-0.02)
 
 
@@ -56,7 +56,7 @@ def test_driven_frame_simulated_rabi_frequency():
     inversion oscillating at |Omega_R| to within 1%."""
     p = JCParams(5.0, 6.0, 0.1, n_max=3)
     chi = p.g**2 / p.detuning
-    d = gates.DriveParams(0.05, 5.0 - chi, duration=1.0)
+    d = gates.DriveParams(0.05, 5.0 - chi)
     h_rot, omega_rabi = gates.driven_qubit_frame(p, d)
     nq = q.tensor(q.number_op(2), np.eye(p.n_max + 1)).entries
     period = 1.0 / abs(omega_rabi)
