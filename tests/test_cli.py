@@ -269,8 +269,8 @@ def test_gate_subcommand(tmp_path, kind):
     """gate.json is the library propagator at the calibrated tau, as printed."""
     tau = _GATE_TAU[kind]
     cfg = tmp_path / "g.cfg"
-    cfg.write_text(f"kind = {kind}\nj_ghz = {_J}\ntau_ns = {tau}\n"
-                   + ("omega_q1_ghz = 6.0\nepsilon_ghz = 0.05\n" if kind == "cr" else ""))
+    cr_keys = "omega_q1_ghz = 6.0\nepsilon_ghz = 0.05\n" if kind == "cr" else ""
+    cfg.write_text(f"kind = {kind}\nj_ghz = {_J}\ntau_ns = {tau}\n{cr_keys}")
     out = tmp_path / "o"
     assert run_cli(["gate", "--config", cfg, "--out", out]) == 0
     rep = read_json(out / "gate.json")
