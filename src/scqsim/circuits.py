@@ -113,8 +113,10 @@ class RelaxationRates:
 
     @property
     def t2(self) -> float:
-        total = self.gamma_par / 2 + self.gamma_phi
-        return np.inf if total == 0 else 1.0 / total
+        # 2 / (Gamma_par + 2 Gamma_phi), not 1 / (Gamma_par / 2 + Gamma_phi):
+        # halving a subnormal Gamma_par drops bits and can put T2 above 2 T1
+        total = self.gamma_par + 2 * self.gamma_phi
+        return np.inf if total == 0 else 2.0 / total
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +249,20 @@ def loop_spectrum(
         raise ValueError("loop_spectrum requires E_L > 0")
     if npoints < 128:
         raise ValueError("npoints must be >= 128 to resolve the potential")
+    _check_levels(nlevels)
     from scipy.linalg import eigh_tridiagonal
     diag, off, _ = _loop_tridiagonal(p, extent, npoints)
     evals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, nlevels - 1))
     return _spectrum_from_eigen(evals, vecs, nlevels)
 
 
-def _spectrum_from_eigen(evals, vecs, nlevels) -> SpectrumResult:
+def _check_levels(nlevels: int) -> None:
     if nlevels < 2:
         raise ValueError(f"nlevels must be >= 2 to give omega_q, got {nlevels}")
+
+
+def _spectrum_from_eigen(evals, vecs, nlevels) -> SpectrumResult:
+    _check_levels(nlevels)
     levels = evals[:nlevels] - evals[0]
     omega_q = float(levels[1])
     alpha = float(levels[2] - 2 * levels[1]) if nlevels >= 3 else float("nan")
@@ -314,9 +321,11 @@ def dipole_elements(
 
     Returns a dict {'charge', 'flux', 'ej'} of nlevels x nlevels arrays.
     """
+    if nlevels < 1:
+        raise ValueError(f"nlevels must be >= 1, got {nlevels}")
     if p.is_island:
-        res = spectrum(island_hamiltonian(p, ncut), nlevels)
-        v = res.eigenvectors
+        # spectrum needs 2 levels for omega_q; a 1-level block is the slice
+        v = spectrum(island_hamiltonian(p, ncut), max(nlevels, 2)).eigenvectors
         n_op = charge_operator(ncut)
         # phi offsets are absorbed into N_ext for islands; use phi_ext = 0
         sin_op = sin_phase_operator(ncut)
@@ -346,8 +355,7 @@ def dipole_elements(
 def charge_matrix_element(p: CircuitParams, i: int = 0, j: int = 1,
                           ncut: int = DEFAULT_NCUT) -> complex:
     """<i| N |j> for an island circuit (the bare charge operator)."""
-    res = spectrum(island_hamiltonian(p, ncut), max(i, j) + 1)
-    v = res.eigenvectors
+    v = spectrum(island_hamiltonian(p, ncut), max(i, j, 1) + 1).eigenvectors
     return complex(v[:, i].conj() @ charge_operator(ncut) @ v[:, j])
 
 

@@ -143,6 +143,21 @@ def validate_keys(cfg: dict, allowed: dict) -> dict:
     return merged
 
 
+# float keys that may be infinite: an infinite T1 or T2 means no decay or no
+# pure dephasing (``evolve``, ``experiment``)
+INFINITE_OK = ("t1_ns", "t2_ns")
+
+
+def subcommand_keys(cfg: dict, allowed: dict) -> dict:
+    """:func:`validate_keys`, then reject +-inf outside ``INFINITE_OK``,
+    before any subcommand computes with it."""
+    c = validate_keys(cfg, allowed)
+    for k, v in c.items():
+        if isinstance(v, float) and np.isinf(v) and k not in INFINITE_OK:
+            raise ConfigError(f"{k} must be finite, got {v!r}")
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -208,7 +223,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
         "ncut": circuits.DEFAULT_NCUT, "npoints": circuits.DEFAULT_NPOINTS,
         "extent_rad": circuits.DEFAULT_EXTENT,
     }
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     params = circuits.CircuitParams(
         c["e_j_ghz"], c["e_c_ghz"],
         0.0 if c["circuit"] == "island" else c["e_l_ghz"],
@@ -228,7 +243,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
 def run_couple(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"omega_q_ghz": float, "omega_r_ghz": float, "g_ghz": float,
                "kappa_ghz": 0.0, "n_max": 10}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     p = coupling.JCParams(c["omega_q_ghz"], c["omega_r_ghz"], c["g_ghz"],
                           c["kappa_ghz"], c["n_max"])
     report = {}
@@ -250,8 +265,8 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"t1_ns": float("inf"), "t2_ns": float("inf"),
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
                "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
-    c = validate_keys(cfg, allowed)
-    if not (np.isfinite(c["t_end_ns"]) and c["t_end_ns"] >= 0):
+    c = subcommand_keys(cfg, allowed)
+    if c["t_end_ns"] < 0:
         raise ConfigError(f"t_end_ns must be finite and >= 0, got {c['t_end_ns']}")
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = experiments.qubit_run(times, c["t1_ns"], c["t2_ns"],
@@ -267,7 +282,7 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
 def run_gate(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": str, "j_ghz": 0.0, "tau_ns": 0.0, "epsilon_ghz": 0.0,
                "omega_q1_ghz": 5.0, "omega_q2_ghz": 5.5, "alpha_1_ghz": -0.3}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     kind = c["kind"]
     j_ang = to_angular(c["j_ghz"])
     if kind == "iswap":
@@ -300,7 +315,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"alpha_ghz": -0.2, "lambda": float(np.sqrt(2)), "n_slices": 4,
                "dt_ns": 0.0, "restarts": 8, "target_infidelity": 1e-4,
                "bound_ghz": 0.0, "max_iter": 3000}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     alpha = to_angular(c["alpha_ghz"])
     bounds = None
     if c["bound_ghz"]:
@@ -330,7 +345,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
 def run_echo(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": "hahn", "tau_ns": 10.0, "n": 1,
                "j_z_ghz": 0.05, "omega_max_ghz": 2.0, "npoints": 801}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=c["n"])
     grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), c["npoints"])
     f = control.filter_function(seq, grid)
@@ -349,7 +364,7 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
 
 def run_qec(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"d": 3, "p": 0.001, "cycles": 1, "shots": 10000}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     res = sc.logical_error_rate(c["d"], c["p"], c["cycles"], c["shots"], seed)
     write_json(out / "qec.json", {
         "d": res.d, "p": res.p, "cycles": res.cycles, "shots": res.shots,
@@ -363,7 +378,7 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> None:
                "rabi_ghz": 0.01, "detuning_ghz": 0.001,
                "tau_max_ns": 1000.0, "points": 101, "shots": 0,
                "eps01": 0.0, "eps10": 0.0}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     taus = np.linspace(0.0, c["tau_max_ns"], c["points"])
     readout = experiments.ReadoutModel(c["eps01"], c["eps10"],
                                        c["shots"] or None)
@@ -395,7 +410,7 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
                "sequences_per_length": 40, "shots": 400,
                "depolarizing": 0.01, "interleaved": -1,
                "eps01": 0.0, "eps10": 0.0, "prep_error": 0.0}
-    c = validate_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed)
     cfg_rb = experiments.RBConfig(
         lengths=tuple(c["lengths"]),
         sequences_per_length=c["sequences_per_length"],

@@ -188,6 +188,39 @@ def test_spectrum_needs_two_levels(nlevels):
         cir.loop_spectrum(cir.CircuitParams(5.0, 1.0, 1.0), nlevels, npoints=256)
 
 
+def test_loop_spectrum_checks_levels_before_solver():
+    """The message names nlevels, not the eigensolver's index range."""
+    p = cir.CircuitParams(5.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="nlevels must be >= 2 to give omega_q, got 0"):
+        cir.loop_spectrum(p, 0, npoints=256)
+    with pytest.raises(ValueError, match="nlevels must be >= 1, got 0"):
+        cir.dipole_elements(p, nlevels=0, npoints=256)
+
+
+@pytest.mark.parametrize("params", [cir.CircuitParams(20.0, 0.4),
+                                    cir.CircuitParams(20.0, 0.4, 0.0, 0.2),
+                                    cir.CircuitParams(5.0, 1.0, 1.0)])
+def test_dipole_elements_one_level_is_the_corner(params):
+    """A 1-level block is the (0, 0) corner of a larger one."""
+    one = cir.dipole_elements(params, nlevels=1, npoints=256)
+    three = cir.dipole_elements(params, nlevels=3, npoints=256)
+    for key in ("charge", "flux", "ej"):
+        assert one[key].shape == (1, 1)
+        assert np.allclose(one[key], three[key][:1, :1], atol=1e-12)
+
+
+def test_charge_matrix_element_diagonal():
+    """<0|N|0> exists: zero by parity at N_ext = 0, equal to the dipole
+    block's diagonal (over 8 E_C) at N_ext = 0.2."""
+    p = cir.CircuitParams(20.0, 0.4)
+    assert abs(cir.charge_matrix_element(p, 0, 0)) < 1e-12
+    q = cir.CircuitParams(2.0, 0.4, 0.0, 0.2)
+    charge = cir.dipole_elements(q, nlevels=2)["charge"] / (8 * q.e_c)
+    for i in (0, 1):
+        assert cir.charge_matrix_element(q, i, i) == pytest.approx(charge[i, i],
+                                                                  abs=1e-12)
+
+
 def test_spectrum_result_invariants():
     with pytest.raises(ValueError, match="ground-referenced"):
         cir.SpectrumResult(np.array([1.0, 2.0]), 1.0, 0.0)
@@ -311,6 +344,13 @@ def test_quadratic_oracle_derivative_and_root():
 def test_relaxation_rates_invariant(gamma_par, gamma_phi):
     rates = cir.relaxation_rates(gamma_par, gamma_phi)
     assert rates.t2 <= 2 * rates.t1 + 1e-12
+
+
+def test_relaxation_rates_subnormal_decay():
+    """T2 = 2 T1 exactly without dephasing, even at a subnormal rate."""
+    for gamma_par in (3.219975241989888e-308, 5e-324, 1e-3):
+        rates = cir.relaxation_rates(gamma_par, 0.0)
+        assert rates.t2 == 2 * rates.t1
 
 
 def test_relaxation_rates_relation():

@@ -375,6 +375,40 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unstable_run_exit_3_without_numpy_warnings(tmp_path, capsys):
+    """An RK4 step far outside its stability region overflows; the drift
+    check reports it, with no numpy warning on the way."""
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t1_ns = 0.001\ndrive_ghz = 0.5\ndt_ns = 1\n"
+                   "t_end_ns = 1000\nsamples = 2\n")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: trace drift nan" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("spectrum", "e_c_ghz = 0.4\ne_j_ghz = inf\n"),
+    ("couple", "omega_q_ghz = 5.0\nomega_r_ghz = 6.0\ng_ghz = inf\n"),
+    ("evolve", "t1_ns = inf\nt_end_ns = 10.0\ndrive_ghz = -inf\n"),
+    ("gate", "kind = iswap\nj_ghz = 0.01\ntau_ns = inf\n"),
+    ("grape", "alpha_ghz = -inf\n"),
+    ("echo", "tau_ns = inf\n"),
+    ("qec", "p = inf\n"),
+    ("experiment", "kind = rabi\nt2_ns = inf\nrabi_ghz = inf\n"),
+    ("rb", "depolarizing = inf\n"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_float_exit_2(tmp_path, capsys, subcommand, text):
+    """Only T1 and T2 may be infinite; any other float key names itself."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    key = text.strip().splitlines()[-1].split(" = ")[0]
+    assert f"{key} must be finite, got " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "t_end_ns = 10.0\ndt_ns = 0\n",
     "t_end_ns = 10.0\ndt_ns = -0.01\n",

@@ -193,6 +193,90 @@ def test_liouvillian_trace_annihilating_and_hermiticity_preserving(seed, d):
     assert np.max(np.abs(lx - _lindblad_rhs(h, collapse, x))) < 1e-12
 
 
+def _rk4_loop(liou, v, sub, nsub):
+    """The per-step RK4 loop of a static generator (oracle of the powered map)."""
+    for _ in range(nsub):
+        k1 = liou @ v
+        k2 = liou @ (v + sub / 2 * k1)
+        k3 = liou @ (v + sub / 2 * k2)
+        k4 = liou @ (v + sub * k3)
+        v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return v
+
+
+def _random_pure_vec(seed, d):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj()).reshape(-1)
+
+
+@pytest.mark.parametrize("nsub", [1, 2, 3, 7, 100, 3200])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_powered_step_matches_rk4_loop(d, nsub):
+    """v + D v equals nsub RK4 steps taken one by one, on random dissipative
+    Liouvillians with 0 to 2 collapse operators."""
+    for seed in range(8):
+        h, collapse = _random_open_system(seed, d)
+        liou = dyn.liouvillian(h, collapse)
+        sub = 0.05 / np.linalg.norm(liou, 2)
+        v = _random_pure_vec(seed, d)
+        want = _rk4_loop(liou, v, sub, nsub)
+        got = v + dyn._powered_step(liou * sub, nsub) @ v
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _static_qubit(t1, t2):
+    h = 2 * np.pi * (0.001 * EXCITED + 0.5 * 0.005 * SX)
+    return h, dyn.qubit_collapse_ops(t1, t2)
+
+
+def _expm_error(h, collapse, times, dt):
+    """Largest entry error of the static run's states against expm(L t)."""
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt)
+    liou = dyn.liouvillian(h, collapse)
+    return max(np.max(np.abs(s.entries.reshape(-1) - expm(liou * t) @ rho0.reshape(-1)))
+               for t, s in zip(times, res.states))
+
+
+@pytest.mark.parametrize("t1, t2, parent_error", [
+    (100.0, np.inf, 2.8e-15), (100.0, 150.0, 4.4e-15), (np.inf, np.inf, 4.5e-15),
+])
+def test_static_run_vs_expm_no_worse_than_step_loop(t1, t2, parent_error):
+    """CLI evolve's driven, detuned qubit over 200 ns at dt = 0.01: the
+    powered map is at least as close to expm(L t) as the per-step loop was
+    (its largest error on these three runs is ``parent_error``)."""
+    h, collapse = _static_qubit(t1, t2)
+    times = np.linspace(0.0, 200.0, 201)
+    assert _expm_error(h, collapse, times, 0.01) <= parent_error
+
+
+def test_powered_maps_belong_to_their_call():
+    """Two runs with the same step count and size but different generators
+    each match their own oracle: no map carries over from one call."""
+    times = np.linspace(0.0, 50.0, 11)
+    for t1, t2 in ((100.0, 150.0), (20.0, 10.0), (np.inf, np.inf)):
+        h, collapse = _static_qubit(t1, t2)
+        assert _expm_error(h, collapse, times, 0.01) < 1e-13
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
+       st.sampled_from([1, 7, 100, 3200]))
+@settings(max_examples=40, deadline=None)
+def test_powered_step_is_cptp_within_step_contract(seed, d, nsub):
+    """With ||L|| dt <= 1e-3 the powered map takes a pure state to a density
+    matrix: trace 1 and Hermitian to 1e-12, smallest eigenvalue >= -1e-12."""
+    h, collapse = _random_open_system(seed, d)
+    liou = dyn.liouvillian(h, collapse)
+    v = _random_pure_vec(seed, d)
+    rho = (v + dyn._powered_step(liou * (1e-3 / np.linalg.norm(liou, 2)), nsub)
+           @ v).reshape(d, d)
+    assert abs(np.trace(rho) - 1) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
 def test_unitary_evolve_rejects_density_matrix():
     h = 2 * np.pi * 0.1 * SX
     rho = np.diag([1.0, 0.0]).astype(complex)
