@@ -16,7 +16,8 @@ the unit is dimensionless or fixed by convention (``seed``, counts).
 
 Outputs: CSV (comma separator, ``.`` decimal, mandatory header) and JSON
 files with numerics printed to 12 significant digits, plus a
-``manifest.json`` with the config hash, seed, and versions.  Identical
+``manifest.json`` with the config hash, seed, and versions (and, for
+``evolve``, the repair counts of its Lindblad run).  Identical
 config + seed reproduces byte-identical outputs except for the manifest
 timestamp.
 
@@ -148,13 +149,17 @@ def validate_keys(cfg: dict, allowed: dict) -> dict:
 INFINITE_OK = ("t1_ns", "t2_ns")
 
 
-def subcommand_keys(cfg: dict, allowed: dict) -> dict:
-    """:func:`validate_keys`, then reject +-inf outside ``INFINITE_OK``,
-    before any subcommand computes with it."""
+def subcommand_keys(cfg: dict, allowed: dict, minimum: dict | None = None) -> dict:
+    """:func:`validate_keys`, then reject +-inf outside ``INFINITE_OK`` and
+    any key below its ``minimum`` value, before any subcommand computes with
+    it."""
     c = validate_keys(cfg, allowed)
     for k, v in c.items():
         if isinstance(v, float) and np.isinf(v) and k not in INFINITE_OK:
             raise ConfigError(f"{k} must be finite, got {v!r}")
+    for k, low in (minimum or {}).items():
+        if c[k] < low:
+            raise ConfigError(f"{k} must be >= {low}, got {c[k]!r}")
     return c
 
 
@@ -167,11 +172,18 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list, rows) -> None:
+    """The header line, then a line per row: floats at 12 significant digits
+    (a row of header length and floats only in one format call), any other
+    value as ``str``."""
+    floats = ",".join(["{:.12g}"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                fh.write(floats.format(*row))
+            else:
+                fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
 
 
 def _round_floats(obj):
@@ -196,7 +208,10 @@ def write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def write_manifest(out: Path, subcommand: str, config_bytes: bytes, seed: int):
+def write_manifest(out: Path, subcommand: str, config_bytes: bytes, seed: int,
+                   stats: dict | None = None):
+    """manifest.json: the config hash, seed and versions, the subcommand's
+    repair counts (``stats``) when it returns any, and a timestamp."""
     manifest = {
         "subcommand": subcommand,
         "inputs_sha256": hashlib.sha256(config_bytes).hexdigest(),
@@ -209,6 +224,8 @@ def write_manifest(out: Path, subcommand: str, config_bytes: bytes, seed: int):
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if stats:
+        manifest["stats"] = stats
     write_json(out / "manifest.json", manifest)
 
 
@@ -261,13 +278,11 @@ def run_couple(cfg: dict, out: Path, seed: int) -> None:
     write_json(out / "couple.json", report)
 
 
-def run_evolve(cfg: dict, out: Path, seed: int) -> None:
+def run_evolve(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"t1_ns": float("inf"), "t2_ns": float("inf"),
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
                "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
-    c = subcommand_keys(cfg, allowed)
-    if c["t_end_ns"] < 0:
-        raise ConfigError(f"t_end_ns must be finite and >= 0, got {c['t_end_ns']}")
+    c = subcommand_keys(cfg, allowed, minimum={"t_end_ns": 0.0})
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = experiments.qubit_run(times, c["t1_ns"], c["t2_ns"],
                                 to_angular(c["detuning_ghz"]),
@@ -277,12 +292,13 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> None:
         for t, p1, state in zip(res.times, res.expectations["p1"], res.states)
     ]
     write_csv(out / "evolve.csv", ["t_ns", "p1", "purity"], rows)
+    return res.stats
 
 
 def run_gate(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": str, "j_ghz": 0.0, "tau_ns": 0.0, "epsilon_ghz": 0.0,
                "omega_q1_ghz": 5.0, "omega_q2_ghz": 5.5, "alpha_1_ghz": -0.3}
-    c = subcommand_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed, minimum={"tau_ns": 0.0})
     kind = c["kind"]
     j_ang = to_angular(c["j_ghz"])
     if kind == "iswap":
@@ -315,7 +331,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"alpha_ghz": -0.2, "lambda": float(np.sqrt(2)), "n_slices": 4,
                "dt_ns": 0.0, "restarts": 8, "target_infidelity": 1e-4,
                "bound_ghz": 0.0, "max_iter": 3000}
-    c = subcommand_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed, minimum={"restarts": 1})
     alpha = to_angular(c["alpha_ghz"])
     bounds = None
     if c["bound_ghz"]:
@@ -345,7 +361,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
 def run_echo(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": "hahn", "tau_ns": 10.0, "n": 1,
                "j_z_ghz": 0.05, "omega_max_ghz": 2.0, "npoints": 801}
-    c = subcommand_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed, minimum={"tau_ns": 0.0, "npoints": 1})
     seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=c["n"])
     grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), c["npoints"])
     f = control.filter_function(seq, grid)
@@ -410,7 +426,8 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
                "sequences_per_length": 40, "shots": 400,
                "depolarizing": 0.01, "interleaved": -1,
                "eps01": 0.0, "eps10": 0.0, "prep_error": 0.0}
-    c = subcommand_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed,
+                        minimum={"sequences_per_length": 1, "shots": 0})
     cfg_rb = experiments.RBConfig(
         lengths=tuple(c["lengths"]),
         sequences_per_length=c["sequences_per_length"],
@@ -500,8 +517,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _SUBCOMMANDS[args.subcommand](cfg, out, args.seed)
-        write_manifest(out, args.subcommand, config_bytes, args.seed)
+        stats = _SUBCOMMANDS[args.subcommand](cfg, out, args.seed)
+        write_manifest(out, args.subcommand, config_bytes, args.seed, stats)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,11 +25,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcore import (SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator, StateVector,
-                    _as_matrix, annihilation, expm_hermitian, step_unitaries)
+from .qcore import (NORM_TOL, SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator,
+                    StateVector, _as_matrix, annihilation, expm_hermitian,
+                    step_unitaries)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
+# samples in a static run's first checked block; a block with no event
+# doubles the next one, an event starts again from here
+BLOCK_START = 8
 
 
 class IntegrationError(RuntimeError):
@@ -103,6 +107,9 @@ class EvolveResult:
     times: np.ndarray
     states: list
     expectations: dict = field(default_factory=dict)
+    # lindblad_evolve's repair counts: renormalized and clipped samples,
+    # checked blocks, the largest trace drift, distinct powered maps
+    stats: dict = field(default_factory=dict)
 
     def final(self):
         return self.states[-1]
@@ -226,7 +233,12 @@ def lindblad_evolve(
     beyond -1e-6 (RK4 keeps the trace of this generator exactly, so an
     unstable step announces itself through the spectrum).  Drift inside
     those limits is repaired: renormalization above 1e-6 trace error,
-    eigenvalue clipping of sub-threshold negative dust.
+    eigenvalue clipping of sub-threshold negative dust.  A driven run checks
+    every sample on its own.  A static run steps a block of samples ahead
+    and checks the block with one stacked ``eigh``; the first sample that
+    needs repair (or fails) is checked on its own, and stepping resumes from
+    it, so the result is the same as checking every sample.  The counts of
+    these repairs are in ``stats``.
     """
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)
@@ -242,13 +254,22 @@ def lindblad_evolve(
     rho = _coerce_rho(rho0)
     e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
-    maps = {}
-    states = [DensityMatrix(_repair(rho))]
+    stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
+             "max_trace_drift": 0.0, "powered_maps": 0}
+    states = [DensityMatrix(_repair(rho, 0.0, stats))]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
-    for t0, t1 in zip(times[:-1], times[1:]):
-        nsub, sub = _substeps(t1 - t0, dt)
-        v = rho.reshape(-1)
-        if drives:
+    if not drives:
+        for block, verified in _static_blocks(l0, rho, times, dt, stats):
+            if verified:
+                states.extend(DensityMatrix._verified(m) for m in block)
+            else:
+                states.append(DensityMatrix(block[0]))
+            for k, a in e_arr.items():
+                expect[k].extend(np.trace(block @ a, axis1=1, axis2=2).real.tolist())
+    else:
+        for t0, t1 in zip(times[:-1], times[1:]):
+            nsub, sub = _substeps(t1 - t0, dt)
+            v = rho.reshape(-1)
             t = t0
             for _ in range(nsub):
                 mid = generator(t + sub / 2)
@@ -258,26 +279,75 @@ def lindblad_evolve(
                 k4 = generator(t + sub) @ (v + sub * k3)
                 v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
                 t += sub
-        else:
-            # an unstable step overflows to inf/nan; the drift check reports it
-            with np.errstate(over="ignore", invalid="ignore"):
+            rho = _settle(v.reshape(rho.shape), t1, dt, stats)
+            states.append(DensityMatrix(rho))
+            for k, a in e_arr.items():
+                expect[k].append(float(np.trace(rho @ a).real))
+    return EvolveResult(times, states, {k: np.asarray(v) for k, v in expect.items()},
+                        stats)
+
+
+def _static_blocks(l0, rho, times, dt, stats):
+    """The samples after the first of a static run, in order, as (stack,
+    verified) pairs.  Each block of samples is stepped ahead as
+    ``v <- v + D v`` and symmetrized, then checked at once: finite, trace
+    drift within both NORM_TOL and the soft limit, smallest eigenvalue
+    >= 0.  The samples before the first that fails come out verified (they
+    are what :func:`_settle` would return); that one goes through
+    :func:`_settle` itself, and stepping resumes from its result."""
+    spans = [_substeps(t1 - t0, dt) for t0, t1 in zip(times[:-1], times[1:])]
+    maps = {}
+    v = rho.reshape(-1)
+    i, size = 0, BLOCK_START
+    while i < len(spans):
+        block = spans[i:i + size]
+        raw = np.empty((len(block),) + rho.shape, dtype=complex)
+        sym = np.empty_like(raw)
+        # an unstable step overflows to inf/nan; _settle reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (nsub, sub) in enumerate(block):
                 if (nsub, sub) not in maps:
                     maps[nsub, sub] = _powered_step(l0 * sub, nsub)
-                v = v + maps[nsub, sub] @ v
-        rho = v.reshape(rho.shape)
-        drift = abs(np.trace(rho).real - 1.0)
-        if not np.isfinite(drift) or drift > TRACE_HARD_LIMIT:
-            raise IntegrationError(
-                f"trace drift {drift:.2e} at t = {t1:.4g} ns; reduce dt below "
-                f"{dt / 4:.3g}"
-            )
-        if drift > TRACE_SOFT_LIMIT:
-            rho = rho / np.trace(rho).real
-        rho = _repair(rho, t1)
-        states.append(DensityMatrix(rho))
-        for k, a in e_arr.items():
-            expect[k].append(float(np.trace(rho @ a).real))
-    return EvolveResult(times, states, {k: np.asarray(v) for k, v in expect.items()})
+                raw[j] = step = (v + maps[nsub, sub] @ v).reshape(rho.shape)
+                sym[j] = step = 0.5 * (step + step.conj().T)
+                v = step.reshape(-1)
+            drift = np.abs(np.trace(raw, axis1=1, axis2=2).real - 1.0)
+        ok = ((drift < NORM_TOL) & (drift <= TRACE_SOFT_LIMIT)
+              & np.isfinite(sym).all(axis=(1, 2)))
+        n = len(block) if ok.all() else int(ok.argmin())
+        if n:
+            ok = np.linalg.eigh(sym[:n])[0].min(axis=1) >= 0.0
+            n = n if ok.all() else int(ok.argmin())
+        stats["checked_blocks"] += 1
+        if n:
+            stats["max_trace_drift"] = max(stats["max_trace_drift"],
+                                           float(drift[:n].max()))
+            yield sym[:n], True
+        i += n
+        size *= 2
+        if n < len(block):
+            rho = _settle(raw[n], times[i + 1], dt, stats)
+            yield rho[None], False
+            v = rho.reshape(-1)
+            i += 1
+            size = BLOCK_START
+    stats["powered_maps"] = len(maps)
+
+
+def _settle(rho: np.ndarray, t: float, dt: float, stats: dict) -> np.ndarray:
+    """One stepped sample's checks: the trace-drift limits, renormalization
+    beyond the soft limit, then :func:`_repair`."""
+    drift = abs(np.trace(rho).real - 1.0)
+    if not np.isfinite(drift) or drift > TRACE_HARD_LIMIT:
+        raise IntegrationError(
+            f"trace drift {drift:.2e} at t = {t:.4g} ns; reduce dt below "
+            f"{dt / 4:.3g}"
+        )
+    stats["max_trace_drift"] = max(stats["max_trace_drift"], float(drift))
+    if drift > TRACE_SOFT_LIMIT:
+        rho = rho / np.trace(rho).real
+        stats["renormalized"] += 1
+    return _repair(rho, t, stats)
 
 
 def _powered_step(x: np.ndarray, n: int) -> np.ndarray:
@@ -300,8 +370,9 @@ def _powered_step(x: np.ndarray, n: int) -> np.ndarray:
 POSITIVITY_HARD_LIMIT = 1e-6
 
 
-def _repair(rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Symmetrize round-off; clip eigenvalue dust; reject real blow-ups."""
+def _repair(rho: np.ndarray, t: float, stats: dict) -> np.ndarray:
+    """Symmetrize round-off; clip eigenvalue dust (counted in ``stats``);
+    reject real blow-ups."""
     rho = 0.5 * (rho + rho.conj().T)
     evals, vecs = np.linalg.eigh(rho)
     if not np.all(np.isfinite(evals)) or evals.min() < -POSITIVITY_HARD_LIMIT:
@@ -310,6 +381,7 @@ def _repair(rho: np.ndarray, t: float = 0.0) -> np.ndarray:
             f"t = {t:.4g} ns; reduce dt"
         )
     if evals.min() < 0.0:
+        stats["clipped"] += 1
         clipped = np.clip(evals, 0.0, None)
         rho = (vecs * clipped) @ vecs.conj().T
         rho = rho / np.trace(rho).real

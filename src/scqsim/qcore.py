@@ -155,6 +155,15 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
         object.__setattr__(self, "entries", _freeze(m))
 
+    @classmethod
+    def _verified(cls, m: np.ndarray) -> "DensityMatrix":
+        """A complex square matrix the caller has checked as the constructor
+        would (exactly Hermitian, trace within NORM_TOL, no negative
+        eigenvalue); it is frozen in place, not copied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "entries", _freeze(m))
+        return state
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

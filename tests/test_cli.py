@@ -424,6 +424,55 @@ def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, text", [
+    ("gate", "kind = iswap\nj_ghz = 0.01\ntau_ns = -25\n"),
+    ("echo", "npoints = 0\n"),
+    ("echo", "npoints = -2\n"),
+    ("echo", "tau_ns = -1\n"),
+    ("rb", "shots = -3\n"),
+    ("rb", "sequences_per_length = 0\n"),
+    ("grape", "restarts = 0\n"),
+    ("evolve", "t_end_ns = -10.0\n"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_below_minimum_exit_2(tmp_path, capsys, subcommand, text):
+    """A count or time below its least valid value names its key."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    key = text.strip().splitlines()[-1].split(" = ")[0]
+    assert f"config error: {key} must be >= " in capsys.readouterr().err
+
+
+def _per_value_csv(path, header, rows):
+    """write_csv as it formatted each value on its own (oracle)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cli.fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    rows = [(0.1, np.nan, np.inf), (-np.inf, -0.0, np.float64(1 / 3)),
+            (np.float64(-2.5e-300), 1e22, 123456789012345.0), (1, 2.0, "x"),
+            (np.int64(7), np.float64(0.5), 3), ("a", "b", "c"), (), (0.25,)]
+    cli.write_csv(tmp_path / "got.csv", ["a", "b", "c"], rows)
+    _per_value_csv(tmp_path / "want.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_evolve_manifest_carries_repair_counts(tmp_path):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t1_ns = 100.0\nt2_ns = 150.0\nt_end_ns = 50.0\nsamples = 11\n")
+    out = tmp_path / "o"
+    assert run_cli(["evolve", "--config", cfg, "--out", out]) == 0
+    stats = read_json(out / "manifest.json")["stats"]
+    assert stats["renormalized"] == stats["clipped"] == 0
+    assert stats["checked_blocks"] == 2 and stats["powered_maps"] == 1
+    assert 0.0 <= stats["max_trace_drift"] < 1e-14
+
+
 @pytest.mark.parametrize("flags", [
     ["--p", 2], ["--p", -0.1], ["--cycles", 0], ["--cycles", -1], ["--shots", 0],
 ])

@@ -277,6 +277,188 @@ def test_powered_step_is_cptp_within_step_contract(seed, d, nsub):
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+def _per_sample_static(h, rho0, collapse, times, dt, e_ops):
+    """The static path as it was before block checks (oracle): each sample
+    stepped, drift-checked, renormalized, repaired and put through the full
+    DensityMatrix constructor on its own.  Also returns the repair counts
+    and the block count that the block rule gives for its events."""
+    l0 = dyn.liouvillian(h, collapse)
+    rho = dyn._coerce_rho(rho0)
+    stats = {"renormalized": 0, "clipped": 0, "max_trace_drift": 0.0}
+    states = [q.DensityMatrix(dyn._repair(rho, 0.0, stats))]
+    expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_ops.items()}
+    maps, events = {}, []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        nsub, sub = dyn._substeps(t1 - t0, dt)
+        v = rho.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (nsub, sub) not in maps:
+                maps[nsub, sub] = dyn._powered_step(l0 * sub, nsub)
+            v = v + maps[nsub, sub] @ v
+        rho = v.reshape(rho.shape)
+        drift = abs(np.trace(rho).real - 1.0)
+        if not np.isfinite(drift) or drift > dyn.TRACE_HARD_LIMIT:
+            raise dyn.IntegrationError(
+                f"trace drift {drift:.2e} at t = {t1:.4g} ns; reduce dt below "
+                f"{dt / 4:.3g}")
+        stats["max_trace_drift"] = max(stats["max_trace_drift"], drift)
+        repairs = stats["renormalized"] + stats["clipped"]
+        if drift > dyn.TRACE_SOFT_LIMIT:
+            rho = rho / np.trace(rho).real
+            stats["renormalized"] += 1
+        rho = dyn._repair(rho, t1, stats)
+        if stats["renormalized"] + stats["clipped"] > repairs:
+            events.append(len(states) - 1)
+        states.append(q.DensityMatrix(rho))
+        for k, a in e_ops.items():
+            expect[k].append(float(np.trace(rho @ a).real))
+    blocks, i, size = 0, 0, dyn.BLOCK_START
+    while i < len(times) - 1:
+        blocks += 1
+        hit = [e for e in events if i <= e < i + size]
+        i, size = (hit[0] + 1, dyn.BLOCK_START) if hit else (i + size, 2 * size)
+    stats.update(checked_blocks=blocks, powered_maps=len(maps))
+    return states, {k: np.asarray(v) for k, v in expect.items()}, stats
+
+
+def _assert_same_as_per_sample(h, rho0, collapse, times, dt=0.01, e_ops=None):
+    e_ops = {"x": SX, "n": EXCITED} if e_ops is None else e_ops
+    want_states, want_expect, want_stats = _per_sample_static(
+        h, rho0, collapse, np.asarray(times, dtype=float), dt, e_ops)
+    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt, e_ops=e_ops)
+    assert len(res.states) == len(want_states)
+    assert all(np.array_equal(a.entries, b.entries)
+               for a, b in zip(res.states, want_states))
+    assert res.expectations.keys() == want_expect.keys()
+    assert all(np.array_equal(res.expectations[k], want_expect[k]) for k in want_expect)
+    assert res.stats == want_stats
+    return res.stats
+
+
+def _random_state(rng, d, pure):
+    if pure:
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return psi / np.linalg.norm(psi)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = m @ m.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_block_checks_equal_per_sample_checks(seed):
+    """Random static runs (d = 2 to 4, 0 to 2 collapse operators, pure and
+    mixed initial states, random and repeated sample times) are bit-equal
+    to the per-sample loop, states, expectations and counts alike."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    h, collapse = _random_open_system(seed, d)
+    times = np.sort(rng.uniform(0.0, 5.0, rng.integers(1, 80)))
+    times = np.repeat(times, rng.integers(1, 3, times.size))
+    e_ops = {"h": h, "p0": np.diag(np.eye(d)[0]).astype(complex)}
+    _assert_same_as_per_sample(h, _random_state(rng, d, seed % 2 == 0), collapse,
+                               times, 0.01, e_ops)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 201, 2001])
+def test_pure_state_clip_events_equal_per_sample(samples):
+    """CLI evolve's default T1 = T2 = inf: a pure state whose eigenvalue dust
+    is clipped every few samples, on one-sample to 2,001-sample grids."""
+    h, collapse = _static_qubit(np.inf, np.inf)
+    stats = _assert_same_as_per_sample(h, np.array([1.0, 0.0]), collapse,
+                                       np.linspace(0.0, 200.0, samples))
+    if samples > 100:
+        assert stats["clipped"] > samples // 10
+        assert stats["checked_blocks"] > stats["clipped"]
+    assert stats["renormalized"] == 0
+
+
+def test_decaying_qubit_checks_few_blocks():
+    """With decay, no sample needs repair: 200 samples are 5 blocks
+    (8 + 16 + 32 + 64 + 80) and one powered map."""
+    h, collapse = _static_qubit(100.0, 150.0)
+    stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
+                                       np.linspace(0.0, 200.0, 201))
+    assert stats == {"renormalized": 0, "clipped": 0, "checked_blocks": 5,
+                     "max_trace_drift": stats["max_trace_drift"],
+                     "powered_maps": 1}
+    assert 0.0 < stats["max_trace_drift"] < 1e-14
+
+
+def test_every_sample_renormalized_equal_per_sample(monkeypatch):
+    """With the soft limit at 0 every sample with any drift renormalizes
+    (29 of these 200 samples; the others have none)."""
+    monkeypatch.setattr(dyn, "TRACE_SOFT_LIMIT", 0.0)
+    h, collapse = _static_qubit(100.0, 150.0)
+    stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
+                                       np.linspace(0.0, 200.0, 201))
+    assert stats["renormalized"] > 20
+    assert stats["checked_blocks"] > stats["renormalized"]
+
+
+def _outcome(fn):
+    """The type and text of the exception ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("h, rho0, collapse, times, dt", [
+    # positivity lost mid-run: a coherence outgrows RK4's stability region
+    (1.42 * q.SIGMA_Z.entries, 0.5 * np.eye(2) + 0.1 * SX, [],
+     np.arange(0.0, 200.0, 1.0), 1.0),
+    # positivity lost at the first sample
+    (np.zeros((2, 2)), np.diag([0.0, 1.0]), [dyn.qubit_decay(50.0)],
+     np.array([0.0, 1.0]), 0.5),
+    # coherences overflow while the trace stays 1: min eigenvalue nan
+    (np.zeros((2, 2)), np.full((2, 2), 0.5), [dyn.qubit_dephasing(2e100)],
+     np.array([0.0, 1.0, 2.0, 3.0]), 1.0),
+    # trace drift nan (CLI evolve's unstable run) and 1.00e+00
+    (np.pi * 0.5 * SX, np.diag([1.0, 0.0]), dyn.qubit_collapse_ops(0.001, np.inf),
+     np.linspace(0.0, 1000.0, 2), 1.0),
+    (np.pi * 0.5 * SX, np.diag([1.0, 0.0]), dyn.qubit_collapse_ops(0.001, np.inf),
+     np.linspace(0.0, 10.0, 3), 1.0),
+])
+def test_unstable_runs_fail_as_per_sample(h, rho0, collapse, times, dt):
+    want = _outcome(lambda: _per_sample_static(h, rho0, collapse, times, dt, {}))
+    got = _outcome(lambda: dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt))
+    assert want is not None and want[0] is dyn.IntegrationError
+    assert got == want
+
+
+def test_trace_check_error_order_equal_per_sample(monkeypatch):
+    """A drift at or above NORM_TOL on a sample with no repair still raises
+    DensityMatrix's trace error, at the same sample: here NORM_TOL is set
+    below the round-off of a decaying qubit."""
+    monkeypatch.setattr(q, "NORM_TOL", 1e-17)
+    monkeypatch.setattr(dyn, "NORM_TOL", 1e-17)
+    h, collapse = _static_qubit(100.0, 150.0)
+    args = (h, np.diag([1.0, 0.0]).astype(complex), collapse,
+            np.linspace(0.0, 200.0, 201), 0.01)
+    want = _outcome(lambda: _per_sample_static(*args, {}))
+    got = _outcome(lambda: dyn.lindblad_evolve(*args[:3], times=args[3], dt=args[4]))
+    assert want is not None and want[0] is ValueError and "trace" in want[1]
+    assert got == want
+
+
+def test_block_states_share_one_frozen_array():
+    """Verified states view their block's array and cannot be written."""
+    h, collapse = _static_qubit(100.0, 150.0)
+    res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]), collapse,
+                              times=np.linspace(0.0, 10.0, 11))
+    assert res.states[1].entries.base is res.states[2].entries.base
+    assert not res.states[1].entries.flags.writeable
+
+
+def test_driven_run_stats():
+    """A driven run checks every sample on its own: no blocks, no maps."""
+    h = dyn.TimeDependentH(np.zeros((2, 2)), [(0.5 * SX, lambda t: 0.3)])
+    res = dyn.lindblad_evolve(h, np.array([1.0, 0.0]), [], times=np.linspace(0, 5, 6))
+    assert res.stats["checked_blocks"] == res.stats["powered_maps"] == 0
+    assert res.stats["renormalized"] == 0
+
+
 def test_unitary_evolve_rejects_density_matrix():
     h = 2 * np.pi * 0.1 * SX
     rho = np.diag([1.0, 0.0]).astype(complex)
