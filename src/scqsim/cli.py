@@ -16,8 +16,10 @@ the unit is dimensionless or fixed by convention (``seed``, counts).
 
 Outputs: CSV (comma separator, ``.`` decimal, mandatory header) and JSON
 files with numerics printed to 12 significant digits, plus a
-``manifest.json`` with the config hash, seed, and versions (and, for
-``evolve``, the repair counts of its Lindblad run).  Identical
+``manifest.json`` with the config hash, seed, and versions (and a
+``stats`` block: for ``evolve`` the repair counts of its Lindblad run, for
+``rb`` each curve's fit convergence, fit evaluations, flat-curve flag and
+random Cliffords applied).  Identical
 config + seed reproduces byte-identical outputs except for the manifest
 timestamp.
 
@@ -211,7 +213,7 @@ def write_json(path: Path, obj: dict) -> None:
 def write_manifest(out: Path, subcommand: str, config_bytes: bytes, seed: int,
                    stats: dict | None = None):
     """manifest.json: the config hash, seed and versions, the subcommand's
-    repair counts (``stats``) when it returns any, and a timestamp."""
+    ``stats`` when it returns any, and a timestamp."""
     manifest = {
         "subcommand": subcommand,
         "inputs_sha256": hashlib.sha256(config_bytes).hexdigest(),
@@ -421,13 +423,14 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> None:
     })
 
 
-def run_rb(cfg: dict, out: Path, seed: int) -> None:
+def run_rb(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"lengths": [1, 2, 4, 8, 16, 32, 64, 128, 256],
                "sequences_per_length": 40, "shots": 400,
                "depolarizing": 0.01, "interleaved": -1,
                "eps01": 0.0, "eps10": 0.0, "prep_error": 0.0}
     c = subcommand_keys(cfg, allowed,
-                        minimum={"sequences_per_length": 1, "shots": 0})
+                        minimum={"sequences_per_length": 1, "shots": 0,
+                                 "interleaved": -1})
     cfg_rb = experiments.RBConfig(
         lengths=tuple(c["lengths"]),
         sequences_per_length=c["sequences_per_length"],
@@ -444,7 +447,9 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
         std, curve = res.standard, res.interleaved
     summary = {"A": std.a, "p": std.p, "B": std.b, "r": std.r,
                "CI": [std.r - 1.96 * std.r_sigma, std.r + 1.96 * std.r_sigma]}
+    stats = {"standard": std.stats}
     if cfg_rb.interleaved is not None:
+        stats["interleaved"] = curve.stats
         summary.update({"p_C": res.p_c, "r_C": res.r_c,
                         "r_C_CI": [res.r_c - 1.96 * res.r_c_sigma,
                                    res.r_c + 1.96 * res.r_c_sigma],
@@ -453,6 +458,7 @@ def run_rb(cfg: dict, out: Path, seed: int) -> None:
               [(int(m), float(s), float(e))
                for m, s, e in zip(curve.lengths, curve.survival, curve.sem)])
     write_json(out / "rb.json", summary)
+    return stats
 
 
 _SUBCOMMANDS = {

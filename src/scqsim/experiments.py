@@ -36,6 +36,7 @@ class FitResult:
     sigmas: dict
     residual_norm: float
     converged: bool
+    nfev: int = 0                  # model evaluations the optimizer spent
 
     def __post_init__(self):
         if self.converged and not np.isfinite(self.residual_norm):
@@ -266,7 +267,8 @@ def _lm_fit(model, jac, x, y, p0, names) -> FitResult:
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     params = dict(zip(names, (float(v) for v in sol.x)))
     sigmas = dict(zip(names, (float(v) for v in sig)))
-    return FitResult(params, sigmas, float(np.linalg.norm(res)), bool(sol.success))
+    return FitResult(params, sigmas, float(np.linalg.norm(res)), bool(sol.success),
+                     int(sol.nfev))
 
 
 def _fft_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
@@ -506,6 +508,19 @@ def _ptm(u: np.ndarray) -> np.ndarray:
     return r
 
 
+@lru_cache(maxsize=None)
+def _clifford_ptms() -> np.ndarray:
+    """Read-only (24, 4, 4) stack of the :func:`_ptm` of each element of
+    :func:`clifford_1q`, built on first use.
+
+    Each is a signed permutation up to round-off (<= 4.4e-16).  Rounding them
+    would make every noiseless survival curve exactly constant, and where the
+    decay fit of a constant curve lands depends on that round-off."""
+    ptms = np.array([_ptm(np.asarray(c.op.entries)) for c in clifford_1q()])
+    ptms.setflags(write=False)
+    return ptms
+
+
 def depolarizing_ptm(rate: float) -> np.ndarray:
     """PTM of the depolarizing channel with average infidelity ``rate``.
 
@@ -558,6 +573,19 @@ class RBConfig:
         if len(set(ls)) != len(ls) or any(m < 1 for m in ls):
             raise ValueError("lengths must be distinct integers >= 1")
         object.__setattr__(self, "lengths", ls)
+        if self.sequences_per_length < 1:
+            raise ValueError(f"sequences_per_length must be >= 1, "
+                             f"got {self.sequences_per_length!r}")
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots!r}")
+        if self.interleaved is not None and not (
+                isinstance(self.interleaved, (int, np.integer))
+                and 0 <= self.interleaved < 24):
+            raise ValueError(f"interleaved must be None or a Clifford index in "
+                             f"0..23, got {self.interleaved!r}")
+        for name in ("eps01", "eps10", "prep_error"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 def _error_ptm(spec: dict) -> np.ndarray:
@@ -579,15 +607,35 @@ class RBResult:
     r: float
     r_sigma: float
     fit: FitResult
+    stats: dict     # fit_converged, fit_nfev, flat_curve, cliffords (applied)
 
 
 def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarray]:
-    cliff = clifford_1q()
-    ptms = [_ptm(np.asarray(c.op.entries)) for c in cliff]
+    """Mean survival and its standard error at each length.
+
+    Draw order: each length draws from its own child of
+    ``SeedSequence(cfg.seed)``; each of its sequences draws its Clifford
+    picks (``rng.integers``), then its shots (``rng.binomial``), before the
+    next sequence draws, so the shot stream is that of one sequence at a time.
+
+    A sequence is one composite map.  The step maps of its picks (E·P_g, or
+    (E_i·P_i)·E·P_g in an interleaved run), padded with the identity to a
+    power of two, are multiplied pairwise, later map on the left, in
+    ceil(log2 m) batched matmuls, and its composite Clifford index is folded
+    over the multiplication table by the same tree.  The closing map
+    E·P_inverse and one mat-vec on the prepared state follow.
+    """
+    ptms = _clifford_ptms()
     table, inverse = _clifford_table()
-    e_ptm = _error_ptm(cfg.error)
-    i_ptm = ptms[cfg.interleaved] if interleave else None
-    ie_ptm = _error_ptm(cfg.interleaved_error or {}) if interleave else None
+    close = _error_ptm(cfg.error) @ ptms           # E·P_g, also the closing map
+    step = close
+    gidx = np.arange(24)                           # Clifford index of step g
+    if interleave:
+        step = (_error_ptm(cfg.interleaved_error or {}) @ ptms[cfg.interleaved]) @ step
+        gidx = table[:, cfg.interleaved]
+    # index 24 pads a sequence to a power of two: the identity map and index 0
+    step = np.concatenate((step, np.eye(4)[None]))
+    gidx = np.append(gidx, 0)
 
     # prep: |0> with optional classical preparation error
     v0 = np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * cfg.prep_error])
@@ -598,17 +646,14 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
     for li, m in enumerate(cfg.lengths):
         rng = np.random.default_rng(children[li])
         vals = np.empty(cfg.sequences_per_length)
+        padded = np.full(1 << (m - 1).bit_length(), 24)
         for s in range(cfg.sequences_per_length):
-            picks = rng.integers(0, 24, size=m)
-            v = v0.copy()
-            acc = 0                       # index of the running composite
-            for g in picks:
-                v = e_ptm @ (ptms[g] @ v)
-                acc = table[acc, g]
-                if interleave:
-                    v = ie_ptm @ (i_ptm @ v)
-                    acc = table[acc, cfg.interleaved]
-            v = e_ptm @ (ptms[inverse[acc]] @ v)
+            padded[:m] = rng.integers(0, 24, size=m)
+            maps, acc = step[padded], gidx[padded]
+            while len(maps) > 1:
+                maps = maps[1::2] @ maps[0::2]
+                acc = table[acc[0::2], acc[1::2]]
+            v = close[inverse[acc[0]]] @ (maps[0] @ v0)
             p1 = 0.5 * (1.0 - v[3])
             q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1   # observed P(0)
             q = float(np.clip(q, 0.0, 1.0))
@@ -648,21 +693,25 @@ def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
     return _lm_fit(model, jac, m, y * w, [a0, p0, b0], ["a", "p", "b"])
 
 
-def _rb_decay(lengths, survival, sem, name: str) -> tuple[FitResult, float]:
+def _rb_decay(cfg: RBConfig, survival, sem,
+              name: str) -> tuple[FitResult, float, dict]:
     """:func:`fit_rb_decay` and its decay parameter, which must lie in
     (0, 1]; a flat zero-noise decay fits p = 1 + fuzz and is clipped to 1.
     A constant curve (equal up to round-off, peak-to-peak <= 1e-12) does not
     identify p in A p^m + B, so where its fit lands outside (0, 1] it is
-    reported as p = 1 with the fit marked not converged; any other curve
-    raises :class:`FitQualityError`.
+    reported as p = 1 with the fit marked not converged (``flat_curve`` in
+    the stats); any other curve raises :class:`FitQualityError`.
     """
-    fit = fit_rb_decay(lengths, survival, sem)
+    fit = fit_rb_decay(cfg.lengths, survival, sem)
     p = fit.params["p"]
-    if not 0.0 < p <= 1.0 + 1e-6:
+    flat = not 0.0 < p <= 1.0 + 1e-6
+    if flat:
         if np.ptp(survival) > 1e-12:
             raise FitQualityError(f"{name} = {p!r} outside (0, 1]")
         fit = replace(fit, params={**fit.params, "p": 1.0}, converged=False)
-    return fit, min(fit.params["p"], 1.0)
+    stats = {"fit_converged": fit.converged, "fit_nfev": fit.nfev, "flat_curve": flat,
+             "cliffords": cfg.sequences_per_length * sum(cfg.lengths)}
+    return fit, min(fit.params["p"], 1.0), stats
 
 
 def rb_standard(cfg: RBConfig) -> RBResult:
@@ -671,11 +720,11 @@ def rb_standard(cfg: RBConfig) -> RBResult:
     infidelity r = (d - 1)(1 - p)/d with d = 2.
     """
     means, sems = _rb_survival(cfg, interleave=False)
-    fit, p = _rb_decay(cfg.lengths, means, sems, "decay parameter p")
+    fit, p, stats = _rb_decay(cfg, means, sems, "decay parameter p")
     r = 0.5 * (1.0 - p)
     return RBResult(np.asarray(cfg.lengths, float), means, sems,
                     fit.params["a"], p, fit.params["b"], r,
-                    0.5 * fit.sigmas["p"], fit)
+                    0.5 * fit.sigmas["p"], fit, stats)
 
 
 @dataclass(frozen=True)
@@ -700,7 +749,7 @@ def rb_interleaved(cfg: RBConfig) -> InterleavedRBResult:
         raise ValueError("cfg.interleaved must name a Clifford index")
     std = rb_standard(cfg)
     means, sems = _rb_survival(cfg, interleave=True)
-    fit, p_c = _rb_decay(cfg.lengths, means, sems, "interleaved decay p_C")
+    fit, p_c, stats = _rb_decay(cfg, means, sems, "interleaved decay p_C")
     p = std.p
     d = 2.0
     r_c = (d - 1) * (1.0 - p_c / p) / d
@@ -715,6 +764,6 @@ def rb_interleaved(cfg: RBConfig) -> InterleavedRBResult:
     eps = min(e1, e2)
     inter = RBResult(np.asarray(cfg.lengths, float), means, sems,
                      fit.params["a"], p_c, fit.params["b"], r_c,
-                     r_c_sigma, fit)
+                     r_c_sigma, fit, stats)
     return InterleavedRBResult(std, inter, p_c, r_c, r_c_sigma,
                                (r_c - eps, r_c + eps))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -431,6 +432,7 @@ def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
     ("echo", "tau_ns = -1\n"),
     ("rb", "shots = -3\n"),
     ("rb", "sequences_per_length = 0\n"),
+    ("rb", "interleaved = -2\n"),
     ("grape", "restarts = 0\n"),
     ("evolve", "t_end_ns = -10.0\n"),
 ])
@@ -442,6 +444,65 @@ def test_below_minimum_exit_2(tmp_path, capsys, subcommand, text):
     assert run_cli([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
     key = text.strip().splitlines()[-1].split(" = ")[0]
     assert f"config error: {key} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "interleaved = 24\n", "eps01 = 1.5\n", "eps10 = -0.5\n", "prep_error = 2.0\n",
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rb_out_of_range_exit_2(tmp_path, capsys, text):
+    """An interleaved index past the 24 Cliffords or a probability outside
+    [0, 1] names its key instead of failing or clipping."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("lengths = 1, 2, 4\nsequences_per_length = 3\n" + text)
+    assert run_cli(["rb", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    key = text.split(" = ")[0]
+    assert f"config error: {key} must " in capsys.readouterr().err
+
+
+def test_rb_manifest_carries_fit_stats(tmp_path):
+    cfg = tmp_path / "rb.cfg"
+    cfg.write_text("lengths = 1, 2, 4, 8, 16, 32, 64\nsequences_per_length = 12\n"
+                   "shots = 200\ndepolarizing = 0.01\ninterleaved = 3\n")
+    out = tmp_path / "o"
+    assert run_cli(["rb", "--config", cfg, "--out", out, "--seed", "5"]) == 0
+    stats = read_json(out / "manifest.json")["stats"]
+    res = experiments.rb_interleaved(experiments.RBConfig(
+        lengths=(1, 2, 4, 8, 16, 32, 64), sequences_per_length=12, shots=200,
+        error={"depolarizing": 0.01}, interleaved=3, seed=5))
+    assert stats == {"standard": res.standard.stats,
+                     "interleaved": res.interleaved.stats}
+    assert stats["standard"]["cliffords"] == 12 * 127
+    assert stats["standard"]["fit_nfev"] > 0
+
+
+# rb.csv and rb.json of the benchmark's RB shapes at seed 7, recorded with
+# numpy 2.4.6 and scipy 1.17.1 from the per-gate loop that the tree product
+# replaced (digests: rb.csv, rb.json)
+_RB_PINNED = {
+    "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n":
+        ("870204a0baafaf99464572ec436391a01df92f4121454b5c2cd8aa65d6df904c",
+         "b78a974f180cb153189fc5a22357e4e8532b61cedce35e2560f7be402e5fe834"),
+    "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n"
+    "prep_error = 0.02\n":
+        ("3988027d8e6331c93d355ba9cc2a0971251c10a915ed71a8cf632bca2cdc977d",
+         "ba55563cfe33ebe27826617142941b014dfa4ef5842fe4a9a4da20281cfe022f"),
+    "lengths = 1, 2, 4, 8, 16, 32, 64, 128\nsequences_per_length = 40\n"
+    "interleaved = 3\n":
+        ("8993ec3b1fd0cbb663d96d12e8fcd89eaeec5c7095e4ebe741d557eb166479f7",
+         "30b9146990ab45b805662bdc56aad9ea187a114639104fb5e5191972d117f729"),
+}
+
+
+@pytest.mark.parametrize("text", list(_RB_PINNED))
+def test_rb_outputs_keep_their_bytes(tmp_path, text):
+    cfg = tmp_path / "rb.cfg"
+    cfg.write_text(text + "shots = 250\ndepolarizing = 0.01\n")
+    out = tmp_path / "o"
+    assert run_cli(["rb", "--config", cfg, "--out", out, "--seed", "7"]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rb.csv", "rb.json"))
+    assert got == _RB_PINNED[text]
 
 
 def _per_value_csv(path, header, rows):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from scqsim import dynamics as dyn
@@ -592,6 +594,163 @@ def test_rb_deterministic_given_seed():
     b = ex.rb_standard(cfg)
     assert np.array_equal(a.survival, b.survival)
     assert a.p == b.p
+
+
+def _rb_survival_loop(cfg, interleave):
+    """_rb_survival as two PTM mat-vecs per gate and a table walk (oracle)."""
+    cliff = ex.clifford_1q()
+    ptms = [ex._ptm(np.asarray(c.op.entries)) for c in cliff]
+    table, inverse = ex._clifford_table()
+    e_ptm = ex._error_ptm(cfg.error)
+    i_ptm = ptms[cfg.interleaved] if interleave else None
+    ie_ptm = ex._error_ptm(cfg.interleaved_error or {}) if interleave else None
+    v0 = np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * cfg.prep_error])
+    children = np.random.SeedSequence(entropy=cfg.seed).spawn(len(cfg.lengths))
+    means = np.empty(len(cfg.lengths))
+    sems = np.empty(len(cfg.lengths))
+    for li, m in enumerate(cfg.lengths):
+        rng = np.random.default_rng(children[li])
+        vals = np.empty(cfg.sequences_per_length)
+        for s in range(cfg.sequences_per_length):
+            picks = rng.integers(0, 24, size=m)
+            v = v0.copy()
+            acc = 0
+            for g in picks:
+                v = e_ptm @ (ptms[g] @ v)
+                acc = table[acc, g]
+                if interleave:
+                    v = ie_ptm @ (i_ptm @ v)
+                    acc = table[acc, cfg.interleaved]
+            v = e_ptm @ (ptms[inverse[acc]] @ v)
+            p1 = 0.5 * (1.0 - v[3])
+            q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1
+            q = float(np.clip(q, 0.0, 1.0))
+            if cfg.shots:
+                vals[s] = rng.binomial(cfg.shots, q) / cfg.shots
+            else:
+                vals[s] = q
+        means[li] = vals.mean()
+        sems[li] = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    return means, sems
+
+
+_RB_ORACLE_LENGTHS = (1, 3, 7, 100, 256)
+_RB_ERRORS = [{"depolarizing": 0.01}, {"t1": 3000.0, "t2": 2500.0, "gate_time": 20.0}]
+# (interleaved, interleaved_error)
+_RB_MODES = [(None, None), (5, None), (17, {"depolarizing": 0.02}),
+             (9, {"t1": 2000.0, "t2": 1500.0, "gate_time": 30.0})]
+# (eps01, eps10, prep_error)
+_RB_SPAM = [(0.0, 0.0, 0.0), (0.03, 0.08, 0.02)]
+
+
+def _oracle_grid(shots):
+    for (error, (inter, ierr), (e01, e10, prep)) in itertools.product(
+            _RB_ERRORS, _RB_MODES, _RB_SPAM):
+        yield ex.RBConfig(lengths=_RB_ORACLE_LENGTHS, sequences_per_length=6,
+                          shots=shots, error=error, interleaved=inter,
+                          interleaved_error=ierr, eps01=e01, eps10=e10,
+                          prep_error=prep, seed=len(str(error)) + 7 * shots)
+
+
+@pytest.mark.parametrize("shots", [100, 400])
+def test_rb_survival_equals_per_gate_loop(shots):
+    """With shot noise the tree product draws and reports what the per-gate
+    loop does, bit for bit."""
+    for cfg in _oracle_grid(shots):
+        interleave = cfg.interleaved is not None
+        means, sems = ex._rb_survival(cfg, interleave)
+        want_means, want_sems = _rb_survival_loop(cfg, interleave)
+        assert np.array_equal(means, want_means), cfg
+        assert np.array_equal(sems, want_sems), cfg
+
+
+def _depolarizing_survival(cfg, interleave):
+    """Closed form: m + 1 depolarizing errors (and m of the interleaved
+    gate's own) shrink the Bloch vector, then readout."""
+    m = np.asarray(cfg.lengths, float)
+    shrink = (1 - 2 * cfg.error["depolarizing"]) ** (m + 1)
+    if interleave and cfg.interleaved_error:
+        shrink = shrink * (1 - 2 * cfg.interleaved_error["depolarizing"]) ** m
+    p0 = 0.5 + 0.5 * shrink * (1 - 2 * cfg.prep_error)
+    return (1 - cfg.eps01) * p0 + cfg.eps10 * (1 - p0)
+
+
+def test_rb_noiseless_shots_agree_with_loop_and_closed_form():
+    """Without shot noise only round-off may differ from the loop, and a
+    depolarizing run keeps to its closed form."""
+    for cfg in _oracle_grid(0):
+        interleave = cfg.interleaved is not None
+        means, sems = ex._rb_survival(cfg, interleave)
+        want_means, want_sems = _rb_survival_loop(cfg, interleave)
+        assert np.max(np.abs(means - want_means)) <= 1e-14, cfg
+        assert np.max(np.abs(sems - want_sems)) <= 1e-14, cfg
+        if "depolarizing" in cfg.error and (
+                not interleave or not cfg.interleaved_error
+                or "depolarizing" in cfg.interleaved_error):
+            exact = _depolarizing_survival(cfg, interleave)
+            assert np.max(np.abs(means - exact)) <= 1e-13, cfg
+
+
+def test_clifford_ptms_are_cached_signed_permutations():
+    ptms = ex._clifford_ptms()
+    assert ptms.shape == (24, 4, 4) and not ptms.flags.writeable
+    assert ex._clifford_ptms() is ptms
+    for c, r in zip(ex.clifford_1q(), ptms):
+        assert np.array_equal(r, ex._ptm(np.asarray(c.op.entries)))
+        signed = np.rint(r)
+        assert set(np.unique(signed)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(np.abs(signed).sum(axis=0), np.ones(4))
+        assert np.array_equal(np.abs(signed).sum(axis=1), np.ones(4))
+        assert np.max(np.abs(r - signed)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=4),
+       st.one_of(st.none(), st.integers(0, 23)), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.5))
+def test_noiseless_rb_survives(lengths, interleaved, seed, eps01):
+    """Noiseless gates return every sequence to |0>: survival is 1 - eps01
+    to round-off at every length.  A wrong product order, a lost pick or a
+    wrong composite index leaves a sequence off |0> by a Pauli-axis turn."""
+    cfg = ex.RBConfig(lengths=tuple(lengths), sequences_per_length=2, shots=0,
+                      error={}, interleaved=interleaved, eps01=eps01, eps10=0.1,
+                      seed=seed)
+    means, sems = ex._rb_survival(cfg, interleave=interleaved is not None)
+    assert np.max(np.abs(means - (1 - eps01))) <= 1e-12
+    assert np.max(sems) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(interleaved=24), "interleaved"), (dict(interleaved=-1), "interleaved"),
+    (dict(interleaved=3.0), "interleaved"), (dict(eps01=1.5), "eps01"),
+    (dict(eps01=np.nan), "eps01"), (dict(eps10=-0.1), "eps10"),
+    (dict(prep_error=2.0), "prep_error"), (dict(shots=-1), "shots"),
+    (dict(sequences_per_length=0), "sequences_per_length"),
+])
+def test_rb_config_rejects_out_of_range(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        ex.RBConfig(lengths=(1, 2), **kwargs)
+
+
+def test_rb_config_accepts_range_edges():
+    for kwargs in (dict(interleaved=0), dict(interleaved=np.int64(23)),
+                   dict(eps01=1.0, eps10=0.0, prep_error=1.0), dict(shots=0),
+                   dict(sequences_per_length=1)):
+        ex.RBConfig(lengths=(1, 2), **kwargs)
+
+
+def test_rb_stats():
+    cfg = ex.RBConfig(lengths=RB_LENGTHS, sequences_per_length=20, shots=200,
+                      error={"depolarizing": 0.01}, interleaved=3, seed=2)
+    res = ex.rb_interleaved(cfg)
+    for curve in (res.standard, res.interleaved):
+        assert curve.stats == {"fit_converged": True, "fit_nfev": curve.fit.nfev,
+                               "flat_curve": False, "cliffords": 20 * 511}
+        assert curve.fit.nfev > 0
+    flat = ex.rb_standard(ex.RBConfig(lengths=(1, 4, 16), sequences_per_length=4,
+                                      shots=0, error={}, eps01=0.05, eps10=0.2))
+    assert flat.stats["flat_curve"] and not flat.stats["fit_converged"]
+    assert flat.stats["cliffords"] == 4 * 21
 
 
 def test_rabi_calibration_chains_into_t1():
