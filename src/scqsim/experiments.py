@@ -607,7 +607,7 @@ class RBResult:
     r: float
     r_sigma: float
     fit: FitResult
-    stats: dict     # fit_converged, fit_nfev, flat_curve, cliffords (applied)
+    stats: dict     # fit_converged, fit_nfev, flat_curve, cliffords (random gates)
 
 
 def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarray]:
