@@ -173,19 +173,21 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def write_csv(path: Path, header: list, rows) -> None:
-    """The header line, then a line per row: floats at 12 significant digits
-    (a row of header length and floats only in one format call), any other
-    value as ``str``."""
-    floats = ",".join(["{:.12g}"] * len(header)) + "\n"
+def write_csv(path: Path, header: list, columns) -> None:
+    """The header line, then the equal-length ``columns`` (arrays or lists)
+    as rows: a float column at 12 significant digits, any other as ``str``,
+    the whole table in one format call."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError(f"write_csv needs {len(header)} columns of equal length")
+    row = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    values = [None] * (n * len(columns))
+    for i, c in enumerate(columns):
+        values[i::len(columns)] = c.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) == len(header) and all(isinstance(v, float) for v in row):
-                fh.write(floats.format(*row))
-            else:
-                fh.write(",".join(fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+        fh.write((row * n).format(*values))
 
 
 def _round_floats(obj):
@@ -251,7 +253,7 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
     res = circuits.circuit_spectrum(params, c["nlevels"], c["ncut"],
                                     c["extent_rad"], c["npoints"])
     write_csv(out / "levels.csv", ["level", "energy_ghz"],
-              [(i, float(e)) for i, e in enumerate(res.levels)])
+              [np.arange(len(res.levels)), res.levels])
     write_json(out / "spectrum.json", {
         "omega_q_ghz": res.omega_q,
         "anharmonicity_ghz": res.anharmonicity,
@@ -284,16 +286,13 @@ def run_evolve(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"t1_ns": float("inf"), "t2_ns": float("inf"),
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
                "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
-    c = subcommand_keys(cfg, allowed, minimum={"t_end_ns": 0.0})
+    c = subcommand_keys(cfg, allowed, minimum={"t_end_ns": 0.0, "samples": 0})
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = experiments.qubit_run(times, c["t1_ns"], c["t2_ns"],
                                 to_angular(c["detuning_ghz"]),
                                 to_angular(c["drive_ghz"]), c["dt_ns"])
-    rows = [
-        (float(t), float(p1), float(state.purity()))
-        for t, p1, state in zip(res.times, res.expectations["p1"], res.states)
-    ]
-    write_csv(out / "evolve.csv", ["t_ns", "p1", "purity"], rows)
+    write_csv(out / "evolve.csv", ["t_ns", "p1", "purity"],
+              [res.times, res.expectations["p1"], [s.purity() for s in res.states]])
     return res.stats
 
 
@@ -367,8 +366,7 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
     seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=c["n"])
     grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), c["npoints"])
     f = control.filter_function(seq, grid)
-    write_csv(out / "filter.csv", ["omega_rad_per_ns", "filter"],
-              [(float(w), float(v)) for w, v in zip(grid, f)])
+    write_csv(out / "filter.csv", ["omega_rad_per_ns", "filter"], [grid, f])
     h_qe = control.qubit_env_coupling(to_angular(c["j_z_ghz"]), "z",
                                       SIGMA_Z.entries)
     u = control.sequence_propagator(seq, h_qe)
@@ -396,7 +394,7 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> None:
                "rabi_ghz": 0.01, "detuning_ghz": 0.001,
                "tau_max_ns": 1000.0, "points": 101, "shots": 0,
                "eps01": 0.0, "eps10": 0.0}
-    c = subcommand_keys(cfg, allowed)
+    c = subcommand_keys(cfg, allowed, minimum={"points": 0})
     taus = np.linspace(0.0, c["tau_max_ns"], c["points"])
     readout = experiments.ReadoutModel(c["eps01"], c["eps10"],
                                        c["shots"] or None)
@@ -415,8 +413,7 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> None:
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     write_csv(out / f"{kind}.csv", ["tau_ns", "signal", "sem"],
-              [(float(t), float(s), float(e))
-               for t, s, e in zip(data.x, data.signal, data.sem)])
+              [data.x, data.signal, data.sem])
     write_json(out / f"{kind}_fit.json", {
         "params": fit.params, "sigmas": fit.sigmas,
         "residual_norm": fit.residual_norm, "converged": fit.converged,
@@ -455,8 +452,7 @@ def run_rb(cfg: dict, out: Path, seed: int) -> dict:
                                    res.r_c + 1.96 * res.r_c_sigma],
                         "bounds": list(res.bounds)})
     write_csv(out / "rb.csv", ["m", "survival", "sem"],
-              [(int(m), float(s), float(e))
-               for m, s, e in zip(curve.lengths, curve.survival, curve.sem)])
+              [curve.lengths.astype(int), curve.survival, curve.sem])
     write_json(out / "rb.json", summary)
     return stats
 

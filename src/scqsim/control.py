@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (Operator, _as_matrix, pauli, rotation_operator, step_unitaries,
-                    tensor)
+from .qcore import (Operator, _as_matrix, ordered_product, pauli, piecewise_propagator,
+                    rotation_operator, step_unitaries, tensor)
 
 TWO_PI = 2.0 * np.pi
 GRAPE_STEP = 0.5
@@ -180,13 +180,9 @@ def _three_level_unitary(p: PulseEnvelope, alpha: float, lam: float,
     frac = (np.arange(refine) + 0.5) / refine
     amps = [np.outer(q[:-1], 1 - frac) + np.outer(q[1:], frac)
             for q in (p.omega_x, p.omega_y)]
-    u = np.eye(3, dtype=complex)
-    for step, _, _ in step_unitaries(
-            np.diag([0.0, 0.0, alpha]), three_level_drive_ops(lam),
-            0.5 * np.reshape(amps, (2, -1)),
-            np.repeat(np.diff(p.times) / refine, refine)):
-        u = step @ u
-    return u
+    return piecewise_propagator(np.diag([0.0, 0.0, alpha]), three_level_drive_ops(lam),
+                                0.5 * np.reshape(amps, (2, -1)),
+                                np.repeat(np.diff(p.times) / refine, refine))
 
 
 def leakage_simulate(p: PulseEnvelope, alpha: float, lam: float = np.sqrt(2),
@@ -194,7 +190,10 @@ def leakage_simulate(p: PulseEnvelope, alpha: float, lam: float = np.sqrt(2),
     """Drive a three-level ladder with the envelope; report |2> leakage.
 
     The rotating-frame Hamiltonian is diag(0, 0, alpha) plus the
-    lam-weighted x/y drive operators; ``alpha`` in rad/ns.  Returns
+    lam-weighted x/y drive operators; ``alpha`` in rad/ns.  Each sample
+    interval takes ``refine`` midpoint steps with the quadratures
+    interpolated linearly, and U is their
+    :func:`~scqsim.qcore.piecewise_propagator` tree product.  Returns
     ``(U, leakage)`` with leakage = max over the computational basis states
     of the final |2> population.  With ``check=True`` the product formula is
     re-run at half the step and a leakage shift above 1e-7 raises
@@ -307,8 +306,8 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
     derivative keeps the finite-difference check tight at finite dt.
     """
     n_ctrl, n = u.shape
-    us, evs, vs = zip(*step_unitaries(prob.h0, prob.controls, u,
-                                      np.full(n, prob.dt)))
+    us, evs, vs = (np.concatenate(a) for a in zip(*step_unitaries(
+        prob.h0, prob.controls, u, np.full(n, prob.dt))))
     d = prob.dim
     fwd = [np.eye(d, dtype=complex)]
     for uj in us:
@@ -465,10 +464,8 @@ def phi2_scan_fidelity(prob: GrapeProblem, amplitudes: np.ndarray) -> float:
     optimizer itself reports, so it is the one quoted against fidelity
     targets.
     """
-    u_total = np.eye(prob.dim, dtype=complex)
-    for uj, _, _ in step_unitaries(prob.h0, prob.controls, amplitudes,
-                                   np.full(prob.n_slices, prob.dt)):
-        u_total = uj @ u_total
+    u_total = piecewise_propagator(prob.h0, prob.controls, amplitudes,
+                                   np.full(prob.n_slices, prob.dt))
     return _grape_fidelity(prob, u_total)[0]
 
 
@@ -611,6 +608,9 @@ def sequence_propagator(seq: RefocusSequence, h_qe) -> Operator:
     ``h_qe`` acts on qubit x environment (qubit first, so its dimension is
     2 x the environment's and must be even); pulses rotate the qubit only.
     Pulse length is treated as zero, so H_qe is ignored while a pulse fires.
+    The free steps come from :func:`~scqsim.qcore.step_unitaries` (so a
+    diagonal H_qe evolves entry by entry) and the free steps and pulses are
+    multiplied by :func:`~scqsim.qcore.ordered_product`.
     """
     hm = _as_matrix(h_qe)
     dim = hm.shape[0]
@@ -620,15 +620,16 @@ def sequence_propagator(seq: RefocusSequence, h_qe) -> Operator:
     # free evolution before each pulse and after the last; zero gaps skipped
     edges = [0.0] + [t for t, _, _ in seq.pulses] + [seq.tau]
     gaps = [t1 - t0 for t0, t1 in zip(edges, edges[1:])]
-    free = step_unitaries(hm, (), (), [g for g in gaps if g > 0])
-    u = np.eye(dim, dtype=complex)
+    free = (u for us, _, _ in step_unitaries(hm, (), (), [g for g in gaps if g > 0])
+            for u in us)
+    factors = []
     for gap, pulse in zip(gaps, [*seq.pulses, None]):
         if gap > 0:
-            u = next(free)[0] @ u
+            factors.append(next(free))
         if pulse is not None:
             _, axis, angle = pulse
-            u = tensor(rotation_operator(axis, angle), eye_env).entries @ u
-    return Operator(u)
+            factors.append(tensor(rotation_operator(axis, angle), eye_env).entries)
+    return Operator(ordered_product(np.reshape(factors, (-1, dim, dim))))
 
 
 def qubit_env_coupling(j_z: float, axis: str, env_op) -> Operator:
@@ -701,7 +702,9 @@ def zz_engineering_propagator(j_matrix: np.ndarray, tau: float,
     row per qubit and one column per equal slice.  A pi_x pulse fires on a
     qubit at every slice boundary where its sign flips (plus a closing
     pulse when the last slice ends at -1), so the frame returns to identity.
-    The surviving coupling of a pattern is sum_s s_i s_j / n_slices.
+    The surviving coupling of a pattern is sum_s s_i s_j / n_slices.  The
+    pulses and the diagonal free slices are multiplied by
+    :func:`~scqsim.qcore.ordered_product`.
     """
     j_matrix = np.asarray(j_matrix, dtype=float)
     nq, nslices = signs.shape
@@ -714,20 +717,17 @@ def zz_engineering_propagator(j_matrix: np.ndarray, tau: float,
         for j in range(i + 1, nq):
             h_diag += j_matrix[i, j] * zs[i] * zs[j]
 
-    dt = tau / nslices
-    u = np.eye(dim, dtype=complex)
+    free = np.diag(np.exp(-1j * h_diag * (tau / nslices)))
+    factors = []
     current = np.ones(nq, dtype=int)
     for s in range(nslices):
         for q in range(nq):
             if signs[q, s] != current[q]:
-                u = _on_qubit("x", q, nq) @ u
+                factors.append(_on_qubit("x", q, nq))
                 current[q] = signs[q, s]
-        u = np.diag(np.exp(-1j * h_diag * dt)) @ u
-    for q in range(nq):
-        if current[q] != 1:
-            u = _on_qubit("x", q, nq) @ u
-            current[q] = 1
-    return Operator(u)
+        factors.append(free)
+    factors += [_on_qubit("x", q, nq) for q in range(nq) if current[q] != 1]
+    return Operator(ordered_product(np.reshape(factors, (-1, dim, dim))))
 
 
 def surviving_zz(signs: np.ndarray) -> np.ndarray:

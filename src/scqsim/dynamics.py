@@ -27,7 +27,7 @@ import numpy as np
 
 from .qcore import (NORM_TOL, SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator,
                     StateVector, _as_matrix, annihilation, expm_hermitian,
-                    step_unitaries)
+                    ordered_product, piecewise_propagator)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
@@ -392,22 +392,22 @@ def _repair(rho: np.ndarray, t: float, stats: dict) -> np.ndarray:
 # Unitary evolution
 # ---------------------------------------------------------------------------
 
-def step_propagators(h: TimeDependentH, times: np.ndarray, dt: float):
-    """Midpoint-sampled piecewise-constant propagators over each [t_i, t_i+1]."""
-    nsubs, mids, durations = [], [], []
-    for t0, t1 in zip(times[:-1], times[1:]):
-        nsub, sub = _substeps(t1 - t0, dt)
-        nsubs.append(nsub)
-        mids += [t0 + (j + 0.5) * sub for j in range(nsub)]
-        durations += [sub] * nsub
-    amplitudes = [[float(fn(t)) for t in mids] for _, fn in h.drives]
-    steps = step_unitaries(h.static, [op for op, _ in h.drives], amplitudes,
-                           durations)
-    for nsub in nsubs:
-        u = np.eye(h.dim, dtype=complex)
-        for _ in range(nsub):
-            u = next(steps)[0] @ u
-        yield u
+def step_propagators(h: TimeDependentH, times: np.ndarray, dt: float) -> np.ndarray:
+    """Midpoint-sampled piecewise-constant propagators over each [t_i, t_i+1],
+    as a (len(times) - 1, d, d) stack; the intervals with the same number of
+    substeps are reduced together by one :func:`piecewise_propagator` call."""
+    spans = [_substeps(t1 - t0, dt) for t0, t1 in zip(times[:-1], times[1:])]
+    nsubs = np.array([nsub for nsub, _ in spans], dtype=int)
+    subs = np.array([sub for _, sub in spans])
+    out = np.empty((len(spans), h.dim, h.dim), dtype=complex)
+    for nsub in np.unique(nsubs):
+        rows = np.flatnonzero(nsubs == nsub)
+        mids = times[rows, None] + (np.arange(nsub) + 0.5) * subs[rows, None]
+        amplitudes = [[float(fn(t)) for t in mids.ravel()] for _, fn in h.drives]
+        out[rows] = piecewise_propagator(h.static, [op for op, _ in h.drives],
+                                         amplitudes,
+                                         np.broadcast_to(subs[rows, None], mids.shape))
+    return out
 
 
 def unitary_evolve(
@@ -443,10 +443,8 @@ def unitary_evolve(
 def total_propagator(h, t_span: float, dt: float = 1e-2) -> Operator:
     """Time-ordered product of midpoint-sampled step propagators over [0, T]."""
     h = _as_hamiltonian(h)
-    u = np.eye(h.dim, dtype=complex)
-    for step in step_propagators(h, _sample_times(None, t_span, dt), dt):
-        u = step @ u
-    return Operator(u)
+    return Operator(ordered_product(step_propagators(h, _sample_times(None, t_span, dt),
+                                                     dt)))
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,6 @@ def annihilation(n_levels: int) -> Operator:
     return Operator(a)
 
 
-def creation(n_levels: int) -> Operator:
-    return annihilation(n_levels).dag()
-
-
 def number_op(n_levels: int) -> Operator:
     return Operator(np.diag(np.arange(n_levels, dtype=float)), hermitian=True)
 
@@ -307,37 +303,159 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return (vecs * np.exp(scale * evals)) @ vecs.conj().T
 
 
-STEP_BLOCK = 64
-"""Steps per batched eigendecomposition in :func:`step_unitaries`."""
+CHUNK_ENTRIES = 2**11
+"""Complex entries per stacked step array in the piecewise-constant kernel:
+an m-dimensional block is diagonalized and multiplied ``max(64,
+CHUNK_ENTRIES // m**2)`` steps at a time, so memory stays flat in the step
+count."""
+
+
+def _chunk(m: int) -> int:
+    return max(64, CHUNK_ENTRIES // m**2)
+
+
+def _step_inputs(h0, controls, amplitudes, durations):
+    """H0 (d, d), controls (k, d, d), durations (..., n), amplitudes (k, ..., n)."""
+    h0 = _as_matrix(h0)
+    dim = h0.shape[0]
+    durations = np.asarray(durations, dtype=float)
+    controls = np.asarray(controls, dtype=complex).reshape(-1, dim, dim)
+    amplitudes = np.asarray(amplitudes, dtype=float).reshape(
+        (len(controls),) + durations.shape)
+    return h0, controls, amplitudes, durations
+
+
+def conserved_blocks(h0, controls) -> list:
+    """Index sets on which H = H0 + sum_k a_k H_k is block diagonal for every
+    amplitude: the connected components of the nonzero pattern of
+    |H0| + sum_k |H_k|, each ascending, ordered by their smallest index."""
+    pattern = np.abs(_as_matrix(h0)) > 0
+    for c in controls:
+        pattern |= np.abs(c) > 0
+    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
+    while True:                      # boolean squaring doubles the path length
+        longer = reach @ reach
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    label = np.argmax(reach, axis=1)  # the smallest index each one reaches
+    return [np.flatnonzero(label == k) for k in np.unique(label)]
+
+
+def _steps(h0, controls, amplitudes, durations):
+    """(U, evals, vecs) stacks for steps laid out as ``durations``."""
+    h = np.broadcast_to(h0, durations.shape + h0.shape)
+    for c, a in zip(controls, amplitudes):
+        h = h + a[..., None, None] * c
+    evals, vecs = np.linalg.eigh(h)
+    phases = np.exp((-1j * durations)[..., None] * evals)
+    us = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return us, evals, vecs
 
 
 def step_unitaries(h0, controls, amplitudes, durations):
-    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), one per step.
+    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), in chunks.
 
     H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns), summed in that
     order; ``durations`` holds the dt_j in ns (zero widths are allowed).
-    Yields ``(U_j, evals_j, vecs_j)`` per step, where H_j = vecs_j
-    diag(evals_j) vecs_j^dag.  The steps are diagonalized with a batched
-    ``eigh`` in blocks of ``STEP_BLOCK``, so memory does not grow with the
-    step count; each U_j is formed the way ``expm_hermitian(H_j, -1j * dt_j)``
-    forms it.
+    Yields stacked ``(us, evals, vecs)`` arrays of shapes (c, d, d), (c, d)
+    and (c, d, d), one per chunk of c <= ``max(64, CHUNK_ENTRIES // d**2)``
+    steps, where H_j = vecs[j] diag(evals[j]) vecs[j]^dag.  Each
+    :func:`conserved_blocks` block is diagonalized on its own with a batched
+    ``eigh`` and scattered into the full dimension, so ``vecs`` is block
+    diagonal and ``evals`` lists each block's ascending eigenvalues at its
+    indices; one block gives ``expm_hermitian(H_j, -1j * dt_j)``'s
+    arithmetic.
     """
-    h0 = _as_matrix(h0)
+    h0, controls, amplitudes, durations = _step_inputs(h0, controls, amplitudes,
+                                                       np.reshape(durations, -1))
     dim = h0.shape[0]
-    durations = np.asarray(durations, dtype=float).reshape(-1)
-    controls = np.asarray(controls, dtype=complex).reshape(-1, dim, dim)
-    amplitudes = np.asarray(amplitudes, dtype=float).reshape(len(controls),
-                                                             len(durations))
-    for start in range(0, len(durations), STEP_BLOCK):
-        block = slice(start, start + STEP_BLOCK)
-        dts = durations[block]
-        h = np.broadcast_to(h0, (len(dts), dim, dim))
-        for c, a in zip(controls, amplitudes[:, block]):
-            h = h + a[:, None, None] * c
-        evals, vecs = np.linalg.eigh(h)
-        phases = np.exp((-1j * dts)[:, None] * evals)
-        us = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        yield from zip(us, evals, vecs)
+    blocks = conserved_blocks(h0, controls)
+    size = _chunk(dim)
+    for start in range(0, len(durations), size):
+        part = slice(start, start + size)
+        n = len(durations[part])
+        us = np.zeros((n, dim, dim), dtype=complex)
+        evals = np.empty((n, dim))
+        vecs = np.zeros((n, dim, dim), dtype=complex)
+        for ix in blocks:
+            sub = (slice(None), ix[:, None], ix)
+            us[sub], evals[:, ix], vecs[sub] = _steps(
+                h0[sub[1:]], controls[sub], amplitudes[:, part], durations[part])
+        yield us, evals, vecs
+
+
+def ordered_product(us) -> np.ndarray:
+    """U_n ... U_2 U_1 of a ``(..., n, d, d)`` stack (U_1 first), leading axes
+    batched.  Adjacent pairs are multiplied, later step on the left, one
+    batched matmul per level; at an odd count the last factor is carried to
+    the next level.  n = 0 gives the identity."""
+    us = np.asarray(us)
+    if us.shape[-3] == 0:
+        return np.broadcast_to(np.eye(us.shape[-1], dtype=us.dtype),
+                               us.shape[:-3] + us.shape[-2:]).copy()
+    while us.shape[-3] > 1:
+        even = us.shape[-3] // 2 * 2
+        pairs = us[..., 1:even:2, :, :] @ us[..., 0:even:2, :, :]
+        if even < us.shape[-3]:
+            pairs = np.concatenate((pairs, us[..., even:, :, :]), axis=-3)
+        us = pairs
+    return us[..., 0, :, :]
+
+
+def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
+    """The time-ordered product U_n ... U_1 of the :func:`step_unitaries` steps.
+
+    ``durations`` may carry leading axes (..., n), with ``amplitudes`` then
+    (k, ..., n): each row is its own product, and the result is (..., d, d).
+    Each :func:`conserved_blocks` block makes its steps ``max(64,
+    CHUNK_ENTRIES // m**2)`` at a time (several rows at once when a row is
+    shorter); :func:`ordered_product` reduces each chunk and then the chunk
+    products, and the block products are scattered into the full dimension.
+
+    With ``watch = j`` it returns ``(U, peak)``, where peak[..., i] is the
+    largest |<i| U_t ... U_1 |j>|^2 over t = 0..n: one mat-vec per step
+    inside j's block, and zero outside it.
+    """
+    h0, controls, amplitudes, durations = _step_inputs(h0, controls, amplitudes,
+                                                       durations)
+    dim = h0.shape[0]
+    lead, n = durations.shape[:-1], durations.shape[-1]
+    rows = int(np.prod(lead))
+    durations = durations.reshape(rows, n)
+    amplitudes = amplitudes.reshape(len(controls), rows, n)
+    out = np.zeros((rows, dim, dim), dtype=complex)
+    peak = np.zeros((rows, dim))
+    if watch is not None:
+        peak[:, watch] = 1.0                          # t = 0
+    for ix in conserved_blocks(h0, controls):
+        sub = (slice(None), ix[:, None], ix)
+        hb, cb = h0[sub[1:]], controls[sub]
+        size = _chunk(len(ix))
+        group = max(1, size // max(n, 1))
+        watched = watch is not None and watch in ix
+        for r in range(0, rows, group):
+            psi = np.zeros((len(durations[r:r + group]), len(ix)), dtype=complex)
+            psi[:, ix == watch] = 1.0
+            parts = []
+            for s in range(0, max(n, 1), size):
+                us = _steps(hb, cb, amplitudes[:, r:r + group, s:s + size],
+                            durations[r:r + group, s:s + size])[0]
+                parts.append(ordered_product(us))
+                for b, steps in enumerate(us if watched else ()):
+                    seen = np.empty((len(steps), len(ix)), dtype=complex)
+                    v = psi[b]
+                    for k, step in enumerate(steps):
+                        v = seen[k] = step @ v
+                    psi[b] = v
+                    peak[r + b, ix] = np.maximum(
+                        peak[r + b, ix], np.max(np.abs(seen) ** 2, axis=0, initial=0.0))
+            out[(slice(r, r + group),) + sub[1:]] = ordered_product(
+                np.stack(parts, axis=-3))
+    out = out.reshape(lead + (dim, dim))
+    if watch is None:
+        return out
+    return out, peak.reshape(lead + (dim,))
 
 
 def matrix_exp(a) -> Operator:

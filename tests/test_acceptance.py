@@ -408,8 +408,7 @@ def test_12_determinism(tmp_path):
                               shots=150, error={"depolarizing": 0.015}, seed=5)
             rb = ex.rb_standard(cfg)
             write_csv(out / "rb.csv", ["m", "survival", "sem"],
-                      [(int(m), float(s), float(e))
-                       for m, s, e in zip(rb.lengths, rb.survival, rb.sem)])
+                      [rb.lengths.astype(int), rb.survival, rb.sem])
             write_json(out / "rb.json", {"p": rb.p, "r": rb.r})
             prob = ctl.transmon_pi_problem(2 * np.pi * (-0.2), n_slices=4,
                                            dt=1.6, target_infidelity=1e-4)
@@ -418,8 +417,7 @@ def test_12_determinism(tmp_path):
             data = ex.run_rabi(2 * np.pi * 0.01, np.linspace(0, 200, 21),
                                readout=ex.ReadoutModel(shots=300), seed=21)
             write_csv(out / "rabi.csv", ["tau_ns", "signal", "sem"],
-                      [(float(t), float(sig), float(e))
-                       for t, sig, e in zip(data.x, data.signal, data.sem)])
+                      [data.x, data.signal, data.sem])
             pairs.append(out)
         for name in ("qec.json", "rb.csv", "rb.json", "pulse.csv", "rabi.csv"):
             b0 = (pairs[0] / name).read_bytes()

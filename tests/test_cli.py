@@ -241,9 +241,8 @@ def test_evolve_rows_are_the_rotating_frame_model(tmp_path):
                               times=np.linspace(0.0, 20.0, 21), dt=0.01,
                               e_ops={"p1": excited})
     cli.write_csv(tmp_path / "want.csv", ["t_ns", "p1", "purity"],
-                  [(float(t), float(p1), float(state.purity()))
-                   for t, p1, state in zip(res.times, res.expectations["p1"],
-                                           res.states)])
+                  [res.times, res.expectations["p1"],
+                   [state.purity() for state in res.states]])
     assert ((tmp_path / "o" / "evolve.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
 
@@ -435,6 +434,8 @@ def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
     ("rb", "interleaved = -2\n"),
     ("grape", "restarts = 0\n"),
     ("evolve", "t_end_ns = -10.0\n"),
+    ("evolve", "t_end_ns = 10.0\nsamples = -1\n"),
+    ("experiment", "kind = t1\npoints = -3\n"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_below_minimum_exit_2(tmp_path, capsys, subcommand, text):
@@ -514,13 +515,51 @@ def _per_value_csv(path, header, rows):
                               for v in row) + "\n")
 
 
+def _row_csv(path, header, rows):
+    """write_csv as it took a list of row tuples (oracle): an all-float row of
+    header length in one format call, any other row value by value."""
+    floats = ",".join(["{:.12g}"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                fh.write(floats.format(*row))
+            else:
+                fh.write(",".join(cli.fmt(v) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
+
+
+_CSV_TABLES = {
+    "specials": [[0.1, np.nan, np.inf, -np.inf, -0.0],
+                 np.array([1 / 3, -2.5e-300, 1e22, 123456789012345.0, -0.0]),
+                 [np.float64(0.5), np.float64(-np.inf), np.float64(np.nan),
+                  np.float64(7.0), np.float64(2.0 ** -1074)]],
+    "mixed": [np.arange(4), [7, -3, 0, 2**40], ["a", "b c", "", "-0.0"],
+              np.array([0.25, 1e-7, 5e15, 123.456])],
+    "one column": [np.linspace(-1.0, 1.0, 9)],
+    "empty": [np.array([]), [], np.array([], dtype=int)],
+}
+
+
 def test_write_csv_matches_per_value_writer(tmp_path):
-    rows = [(0.1, np.nan, np.inf), (-np.inf, -0.0, np.float64(1 / 3)),
-            (np.float64(-2.5e-300), 1e22, 123456789012345.0), (1, 2.0, "x"),
-            (np.int64(7), np.float64(0.5), 3), ("a", "b", "c"), (), (0.25,)]
-    cli.write_csv(tmp_path / "got.csv", ["a", "b", "c"], rows)
-    _per_value_csv(tmp_path / "want.csv", ["a", "b", "c"], rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    """The whole-table writer gives the bytes of the row writer it replaced
+    and of the value-by-value writer, on the rows the columns make."""
+    for name, columns in _CSV_TABLES.items():
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = list(zip(*columns))
+        cli.write_csv(tmp_path / "got.csv", header, columns)
+        _row_csv(tmp_path / "rows.csv", header, rows)
+        _per_value_csv(tmp_path / "want.csv", header, rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes(), name
+        assert got == (tmp_path / "want.csv").read_bytes(), name
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="3 columns of equal length"):
+        cli.write_csv(tmp_path / "x.csv", ["a", "b", "c"], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="2 columns of equal length"):
+        cli.write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
 
 
 def test_evolve_manifest_carries_repair_counts(tmp_path):

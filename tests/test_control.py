@@ -242,9 +242,10 @@ def test_grape_stagnation_reported_not_raised():
 def _phi2_grid_fidelity(prob, amplitudes, npoints=64):
     """Oracle: the best fidelity over ``npoints`` equally spaced phi_2."""
     u_total = np.eye(prob.dim, dtype=complex)
-    for uj, _, _ in step_unitaries(prob.h0, prob.controls, amplitudes,
+    for us, _, _ in step_unitaries(prob.h0, prob.controls, amplitudes,
                                    np.full(prob.n_slices, prob.dt)):
-        u_total = uj @ u_total
+        for uj in us:
+            u_total = uj @ u_total
     l = prob.free_phase_level
     best = 0.0
     for phi in np.linspace(0.0, 2 * np.pi, npoints, endpoint=False):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from scqsim import qcore as q
 
@@ -285,6 +286,12 @@ def _looped_steps(h0, controls, amplitudes, durations):
     return out
 
 
+def _flat_steps(chunks):
+    """The chunked ``(us, evals, vecs)`` stacks as one ``(U, evals, vecs)``
+    tuple per step."""
+    return [step for us, evals, vecs in chunks for step in zip(us, evals, vecs)]
+
+
 @pytest.mark.parametrize("n_steps", [1, 64, 65, 200])
 def test_step_unitaries_match_looped_expm(n_steps):
     rng = np.random.default_rng(n_steps)
@@ -293,7 +300,7 @@ def test_step_unitaries_match_looped_expm(n_steps):
     amplitudes = rng.standard_normal((2, n_steps))
     durations = rng.uniform(0.0, 0.8, n_steps)
     durations[::5] = 0.0          # zero-width steps, as grape_pulse emits
-    steps = list(q.step_unitaries(h0, controls, amplitudes, durations))
+    steps = _flat_steps(q.step_unitaries(h0, controls, amplitudes, durations))
     assert len(steps) == n_steps
     oracle = _looped_steps(h0, controls, amplitudes, durations)
     for (u, evals, vecs), (h, want), dt in zip(steps, oracle, durations):
@@ -308,7 +315,7 @@ def test_step_unitaries_without_controls():
     rng = np.random.default_rng(9)
     h0 = _random_hermitian(rng, 4)
     durations = rng.uniform(0.0, 2.0, 130)
-    steps = list(q.step_unitaries(h0, (), (), durations))
+    steps = _flat_steps(q.step_unitaries(h0, (), (), durations))
     assert len(steps) == 130
     for (u, evals, vecs), (_, want) in zip(
             steps, _looped_steps(h0, (), (), durations)):
@@ -316,3 +323,164 @@ def test_step_unitaries_without_controls():
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h0)) < 1e-12
     assert list(q.step_unitaries(h0, (), (), [])) == []
+
+
+# ---------------------------------------------------------------------------
+# The piecewise-constant kernel: chunks, tree product, conserved blocks
+# ---------------------------------------------------------------------------
+
+def _sequential_clongdouble(us):
+    """U_n ... U_1 multiplied one step at a time in extended precision (oracle)."""
+    us = np.asarray(us, dtype=np.clongdouble)
+    u = np.eye(us.shape[-1], dtype=np.clongdouble)
+    for step in us:
+        u = step @ u
+    return u
+
+
+def _random_steps(rng, n, dim):
+    h0 = _random_hermitian(rng, dim)
+    controls = [_random_hermitian(rng, dim) for _ in range(2)]
+    amplitudes = rng.standard_normal((2, n))
+    durations = rng.uniform(0.0, 0.4, n)
+    return h0, controls, amplitudes, durations
+
+
+def _block_diagonal(rng, sizes, perm):
+    """A random Hermitian matrix with blocks of ``sizes``, its basis permuted."""
+    h = np.zeros((sum(sizes),) * 2, dtype=complex)
+    start = 0
+    for m in sizes:
+        h[start:start + m, start:start + m] = _random_hermitian(rng, m)
+        start += m
+    return h[np.ix_(perm, perm)]
+
+
+# chunk edges for a 3-level problem (227 steps per chunk) and a 4-level one
+# (128): empty, one step, a chunk and one either side, and a long run
+_EDGES = [(3, n) for n in (0, 1, 226, 227, 228, 4000)] + [(4, n) for n in (127, 129)]
+
+
+@pytest.mark.parametrize("dim, n", _EDGES)
+def test_ordered_product_matches_sequential_clongdouble(dim, n):
+    rng = np.random.default_rng(1000 * dim + n)
+    steps = _flat_steps(q.step_unitaries(*_random_steps(rng, n, dim)))
+    us = np.array([u for u, _, _ in steps]).reshape(n, dim, dim)
+    want = _sequential_clongdouble(us)
+    assert np.max(np.abs(q.ordered_product(us) - want)) < 1e-13
+    # the kernel makes the same steps and reduces them in chunks
+    u = q.piecewise_propagator(*_random_steps(np.random.default_rng(1000 * dim + n),
+                                              n, dim))
+    assert np.max(np.abs(u - want)) < 1e-13
+
+
+@given(n=st.integers(0, 70), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_ordered_product_batches_rows_and_is_unitary(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    h0, controls, _, _ = _random_steps(rng, 0, 3)
+    amplitudes = rng.standard_normal((2, batch, n))
+    durations = rng.uniform(0.0, 0.4, (batch, n))
+    got = q.piecewise_propagator(h0, controls, amplitudes, durations)
+    assert got.shape == (batch, 3, 3)
+    for b in range(batch):
+        steps = np.array([expm(-1j * dt * (h0 + a0 * controls[0] + a1 * controls[1]))
+                          for a0, a1, dt in zip(*amplitudes[:, b], durations[b])])
+        want = _sequential_clongdouble(steps.reshape(n, 3, 3))
+        assert np.max(np.abs(got[b] - want)) < 1e-13
+        assert np.max(np.abs(got[b].conj().T @ got[b] - np.eye(3))) < 1e-12
+
+
+def test_kernel_outputs_are_unitary():
+    rng = np.random.default_rng(5)
+    for dim, n in _EDGES:
+        args = _random_steps(rng, n, dim)
+        for us, _, _ in q.step_unitaries(*args):
+            err = us.conj().swapaxes(-1, -2) @ us - np.eye(dim)
+            assert np.max(np.abs(err)) < 1e-12
+        u = q.piecewise_propagator(*args)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+
+
+@pytest.mark.parametrize("dim, n", _EDGES)
+def test_step_unitaries_chunk_edges(dim, n):
+    """Full chunks of max(64, 2**11 // d**2) steps, then the remainder."""
+    size = max(64, 2**11 // dim**2)
+    chunks = list(q.step_unitaries(*_random_steps(np.random.default_rng(n), n, dim)))
+    lengths = [len(us) for us, _, _ in chunks]
+    assert lengths == [size] * (n // size) + ([n % size] if n % size else [])
+    for us, evals, vecs in chunks:
+        assert us.shape == vecs.shape == (len(us), dim, dim)
+        assert evals.shape == (len(us), dim)
+
+
+def test_conserved_blocks_are_the_components():
+    rng = np.random.default_rng(8)
+    perm = rng.permutation(9)
+    h0 = _block_diagonal(rng, (1, 3, 2, 3), perm)
+    control = _block_diagonal(rng, (1, 3, 2, 3), perm)
+    pos = np.argsort(perm)          # where each original index went
+    want = sorted((np.sort(pos[list(b)]) for b in ([0], [1, 2, 3], [4, 5], [6, 7, 8])),
+                  key=lambda b: b[0])
+    got = q.conserved_blocks(h0, [control])
+    assert [list(b) for b in got] == [list(b) for b in want]
+    # a control that couples two blocks merges them
+    bridge = np.zeros((9, 9), dtype=complex)
+    bridge[pos[0], pos[4]] = bridge[pos[4], pos[0]] = 1.0
+    merged = q.conserved_blocks(h0, [control, bridge])
+    assert sorted(map(len, merged)) == [3, 3, 3]
+
+
+def test_two_transmon_blocks_are_excitation_number():
+    from scqsim.gates import two_transmon_hamiltonian
+    h = two_transmon_hamiltonian(5.0, 0.0, -0.3, -0.3, 0.02).entries
+    n_2 = q.tensor(np.eye(3), q.number_op(3)).entries
+    blocks = q.conserved_blocks(h, [n_2])
+    # |n1 n2> at 3 n1 + n2, grouped by n1 + n2
+    assert [list(b) for b in blocks] == [[0], [1, 3], [2, 4, 6], [5, 7], [8]]
+
+
+@pytest.mark.parametrize("sizes", [(1, 3, 2, 3), (2, 2), (4,)])
+def test_block_split_steps_match_full_eigh(sizes):
+    """Steps made block by block equal the steps of the full matrices, on
+    block-diagonal inputs with their basis permuted."""
+    rng = np.random.default_rng(len(sizes))
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    h0 = _block_diagonal(rng, sizes, perm)
+    controls = [_block_diagonal(rng, sizes, perm) for _ in range(2)]
+    n = 300
+    amplitudes = rng.standard_normal((2, n))
+    durations = rng.uniform(0.0, 0.5, n)
+    steps = _flat_steps(q.step_unitaries(h0, controls, amplitudes, durations))
+    full = []
+    for (u, evals, vecs), a0, a1, dt in zip(steps, *amplitudes, durations):
+        h = h0 + a0 * controls[0] + a1 * controls[1]
+        full.append(q.expm_hermitian(h, -1j * dt))
+        assert np.max(np.abs(u - full[-1])) < 1e-13
+        assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h)) < 1e-12
+    got = q.piecewise_propagator(h0, controls, amplitudes, durations)
+    assert np.max(np.abs(got - _sequential_clongdouble(full))) < 1e-13
+
+
+def test_watch_peaks_match_running_column():
+    """peak[i] = max over t of |<i|U_t ... U_1|j>|^2, from a per-step loop."""
+    rng = np.random.default_rng(12)
+    perm = rng.permutation(6)
+    h0 = _block_diagonal(rng, (3, 3), perm)
+    control = _block_diagonal(rng, (3, 3), perm)
+    n = 700                                  # four chunks of a 3-level block
+    amplitudes = rng.standard_normal((1, n))
+    durations = rng.uniform(0.0, 0.3, n)
+    watch = int(perm[1])
+    u, peak = q.piecewise_propagator(h0, [control], amplitudes, durations,
+                                     watch=watch)
+    want = np.zeros(6)
+    want[watch] = 1.0
+    run = np.eye(6, dtype=complex)
+    for a, dt in zip(amplitudes[0], durations):
+        run = expm(-1j * dt * (h0 + a * control)) @ run
+        want = np.maximum(want, np.abs(run[:, watch]) ** 2)
+    assert np.max(np.abs(u - run)) < 1e-12
+    assert np.max(np.abs(peak - want)) < 1e-12
+    assert np.count_nonzero(peak) == 3       # only the watched block moves
