@@ -333,13 +333,10 @@ def conserved_blocks(h0, controls) -> list:
     for c in controls:
         pattern |= np.abs(c) > 0
     reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
-    while True:                      # boolean squaring doubles the path length
-        longer = reach @ reach
-        if np.array_equal(longer, reach):
-            break
-        reach = longer
-    label = np.argmax(reach, axis=1)  # the smallest index each one reaches
-    return [np.flatnonzero(label == k) for k in np.unique(label)]
+    for _ in range((len(reach) - 1).bit_length()):
+        reach = reach @ reach        # paths up to twice as long
+    # each block once, from the row of its smallest index
+    return [np.flatnonzero(row) for i, row in enumerate(reach) if not row[:i].any()]
 
 
 def _steps(h0, controls, amplitudes, durations):
@@ -374,6 +371,9 @@ def step_unitaries(h0, controls, amplitudes, durations):
     size = _chunk(dim)
     for start in range(0, len(durations), size):
         part = slice(start, start + size)
+        if len(blocks) == 1:
+            yield _steps(h0, controls, amplitudes[:, part], durations[part])
+            continue
         n = len(durations[part])
         us = np.zeros((n, dim, dim), dtype=complex)
         evals = np.empty((n, dim))
