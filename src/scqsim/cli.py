@@ -174,9 +174,9 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list, columns) -> None:
-    """The header line, then the equal-length ``columns`` (arrays or lists)
-    as rows: a float column at 12 significant digits, any other as ``str``,
-    the whole table in one format call."""
+    """The header line, then the equal-length ``columns`` (arrays or lists,
+    one type each) as rows: a float column at 12 significant digits, any
+    other as ``str``, the whole table in one format call."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
