@@ -244,7 +244,8 @@ def run_spectrum(cfg: dict, out: Path, seed: int) -> None:
         "ncut": circuits.DEFAULT_NCUT, "npoints": circuits.DEFAULT_NPOINTS,
         "extent_rad": circuits.DEFAULT_EXTENT,
     }
-    c = subcommand_keys(cfg, allowed)
+    # the loop grid's and the island's own least sizes, checked for either kind
+    c = subcommand_keys(cfg, allowed, minimum={"npoints": 128, "ncut": 5})
     params = circuits.CircuitParams(
         c["e_j_ghz"], c["e_c_ghz"],
         0.0 if c["circuit"] == "island" else c["e_l_ghz"],
@@ -362,7 +363,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
 def run_echo(cfg: dict, out: Path, seed: int) -> None:
     allowed = {"kind": "hahn", "tau_ns": 10.0, "n": 1,
                "j_z_ghz": 0.05, "omega_max_ghz": 2.0, "npoints": 801}
-    c = subcommand_keys(cfg, allowed, minimum={"tau_ns": 0.0, "npoints": 1})
+    c = subcommand_keys(cfg, allowed, minimum={"tau_ns": 0.0, "npoints": 1, "n": 1})
     seq = control.refocus_sequence(c["kind"], c["tau_ns"], n=c["n"])
     grid = np.linspace(0.0, to_angular(c["omega_max_ghz"]), c["npoints"])
     f = control.filter_function(seq, grid)

@@ -303,11 +303,11 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
 
     The textbook first-order formula -2 Re{tr(i dt H_k V_j Lam_j^dag)
     tr(V_j^dag Lam_j)} is the dt -> 0 limit of this; the exact directional
-    derivative keeps the finite-difference check tight at finite dt.
+    derivative keeps the finite-difference check tight at finite dt.  The
+    slices are one full-matrix :func:`~scqsim.qcore.step_unitaries` stack.
     """
     n_ctrl, n = u.shape
-    us, evs, vs = (np.concatenate(a) for a in zip(*step_unitaries(
-        prob.h0, prob.controls, u, np.full(n, prob.dt))))
+    us, evs, vs = step_unitaries(prob.h0, prob.controls, u, np.full(n, prob.dt))
     d = prob.dim
     fwd = [np.eye(d, dtype=complex)]
     for uj in us:
@@ -608,9 +608,9 @@ def sequence_propagator(seq: RefocusSequence, h_qe) -> Operator:
     ``h_qe`` acts on qubit x environment (qubit first, so its dimension is
     2 x the environment's and must be even); pulses rotate the qubit only.
     Pulse length is treated as zero, so H_qe is ignored while a pulse fires.
-    The free steps come from :func:`~scqsim.qcore.step_unitaries` (so a
-    diagonal H_qe evolves entry by entry) and the free steps and pulses are
-    multiplied by :func:`~scqsim.qcore.ordered_product`.
+    The free steps are one-step rows of ``qcore.piecewise_propagator`` (so a
+    diagonal H_qe evolves entry by entry), multiplied with the pulses by
+    :func:`~scqsim.qcore.ordered_product`.
     """
     hm = _as_matrix(h_qe)
     dim = hm.shape[0]
@@ -620,8 +620,8 @@ def sequence_propagator(seq: RefocusSequence, h_qe) -> Operator:
     # free evolution before each pulse and after the last; zero gaps skipped
     edges = [0.0] + [t for t, _, _ in seq.pulses] + [seq.tau]
     gaps = [t1 - t0 for t0, t1 in zip(edges, edges[1:])]
-    free = (u for us, _, _ in step_unitaries(hm, (), (), [g for g in gaps if g > 0])
-            for u in us)
+    rows = np.reshape([g for g in gaps if g > 0], (-1, 1))
+    free = iter(piecewise_propagator(hm, (), (), rows))
     factors = []
     for gap, pulse in zip(gaps, [*seq.pulses, None]):
         if gap > 0:
@@ -746,7 +746,7 @@ CSV_HEADER = ["t_ns", "omega_x_GHz", "omega_y_GHz"]
 def pulse_to_csv(p: PulseEnvelope, path) -> None:
     """Write the envelope with quadratures converted to ordinary GHz."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for t, ox, oy in zip(p.times, p.omega_x, p.omega_y):
             w.writerow([f"{t:.12g}", f"{ox / TWO_PI:.12g}", f"{oy / TWO_PI:.12g}"])

@@ -304,7 +304,7 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
 
 
 CHUNK_ENTRIES = 2**11
-"""Complex entries per stacked step array in the piecewise-constant kernel:
+"""Complex entries per stacked step array in :func:`piecewise_propagator`:
 an m-dimensional block is diagonalized and multiplied ``max(64,
 CHUNK_ENTRIES // m**2)`` steps at a time, so memory stays flat in the step
 count."""
@@ -328,7 +328,8 @@ def _step_inputs(h0, controls, amplitudes, durations):
 def conserved_blocks(h0, controls) -> list:
     """Index sets on which H = H0 + sum_k a_k H_k is block diagonal for every
     amplitude: the connected components of the nonzero pattern of
-    |H0| + sum_k |H_k|, each ascending, ordered by their smallest index."""
+    |H0| + sum_k |H_k|, each ascending, ordered by their smallest index
+    (the blocks of :func:`piecewise_propagator`)."""
     pattern = np.abs(_as_matrix(h0)) > 0
     for c in controls:
         pattern |= np.abs(c) > 0
@@ -351,38 +352,16 @@ def _steps(h0, controls, amplitudes, durations):
 
 
 def step_unitaries(h0, controls, amplitudes, durations):
-    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), in chunks.
+    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), as one stack.
 
     H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns), summed in that
     order; ``durations`` holds the dt_j in ns (zero widths are allowed).
-    Yields stacked ``(us, evals, vecs)`` arrays of shapes (c, d, d), (c, d)
-    and (c, d, d), one per chunk of c <= ``max(64, CHUNK_ENTRIES // d**2)``
-    steps, where H_j = vecs[j] diag(evals[j]) vecs[j]^dag.  Each
-    :func:`conserved_blocks` block is diagonalized on its own with a batched
-    ``eigh`` and scattered into the full dimension, so ``vecs`` is block
-    diagonal and ``evals`` lists each block's ascending eigenvalues at its
-    indices; one block gives ``expm_hermitian(H_j, -1j * dt_j)``'s
+    Returns ``(us, evals, vecs)`` of shapes (n, d, d), (n, d) and (n, d, d)
+    from one batched ``eigh`` of the full matrices (H_j = vecs[j]
+    diag(evals[j]) vecs[j]^dag), with ``expm_hermitian(H_j, -1j * dt_j)``'s
     arithmetic.
     """
-    h0, controls, amplitudes, durations = _step_inputs(h0, controls, amplitudes,
-                                                       np.reshape(durations, -1))
-    dim = h0.shape[0]
-    blocks = conserved_blocks(h0, controls)
-    size = _chunk(dim)
-    for start in range(0, len(durations), size):
-        part = slice(start, start + size)
-        if len(blocks) == 1:
-            yield _steps(h0, controls, amplitudes[:, part], durations[part])
-            continue
-        n = len(durations[part])
-        us = np.zeros((n, dim, dim), dtype=complex)
-        evals = np.empty((n, dim))
-        vecs = np.zeros((n, dim, dim), dtype=complex)
-        for ix in blocks:
-            sub = (slice(None), ix[:, None], ix)
-            us[sub], evals[:, ix], vecs[sub] = _steps(
-                h0[sub[1:]], controls[sub], amplitudes[:, part], durations[part])
-        yield us, evals, vecs
+    return _steps(*_step_inputs(h0, controls, amplitudes, np.reshape(durations, -1)))
 
 
 def ordered_product(us) -> np.ndarray:
@@ -408,10 +387,11 @@ def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
 
     ``durations`` may carry leading axes (..., n), with ``amplitudes`` then
     (k, ..., n): each row is its own product, and the result is (..., d, d).
-    Each :func:`conserved_blocks` block makes its steps ``max(64,
-    CHUNK_ENTRIES // m**2)`` at a time (several rows at once when a row is
-    shorter); :func:`ordered_product` reduces each chunk and then the chunk
-    products, and the block products are scattered into the full dimension.
+    The one block split: each :func:`conserved_blocks` block makes its steps
+    (a diagonal H entry by entry) ``max(64, CHUNK_ENTRIES // m**2)`` at a
+    time, several rows at once when a row is shorter; :func:`ordered_product`
+    reduces each chunk and then the chunk products, and the block products
+    are scattered into the full dimension.
 
     With ``watch = j`` it returns ``(U, peak)``, where peak[..., i] is the
     largest |<i| U_t ... U_1 |j>|^2 over t = 0..n: one mat-vec per step

@@ -322,6 +322,7 @@ def test_grape_subcommand(tmp_path):
     assert rep["fidelity"] >= 0.9999
     header = (out / "pulse.csv").read_text().splitlines()[0]
     assert header == "t_ns,omega_x_GHz,omega_y_GHz"
+    assert b"\r" not in (out / "pulse.csv").read_bytes()     # LF, as write_csv
 
 
 def test_grape_bound_clips_pulse(tmp_path):
@@ -429,6 +430,10 @@ def test_evolve_bad_time_inputs_exit_2(tmp_path, capsys, text):
     ("echo", "npoints = 0\n"),
     ("echo", "npoints = -2\n"),
     ("echo", "tau_ns = -1\n"),
+    ("echo", "kind = hahn\nn = 0\n"),
+    ("spectrum", "e_j_ghz = 20.0\ne_c_ghz = 0.4\nnpoints = 0\n"),
+    ("spectrum", "circuit = loop\ne_j_ghz = 4.0\ne_c_ghz = 1.0\ne_l_ghz = 1.0\n"
+                 "ncut = 0\n"),
     ("rb", "shots = -3\n"),
     ("rb", "sequences_per_length = 0\n"),
     ("rb", "interleaved = -2\n"),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from scqsim import control as ctl
-from scqsim.qcore import global_phase_distance, pauli, step_unitaries
+from scqsim.qcore import global_phase_distance, pauli, rotation_operator, step_unitaries
 
 ALPHA = 2 * np.pi * (-0.2)      # rad/ns anharmonicity used throughout
 
@@ -239,13 +240,24 @@ def test_grape_stagnation_reported_not_raised():
     assert res.stagnated
 
 
+def test_grape_makes_no_block_search(monkeypatch):
+    """GRAPE's slices are one full-matrix stack per gradient: no
+    conserved-block search runs inside the optimizer."""
+    def no_search(*args):
+        raise AssertionError("conserved_blocks called during GRAPE")
+
+    monkeypatch.setattr("scqsim.qcore.conserved_blocks", no_search)
+    prob = ctl.transmon_pi_problem(ALPHA, n_slices=4, max_iter=20)
+    res = ctl.grape_optimize(prob, seed=0)
+    assert len(res.trace) > 1 and res.trace[-1] < res.trace[0]
+
+
 def _phi2_grid_fidelity(prob, amplitudes, npoints=64):
     """Oracle: the best fidelity over ``npoints`` equally spaced phi_2."""
     u_total = np.eye(prob.dim, dtype=complex)
-    for us, _, _ in step_unitaries(prob.h0, prob.controls, amplitudes,
-                                   np.full(prob.n_slices, prob.dt)):
-        for uj in us:
-            u_total = uj @ u_total
+    for uj in step_unitaries(prob.h0, prob.controls, amplitudes,
+                             np.full(prob.n_slices, prob.dt))[0]:
+        u_total = uj @ u_total
     l = prob.free_phase_level
     best = 0.0
     for phi in np.linspace(0.0, 2 * np.pi, npoints, endpoint=False):
@@ -328,6 +340,23 @@ def test_zero_coupling_trivial():
     h = ctl.qubit_env_coupling(0.0, "z", pauli("z").entries)
     u = ctl.sequence_propagator(ctl.refocus_sequence("hahn", 8.0), h)
     assert global_phase_distance(u.entries, np.eye(4)) < 1e-12
+
+
+@pytest.mark.parametrize("kind, n", [("hahn", 1), ("cpmg", 3)])
+def test_sequence_propagator_matches_expm_oracle(kind, n):
+    """A non-diagonal H_qe (one conserved block) and a pulse at t = 0 (a
+    zero gap): each free gap by scipy expm, each pulse its explicit matrix."""
+    h_qe = ctl.qubit_env_coupling(0.13, "x", pauli("z").entries).entries
+    seq = ctl.refocus_sequence(kind, 7.3, n=n, include_prep=True)
+    assert seq.pulses[0][0] == 0.0
+    want, t = np.eye(4, dtype=complex), 0.0
+    for t_pulse, axis, angle in seq.pulses:
+        want = expm(-1j * (t_pulse - t) * h_qe) @ want
+        want = np.kron(rotation_operator(axis, angle).entries, np.eye(2)) @ want
+        t = t_pulse
+    want = expm(-1j * (seq.tau - t) * h_qe) @ want
+    got = ctl.sequence_propagator(seq, h_qe).entries
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_sequence_time_validation():

@@ -641,3 +641,13 @@ def test_collapse_constructor_validation():
 def test_time_dependent_h_dim_check():
     with pytest.raises(ValueError, match="dim"):
         dyn.TimeDependentH(np.eye(2), [(np.eye(3), lambda t: 1.0)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_driven_blowup_raises_without_numpy_warnings():
+    """An unstable driven RK4 step overflows to inf/nan inside one sample
+    interval; IntegrationError reports it and numpy warns of nothing."""
+    h = dyn.TimeDependentH(np.zeros((2, 2)), ((SX, lambda t: 0.5),))
+    with pytest.raises(dyn.IntegrationError, match="trace drift"):
+        dyn.lindblad_evolve(h, q.ket(0, 2), dyn.qubit_collapse_ops(0.001, 0.002),
+                            times=np.array([0.0, 1000.0]), dt=1.0)

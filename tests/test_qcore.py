@@ -286,12 +286,6 @@ def _looped_steps(h0, controls, amplitudes, durations):
     return out
 
 
-def _flat_steps(chunks):
-    """The chunked ``(us, evals, vecs)`` stacks as one ``(U, evals, vecs)``
-    tuple per step."""
-    return [step for us, evals, vecs in chunks for step in zip(us, evals, vecs)]
-
-
 @pytest.mark.parametrize("n_steps", [1, 64, 65, 200])
 def test_step_unitaries_match_looped_expm(n_steps):
     rng = np.random.default_rng(n_steps)
@@ -300,10 +294,10 @@ def test_step_unitaries_match_looped_expm(n_steps):
     amplitudes = rng.standard_normal((2, n_steps))
     durations = rng.uniform(0.0, 0.8, n_steps)
     durations[::5] = 0.0          # zero-width steps, as grape_pulse emits
-    steps = _flat_steps(q.step_unitaries(h0, controls, amplitudes, durations))
-    assert len(steps) == n_steps
+    steps = q.step_unitaries(h0, controls, amplitudes, durations)
+    assert [a.shape for a in steps] == [(n_steps, 3, 3), (n_steps, 3), (n_steps, 3, 3)]
     oracle = _looped_steps(h0, controls, amplitudes, durations)
-    for (u, evals, vecs), (h, want), dt in zip(steps, oracle, durations):
+    for (u, evals, vecs), (h, want), dt in zip(zip(*steps), oracle, durations):
         assert np.max(np.abs(u - want)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
         assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h)) < 1e-12
@@ -315,14 +309,15 @@ def test_step_unitaries_without_controls():
     rng = np.random.default_rng(9)
     h0 = _random_hermitian(rng, 4)
     durations = rng.uniform(0.0, 2.0, 130)
-    steps = _flat_steps(q.step_unitaries(h0, (), (), durations))
-    assert len(steps) == 130
+    steps = q.step_unitaries(h0, (), (), durations)
+    assert [a.shape for a in steps] == [(130, 4, 4), (130, 4), (130, 4, 4)]
     for (u, evals, vecs), (_, want) in zip(
-            steps, _looped_steps(h0, (), (), durations)):
+            zip(*steps), _looped_steps(h0, (), (), durations)):
         assert np.max(np.abs(u - want)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         assert np.max(np.abs((vecs * evals) @ vecs.conj().T - h0)) < 1e-12
-    assert list(q.step_unitaries(h0, (), (), [])) == []
+    empty = q.step_unitaries(h0, (), (), [])
+    assert [a.shape for a in empty] == [(0, 4, 4), (0, 4), (0, 4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +359,7 @@ _EDGES = [(3, n) for n in (0, 1, 226, 227, 228, 4000)] + [(4, n) for n in (127, 
 @pytest.mark.parametrize("dim, n", _EDGES)
 def test_ordered_product_matches_sequential_clongdouble(dim, n):
     rng = np.random.default_rng(1000 * dim + n)
-    steps = _flat_steps(q.step_unitaries(*_random_steps(rng, n, dim)))
-    us = np.array([u for u, _, _ in steps]).reshape(n, dim, dim)
+    us = q.step_unitaries(*_random_steps(rng, n, dim))[0]
     want = _sequential_clongdouble(us)
     assert np.max(np.abs(q.ordered_product(us) - want)) < 1e-13
     # the kernel makes the same steps and reduces them in chunks
@@ -395,23 +389,12 @@ def test_kernel_outputs_are_unitary():
     rng = np.random.default_rng(5)
     for dim, n in _EDGES:
         args = _random_steps(rng, n, dim)
-        for us, _, _ in q.step_unitaries(*args):
-            err = us.conj().swapaxes(-1, -2) @ us - np.eye(dim)
-            assert np.max(np.abs(err)) < 1e-12
+        us = q.step_unitaries(*args)[0]
+        assert us.shape == (n, dim, dim)
+        err = us.conj().swapaxes(-1, -2) @ us - np.eye(dim)
+        assert np.max(np.abs(err), initial=0.0) < 1e-12
         u = q.piecewise_propagator(*args)
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
-
-
-@pytest.mark.parametrize("dim, n", _EDGES)
-def test_step_unitaries_chunk_edges(dim, n):
-    """Full chunks of max(64, 2**11 // d**2) steps, then the remainder."""
-    size = max(64, 2**11 // dim**2)
-    chunks = list(q.step_unitaries(*_random_steps(np.random.default_rng(n), n, dim)))
-    lengths = [len(us) for us, _, _ in chunks]
-    assert lengths == [size] * (n // size) + ([n % size] if n % size else [])
-    for us, evals, vecs in chunks:
-        assert us.shape == vecs.shape == (len(us), dim, dim)
-        assert evals.shape == (len(us), dim)
 
 
 def test_conserved_blocks_are_the_components():
@@ -442,8 +425,9 @@ def test_two_transmon_blocks_are_excitation_number():
 
 @pytest.mark.parametrize("sizes", [(1, 3, 2, 3), (2, 2), (4,)])
 def test_block_split_steps_match_full_eigh(sizes):
-    """Steps made block by block equal the steps of the full matrices, on
-    block-diagonal inputs with their basis permuted."""
+    """Steps made block by block (one-step rows of the kernel) equal the
+    steps of the full matrices, on block-diagonal inputs with their basis
+    permuted."""
     rng = np.random.default_rng(len(sizes))
     dim = sum(sizes)
     perm = rng.permutation(dim)
@@ -452,9 +436,11 @@ def test_block_split_steps_match_full_eigh(sizes):
     n = 300
     amplitudes = rng.standard_normal((2, n))
     durations = rng.uniform(0.0, 0.5, n)
-    steps = _flat_steps(q.step_unitaries(h0, controls, amplitudes, durations))
+    steps = q.piecewise_propagator(h0, controls, amplitudes[:, :, None],
+                                   durations[:, None])
+    _, lams, bases = q.step_unitaries(h0, controls, amplitudes, durations)
     full = []
-    for (u, evals, vecs), a0, a1, dt in zip(steps, *amplitudes, durations):
+    for u, evals, vecs, a0, a1, dt in zip(steps, lams, bases, *amplitudes, durations):
         h = h0 + a0 * controls[0] + a1 * controls[1]
         full.append(q.expm_hermitian(h, -1j * dt))
         assert np.max(np.abs(u - full[-1])) < 1e-13
