@@ -202,6 +202,12 @@ def _phase_grid(extent: float, npoints: int) -> np.ndarray:
 
 
 def _loop_tridiagonal(p: CircuitParams, extent: float, npoints: int):
+    """(diag, off, phi) of a loop circuit's phase-grid H.  Every loop path
+    builds its grid here, so the E_L > 0 and npoints >= 128 checks live here."""
+    if p.e_l <= 0:
+        raise ValueError("loop circuits require E_L > 0")
+    if npoints < 128:
+        raise ValueError("npoints must be >= 128 to resolve the potential")
     phi = _phase_grid(extent, npoints)
     h = phi[1] - phi[0]
     kin = 4.0 * p.e_c / h**2
@@ -222,10 +228,6 @@ def loop_hamiltonian(
     central differences; potential E_L phi^2/2 - E_J cos(phi - phi_ext);
     Dirichlet boundaries at +-extent.
     """
-    if p.e_l <= 0:
-        raise ValueError("loop_hamiltonian requires E_L > 0")
-    if npoints < 128:
-        raise ValueError("npoints must be >= 128 to resolve the potential")
     diag, off, _ = _loop_tridiagonal(p, extent, npoints)
     h = np.diag(diag).astype(complex)
     idx = np.arange(npoints - 1)
@@ -245,10 +247,6 @@ def loop_spectrum(
     Equivalent to ``spectrum(loop_hamiltonian(...))`` but scales to the
     fine grids needed for tight convergence checks.
     """
-    if p.e_l <= 0:
-        raise ValueError("loop_spectrum requires E_L > 0")
-    if npoints < 128:
-        raise ValueError("npoints must be >= 128 to resolve the potential")
     _check_levels(nlevels)
     from scipy.linalg import eigh_tridiagonal
     diag, off, _ = _loop_tridiagonal(p, extent, npoints)
@@ -290,13 +288,12 @@ def circuit_spectrum(p: CircuitParams, nlevels: int = 5, ncut: int = DEFAULT_NCU
 
 
 def charge_dispersion(p: CircuitParams, ncut: int = DEFAULT_NCUT) -> float:
-    """Delta omega_q = omega_q(N_ext = 0) - omega_q(N_ext = 0.5), in GHz."""
+    """Delta omega_q = omega_q(N_ext = 0) - omega_q(N_ext = 0.5), in GHz, both
+    from :func:`circuit_spectrum` with ``p``'s charge offset replaced."""
     if not p.is_island:
         raise ValueError("charge dispersion is defined for island circuits")
-    w0 = spectrum(island_hamiltonian(
-        CircuitParams(p.e_j, p.e_c, 0.0, 0.0, 0.0), ncut), 3).omega_q
-    w_half = spectrum(island_hamiltonian(
-        CircuitParams(p.e_j, p.e_c, 0.0, 0.5, 0.0), ncut), 3).omega_q
+    w0, w_half = (circuit_spectrum(replace(p, n_ext=n), 3, ncut).omega_q
+                  for n in (0.0, 0.5))
     return w0 - w_half
 
 
@@ -319,37 +316,33 @@ def dipole_elements(
         X_flux   = -E_J sin(phi - phi_ext)
         X_ej     = -E_J cos(phi - phi_ext)
 
-    Returns a dict {'charge', 'flux', 'ej'} of nlevels x nlevels arrays.
+    Returns a dict {'charge', 'flux', 'ej'} of nlevels x nlevels arrays.  The
+    eigenvectors are :func:`circuit_spectrum`'s (a 1-level block is sliced
+    from 2), so a loop grid meets :func:`loop_spectrum`'s checks.
     """
     if nlevels < 1:
         raise ValueError(f"nlevels must be >= 1, got {nlevels}")
+    v = circuit_spectrum(p, max(nlevels, 2), ncut, extent, npoints).eigenvectors
     if p.is_island:
-        # spectrum needs 2 levels for omega_q; a 1-level block is the slice
-        v = spectrum(island_hamiltonian(p, ncut), max(nlevels, 2)).eigenvectors
         n_op = charge_operator(ncut)
         # phi offsets are absorbed into N_ext for islands; use phi_ext = 0
         sin_op = sin_phase_operator(ncut)
         cos_op = cos_phase_operator(ncut)
     else:
-        from scipy.linalg import eigh_tridiagonal
-        diag, off, phi = _loop_tridiagonal(p, extent, npoints)
-        evals, v = eigh_tridiagonal(diag, off, select="i",
-                                    select_range=(0, nlevels - 1))
+        phi = _phase_grid(extent, npoints)
         h = phi[1] - phi[0]
-        npts = len(phi)
-        n_op = np.zeros((npts, npts), dtype=complex)
-        idx = np.arange(npts - 1)
+        n_op = np.zeros((npoints, npoints), dtype=complex)
+        idx = np.arange(npoints - 1)
         n_op[idx, idx + 1] = -1j / (2 * h)
         n_op[idx + 1, idx] = +1j / (2 * h)
         sin_op = np.diag(np.sin(phi - p.phi_ext)).astype(complex)
         cos_op = np.diag(np.cos(phi - p.phi_ext)).astype(complex)
     v = v[:, :nlevels]
-    out = {
+    return {
         "charge": v.conj().T @ (8 * p.e_c * n_op) @ v,
         "flux": v.conj().T @ (-p.e_j * sin_op) @ v,
         "ej": v.conj().T @ (-p.e_j * cos_op) @ v,
     }
-    return out
 
 
 def charge_matrix_element(p: CircuitParams, i: int = 0, j: int = 1,

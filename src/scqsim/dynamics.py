@@ -271,14 +271,16 @@ def lindblad_evolve(
             nsub, sub = _substeps(t1 - t0, dt)
             v = rho.reshape(-1)
             t = t0
+            g = generator(t)  # each step's end generator starts the next one
             # an unstable step overflows to inf/nan; _settle reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(nsub):
                     mid = generator(t + sub / 2)
-                    k1 = generator(t) @ v
+                    k1 = g @ v
                     k2 = mid @ (v + sub / 2 * k1)
                     k3 = mid @ (v + sub / 2 * k2)
-                    k4 = generator(t + sub) @ (v + sub * k3)
+                    g = generator(t + sub)
+                    k4 = g @ (v + sub * k3)
                     v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
                     t += sub
             rho = _settle(v.reshape(rho.shape), t1, dt, stats)

@@ -97,13 +97,6 @@ class Operator:
     def __neg__(self):
         return Operator(-self.entries)
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) < tol)
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        m = self.entries
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))) < tol)
-
 
 @dataclass(frozen=True)
 class StateVector:

@@ -147,8 +147,14 @@ def test_loop_grid_doubling_convergence():
 def test_loop_resolution_error():
     with pytest.raises(ValueError, match="npoints"):
         cir.loop_hamiltonian(cir.CircuitParams(5, 1, 1), npoints=64)
+    with pytest.raises(ValueError, match="npoints"):
+        cir.loop_spectrum(cir.CircuitParams(5, 1, 1), npoints=64)
+    with pytest.raises(ValueError, match="npoints"):
+        cir.dipole_elements(cir.CircuitParams(5, 1, 1), nlevels=3, npoints=64)
     with pytest.raises(ValueError):
         cir.loop_hamiltonian(cir.CircuitParams(5, 1, 0))
+    with pytest.raises(ValueError):
+        cir.loop_spectrum(cir.CircuitParams(5, 1, 0))
 
 
 def test_loop_dense_matches_tridiagonal():

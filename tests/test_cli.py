@@ -653,21 +653,21 @@ def test_twelve_significant_digits(tmp_path):
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 11
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("e_j_ghz = 20.0\ne_c_ghz = 0.4\n")
     proc = subprocess.run(
         [sys.executable, "-m", "scqsim", "spectrum", "--config", str(cfg),
          "--out", str(tmp_path / "o")],
-        capture_output=True,
+        capture_output=True, env=src_env,
     )
     assert proc.returncode == 0
 
 
-def test_import_leaves_scipy_linalg_and_optimize_unloaded():
+def test_import_leaves_scipy_linalg_and_optimize_unloaded(src_env):
     code = ("import sys, scqsim.cli; print(sorted(m for m in "
             "('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 """Every demo script runs to completion as a user would run it."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +15,8 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+def test_demo_runs(demo, tmp_path, src_env):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=src_env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

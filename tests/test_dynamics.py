@@ -459,6 +459,75 @@ def test_driven_run_stats():
     assert res.stats["renormalized"] == 0
 
 
+def _three_builds_per_step(h, rho0, collapse, times, dt):
+    """The driven loop as it was (oracle): every RK4 step builds the
+    generator at t, t + sub/2 and t + sub."""
+    l0 = dyn.liouvillian(h.static, collapse)
+    drives = [(dyn.liouvillian(op), fn) for op, fn in h.drives]
+
+    def generator(t):
+        out = l0
+        for lk, fn in drives:
+            out = out + float(fn(t)) * lk
+        return out
+
+    rho = dyn._coerce_rho(rho0)
+    stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
+             "max_trace_drift": 0.0, "powered_maps": 0}
+    states = [dyn._repair(rho, 0.0, stats)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        nsub, sub = dyn._substeps(t1 - t0, dt)
+        v, t = rho.reshape(-1), t0
+        for _ in range(nsub):
+            mid = generator(t + sub / 2)
+            k1 = generator(t) @ v
+            k2 = mid @ (v + sub / 2 * k1)
+            k3 = mid @ (v + sub / 2 * k2)
+            k4 = generator(t + sub) @ (v + sub * k3)
+            v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += sub
+        rho = dyn._settle(v.reshape(rho.shape), t1, dt, stats)
+        states.append(rho)
+    return states, stats
+
+
+def _driven_case(seed):
+    """A random driven open system (d = 2 to 4) on uneven sample times with a
+    repeat, or (seed 0) a weakly driven pure qubit whose dust gets clipped."""
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        h = dyn.TimeDependentH(2 * np.pi * 0.002 * EXCITED,
+                               [(np.pi * SX, lambda t: 0.01 * np.cos(0.01 * t))])
+        return h, np.array([1.0, 0.0]), [], np.linspace(0.0, 100.0, 201)
+    d = 2 + seed % 3
+    h0, collapse = _random_open_system(seed, d)
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w = rng.uniform(0.5, 3.0)
+    h = dyn.TimeDependentH(h0, [((b + b.conj().T) / 2, lambda t: 0.7 * np.cos(w * t))])
+    times = np.sort(np.append(rng.uniform(0.0, 2.0, 12), [0.0, 1.0, 1.0]))
+    return h, _random_state(rng, d, seed % 2 == 0), collapse, times
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_driven_run_reuses_step_end_generator(seed):
+    """Each RK4 step's generator at t + sub starts the next step: states and
+    counts are bit-equal to three builds per step, and an interval of nsub
+    steps evaluates each envelope 1 + 2 nsub times."""
+    h, rho0, collapse, times = _driven_case(seed)
+    calls = []
+    (op, fn), = h.drives
+    counted = dyn.TimeDependentH(h.static, [(op, lambda t: calls.append(t) or fn(t))])
+    res = dyn.lindblad_evolve(counted, rho0, collapse, times=times, dt=0.01)
+    want_states, want_stats = _three_builds_per_step(h, rho0, collapse, times, 0.01)
+    assert all(np.array_equal(a.entries, b) for a, b in zip(res.states, want_states))
+    assert len(res.states) == len(want_states)
+    assert res.stats == want_stats
+    nsubs = [dyn._substeps(t1 - t0, 0.01)[0] for t0, t1 in zip(times[:-1], times[1:])]
+    assert len(calls) == sum(1 + 2 * n for n in nsubs)
+    if seed == 0:
+        assert res.stats["clipped"] > 0
+
+
 def test_unitary_evolve_rejects_density_matrix():
     h = 2 * np.pi * 0.1 * SX
     rho = np.diag([1.0, 0.0]).astype(complex)
