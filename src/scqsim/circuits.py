@@ -318,31 +318,29 @@ def dipole_elements(
 
     Returns a dict {'charge', 'flux', 'ej'} of nlevels x nlevels arrays.  The
     eigenvectors are :func:`circuit_spectrum`'s (a 1-level block is sliced
-    from 2), so a loop grid meets :func:`loop_spectrum`'s checks.
+    from 2), so a loop grid meets :func:`loop_spectrum`'s checks.  On a loop
+    the operators act on the eigenvectors directly: N as the central
+    difference of ``v`` (the Dirichlet walls hold zeros) and sin, cos as
+    products with their values on the grid, so no npoints x npoints matrix
+    is built.
     """
     if nlevels < 1:
         raise ValueError(f"nlevels must be >= 1, got {nlevels}")
     v = circuit_spectrum(p, max(nlevels, 2), ncut, extent, npoints).eigenvectors
-    if p.is_island:
-        n_op = charge_operator(ncut)
-        # phi offsets are absorbed into N_ext for islands; use phi_ext = 0
-        sin_op = sin_phase_operator(ncut)
-        cos_op = cos_phase_operator(ncut)
-    else:
-        phi = _phase_grid(extent, npoints)
-        h = phi[1] - phi[0]
-        n_op = np.zeros((npoints, npoints), dtype=complex)
-        idx = np.arange(npoints - 1)
-        n_op[idx, idx + 1] = -1j / (2 * h)
-        n_op[idx + 1, idx] = +1j / (2 * h)
-        sin_op = np.diag(np.sin(phi - p.phi_ext)).astype(complex)
-        cos_op = np.diag(np.cos(phi - p.phi_ext)).astype(complex)
     v = v[:, :nlevels]
-    return {
-        "charge": v.conj().T @ (8 * p.e_c * n_op) @ v,
-        "flux": v.conj().T @ (-p.e_j * sin_op) @ v,
-        "ej": v.conj().T @ (-p.e_j * cos_op) @ v,
-    }
+    scale = {"charge": 8 * p.e_c, "flux": -p.e_j, "ej": -p.e_j}
+    if p.is_island:
+        # phi offsets are absorbed into N_ext for islands; use phi_ext = 0
+        ops = {"charge": charge_operator(ncut), "flux": sin_phase_operator(ncut),
+               "ej": cos_phase_operator(ncut)}
+        return {k: v.conj().T @ (scale[k] * op) @ v for k, op in ops.items()}
+    phi = _phase_grid(extent, npoints)
+    v = v.astype(complex)
+    walled = np.pad(v, ((1, 1), (0, 0)))
+    applied = {"charge": (walled[:-2] - walled[2:]) * (1j / (2 * (phi[1] - phi[0]))),
+               "flux": np.sin(phi - p.phi_ext)[:, None] * v,
+               "ej": np.cos(phi - p.phi_ext)[:, None] * v}
+    return {k: v.conj().T @ (scale[k] * op_v) for k, op_v in applied.items()}
 
 
 def charge_matrix_element(p: CircuitParams, i: int = 0, j: int = 1,

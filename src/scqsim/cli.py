@@ -18,8 +18,9 @@ Outputs: CSV (comma separator, ``.`` decimal, mandatory header) and JSON
 files with numerics printed to 12 significant digits, plus a
 ``manifest.json`` with the config hash, seed, and versions (and a
 ``stats`` block: for ``evolve`` the repair counts of its Lindblad run, for
-``rb`` each curve's fit convergence, fit evaluations, flat-curve flag and
-random Cliffords applied).  Identical
+``qec`` the most defects in one shot and the distinct syndromes matched,
+per check kind, for ``rb`` each curve's fit convergence, fit evaluations,
+flat-curve flag and random Cliffords applied).  Identical
 config + seed reproduces byte-identical outputs except for the manifest
 timestamp.
 
@@ -379,7 +380,7 @@ def run_echo(cfg: dict, out: Path, seed: int) -> None:
     })
 
 
-def run_qec(cfg: dict, out: Path, seed: int) -> None:
+def run_qec(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"d": 3, "p": 0.001, "cycles": 1, "shots": 10000}
     c = subcommand_keys(cfg, allowed)
     res = sc.logical_error_rate(c["d"], c["p"], c["cycles"], c["shots"], seed)
@@ -388,6 +389,8 @@ def run_qec(cfg: dict, out: Path, seed: int) -> None:
         "failures": res.failures, "logical_error_rate": res.rate,
         "ci95_low": res.ci_low, "ci95_high": res.ci_high, "seed": res.seed,
     })
+    return {"max_defects": res.max_defects,
+            "distinct_syndromes": res.distinct_syndromes}
 
 
 def run_experiment(cfg: dict, out: Path, seed: int) -> None:

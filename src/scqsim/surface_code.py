@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -501,14 +502,25 @@ def syndrome_from_errors(lattice: SurfaceLattice, ex: np.ndarray,
     Agrees with :func:`syndrome_cycle` for the phenomenological model --
     the test suite asserts exactly that equivalence.
     """
-    return Syndrome(cycle, *_parities(lattice, ex, ez))
+    x_bits, z_bits = _parities(lattice, ex, ez)
+    return Syndrome(cycle, x_bits[..., :-1], z_bits[..., :-1])
 
 
 def _parities(lattice: SurfaceLattice, ex, ez) -> tuple[np.ndarray, np.ndarray]:
-    """(X-check, Z-check) parities of error patterns, one row per shot."""
-    x_bits = (ez @ lattice.adjacency("x")) % 2     # Z errors trip X checks
-    z_bits = (ex @ lattice.adjacency("z")) % 2     # X errors trip Z checks
-    return x_bits, z_bits
+    """(X-check, Z-check) parities of 0/1 error patterns over the data
+    qubits (one pattern, or one row per shot), as int8.  Each has one more
+    column than there are checks: the pattern's parity on the logical those
+    checks guard, X_L for the X checks that Z errors ``ez`` trip and Z_L
+    for the Z checks that X errors ``ex`` trip.
+
+    One float32 matmul per kind against :func:`_layout`'s ``parity``
+    matrices (BLAS; numpy's integer matmul is not), exact for sums of a few
+    ones, then a cast to int8 and ``& 1``: float ``% 2`` costs about 100
+    times as much.
+    """
+    parity = _layout(lattice.d).parity
+    return ((ez @ parity["x"]).astype(np.int8) & 1,
+            (ex @ parity["z"]).astype(np.int8) & 1)
 
 
 def syndromes_to_csv(syndromes, path) -> None:
@@ -581,10 +593,10 @@ def _pair_path(p1, p2, kind: str) -> list:
     return out
 
 
-@cache
 def _move_table(d: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Every matching move at distance d for defects on checks of ``kind``,
-    built once from :func:`_boundary_path` and :func:`_pair_path`.
+    from :func:`_boundary_path` and :func:`_pair_path`; :func:`_layout`
+    builds it once per kind.
 
     Returns ``paths``, (checks, 1 + checks, n_data) 0/1: row c is a defect
     on check c, column 0 its boundary path and column 1 + c2 its path to a
@@ -599,10 +611,52 @@ def _move_table(d: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
         moves += [_pair_path(c, c2, kind) for c2 in checks]
         for j, path in enumerate(moves):
             paths[i, j, [lattice.data_index(pos) for pos in path]] = 1
-    weights = paths.sum(axis=-1, dtype=np.int32)
-    for shared in (paths, weights):     # cached: every caller gets these
-        shared.flags.writeable = False
-    return paths, weights
+    return paths, paths.sum(axis=-1, dtype=np.int32)
+
+
+class _Layout(NamedTuple):
+    """What the Monte Carlo and the decoder read at one distance, built once
+    per d by :func:`_layout`; every array is read-only.
+
+    ``parity[kind]`` is (n_data, m + 1) float32, m checks of a kind: the
+    kind's :meth:`SurfaceLattice.adjacency` and, as its last column, the
+    support of the logical its checks guard (Z_L for "z", X_L for "x").
+    ``paths``, ``weights`` and ``flips`` are one block-diagonal move table
+    over both kinds, indexed like a :func:`_move_table` with 2m checks: Z
+    check c is row c and X check c row m + c, column 0 is the boundary move
+    and column 1 + c2 the move to the defect of row c2.  They hold each
+    move's path over the data qubits, its length and its parity on the
+    kind's logical.  A move between kinds does not exist: its path is empty
+    and its weight ``_NO_MOVE``.  No syndrome row mixes the kinds, so each
+    row sees only its own kind's moves, in their own order.
+    """
+
+    lattice: SurfaceLattice
+    parity: dict
+    paths: np.ndarray
+    weights: np.ndarray
+    flips: np.ndarray
+
+
+@cache
+def _layout(d: int) -> _Layout:
+    """The :class:`_Layout` at distance d."""
+    lattice = SurfaceLattice(d)
+    m = len(lattice.z_checks)       # as many as X checks
+    x_l, z_l = logical_ops(lattice)
+    paths = np.zeros((2 * m, 1 + 2 * m, lattice.n_data), dtype=np.int8)
+    weights = np.full((2 * m, 1 + 2 * m), _NO_MOVE, dtype=np.int32)
+    flips = np.zeros((2 * m, 1 + 2 * m), dtype=np.int8)
+    parity = {}
+    for at, kind, logical in ((0, "z", z_l), (m, "x", x_l)):
+        support = np.bitwise_or(*logical.bits())
+        parity[kind] = np.column_stack((lattice.adjacency(kind), support)).astype(np.float32)
+        rows, cols = slice(at, at + m), np.r_[0, 1 + at:1 + at + m]
+        paths[rows, cols], weights[rows, cols] = _move_table(d, kind)
+        flips[rows, cols] = paths[rows, cols] @ support & 1
+    for shared in (paths, weights, flips, *parity.values()):
+        shared.flags.writeable = False      # cached: every caller gets these
+    return _Layout(lattice, parity, paths, weights, flips)
 
 
 @cache
@@ -728,11 +782,12 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
     Accepts a single :class:`Syndrome` or a sequence over cycles; with the
     phenomenological model (perfect extraction) each cycle reports the
     parity of the cumulative error, so the final cycle carries all the
-    information and is the one decoded.  Each kind of check bits is one
-    syndrome row of the matcher :func:`logical_error_rate` runs, read back
-    as the XOR of the :func:`_move_table` paths of its moves: Z-check bits
-    give the X correction, X-check bits the Z one.  Corrections land in a
-    Pauli frame, never on the state.  Raises ``ValueError`` unless each bit
+    information and is the one decoded.  Its Z-check and X-check bits are
+    two syndrome rows of the :func:`_layout` move table that
+    :func:`logical_error_rate` matches, in one :func:`_matched_xor` call,
+    read back as the XOR of the paths of their moves: Z-check bits give
+    the X correction, X-check bits the Z one.  Corrections land in a Pauli
+    frame, never on the state.  Raises ``ValueError`` unless each bit
     array holds one bit per check of the lattice, and
     :class:`DecoderCapacityError` past ``MAX_DEFECTS`` defects of one kind.
     """
@@ -743,15 +798,16 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
         if not seq:
             raise ValueError("no syndromes to decode")
         syn = seq[-1]
-    frame = {}
-    n_checks = len(lattice.z_checks)        # as many as X checks
-    for kind, bits in (("z", syn.z_bits), ("x", syn.x_bits)):
-        if bits.shape != (n_checks,):
+    m = len(lattice.z_checks)       # as many as X checks
+    rows = np.zeros((2, 2 * m), dtype=np.int8)
+    for k, (kind, bits) in enumerate((("z", syn.z_bits), ("x", syn.x_bits))):
+        if bits.shape != (m,):
             raise ValueError(f"{kind.upper()}-check bits of shape {bits.shape} for "
-                             f"{n_checks} checks at d = {lattice.d}")
-        paths, weights = _move_table(lattice.d, kind)
-        frame[kind] = _matched_xor(bits[None], weights, paths)[0]
-    return PauliFrame(frame["z"], frame["x"])
+                             f"{m} checks at d = {lattice.d}")
+        rows[k, k * m:(k + 1) * m] = bits
+    layout = _layout(lattice.d)
+    frame_x, frame_z = _matched_xor(rows, layout.weights, layout.paths)
+    return PauliFrame(frame_x, frame_z)
 
 
 # ---------------------------------------------------------------------------
@@ -804,49 +860,52 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     The RNG is counter-based (Philox keyed by ``seed``): shot i consumes
     row i of one (shots, n_data, 2) array of uniform draws, so any shot is
     reproducible from (seed, shot index) alone.  The array is drawn in
-    blocks of ``_DRAW_SHOTS`` rows, which gives the same numbers.  Each
-    distinct syndrome of each kind is matched once, by the read-back
-    :func:`mwpm_decode` uses, in batches of equal defect count; instead of
-    the paths of the chosen moves it XORs their logical parities (each
-    :func:`_move_table` path's overlap with the logical operator, mod 2),
-    so no correction is built, and the parity is gathered back to the
-    shots that share the syndrome.  A shot with more than ``MAX_DEFECTS``
-    defects of one kind raises :class:`DecoderCapacityError` before any
-    matching.
+    blocks of ``_DRAW_SHOTS`` rows, which gives the same numbers, and no
+    error array outlives its block: :func:`_parities` turns each block into
+    the check bits and the logical parity of every shot, kept as one
+    integer key per shot and kind (the check bits, then the logical bit).
+    Each distinct syndrome of either kind is matched once, all of them in
+    one :func:`_matched_xor` call on the :func:`_layout` move table (the
+    read-back :func:`mwpm_decode` uses), in batches of equal defect count;
+    instead of the paths of the chosen moves it XORs their logical
+    parities, so no correction is built, and the parity is gathered back
+    to the shots that share the syndrome.  A shot with more than
+    ``MAX_DEFECTS`` defects of one kind raises
+    :class:`DecoderCapacityError` before any matching.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")
     if not (0.0 <= p <= 1.0 and cycles >= 1 and shots >= 1):
         raise ValueError("need 0 <= p <= 1, cycles >= 1 and shots >= 1")
-    lattice = SurfaceLattice(d)
-    x_l, z_l = logical_ops(lattice)
+    layout = _layout(d)
+    n_data, m = layout.lattice.n_data, len(layout.lattice.z_checks)
 
     p_cum = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    errors_x = np.empty((shots, lattice.n_data), dtype=np.int8)
-    errors_z = np.empty_like(errors_x)
+    # a shot's key of a kind: its check bits, with its logical parity as bit
+    # m (float32 sums are exact: m + 1 <= 21 bits, under 2^24)
+    bit_value = 2.0 ** np.arange(m + 1, dtype=np.float32)
+    keys = np.empty((2, shots), dtype=np.int32)     # Z-check keys, X-check keys
     for lo in range(0, shots, _DRAW_SHOTS):
-        draws = rng.random((min(_DRAW_SHOTS, shots - lo), lattice.n_data, 2))
-        errors_x[lo:lo + len(draws)] = draws[:, :, 0] < p_cum
-        errors_z[lo:lo + len(draws)] = draws[:, :, 1] < p_cum
+        errors = rng.random((min(_DRAW_SHOTS, shots - lo), n_data, 2)) < p_cum
+        x_bits, z_bits = _parities(layout.lattice, errors[:, :, 0], errors[:, :, 1])
+        keys[:, lo:lo + len(errors)] = z_bits @ bit_value, x_bits @ bit_value
 
-    syn_x, syn_z = _parities(lattice, errors_x, errors_z)
-    most = {"z": int(syn_z.sum(axis=1).max()), "x": int(syn_x.sum(axis=1).max())}
-    _check_capacity(max(most.values()))
-
+    # one matcher row per distinct syndrome: Z-check bits in the columns
+    # [0, m), X-check bits in [m, 2m)
+    found, inverse = zip(*(np.unique(k & ((1 << m) - 1), return_inverse=True)
+                           for k in keys))
+    split = len(found[0])
+    both = np.concatenate((found[0], found[1].astype("<i8") << m), dtype="<i8")
+    rows = np.unpackbits(both.view(np.uint8).reshape(-1, 8), axis=1, count=2 * m,
+                         bitorder="little")
+    counts = rows.sum(axis=1)
+    most = {"z": int(counts[:split].max()), "x": int(counts[split:].max())}
+    distinct = {"z": split, "x": len(both) - split}
     # a shot fails when its residual X error flips Z_L or its Z error X_L
-    failed = np.zeros(shots, dtype=bool)
-    distinct = {}
-    for kind, syn, errors, logical in (("z", syn_z, errors_x, z_l),
-                                       ("x", syn_x, errors_z, x_l)):
-        sup = np.bitwise_or(*logical.bits())       # 0/1 support of the logical
-        # int32 keys fit: d <= 5 has at most 20 checks of a kind
-        keys = syn.astype(np.int32) @ (1 << np.arange(syn.shape[1], dtype=np.int32))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct[kind] = len(first)
-        paths, weights = _move_table(d, kind)
-        flips = _matched_xor(syn[first], weights, paths @ sup % 2)
-        failed |= (errors @ sup + flips[inverse]) % 2 == 1
+    flips = _matched_xor(rows, layout.weights, layout.flips)
+    failed = (((keys[0] >> m) ^ flips[:split][inverse[0]])
+              | ((keys[1] >> m) ^ flips[split:][inverse[1]]))
     failures = int(failed.sum())
     rate = failures / shots
     lo, hi = _wilson_interval(failures, shots)

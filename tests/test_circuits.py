@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,46 @@ def test_flux_sweet_spot_diagonal_difference():
     diff = abs(dip["flux"][1, 1] - dip["flux"][0, 0])
     scale = abs(dip["flux"][0, 1]) + 1e-12
     assert diff < 1e-6 * max(scale, 1.0)
+
+
+def _dense_loop_dipoles(p, nlevels, npoints, extent=cir.DEFAULT_EXTENT):
+    """Oracle for loop ``dipole_elements``: the npoints x npoints charge
+    (central difference), sin and cos matrices, multiplied densely."""
+    v = cir.circuit_spectrum(p, max(nlevels, 2), extent=extent,
+                             npoints=npoints).eigenvectors[:, :nlevels]
+    phi = np.linspace(-extent, extent, npoints + 2)[1:-1]
+    n_op = np.zeros((npoints, npoints), dtype=complex)
+    idx = np.arange(npoints - 1)
+    n_op[idx, idx + 1] = -1j / (2 * (phi[1] - phi[0]))
+    n_op[idx + 1, idx] = +1j / (2 * (phi[1] - phi[0]))
+    return {"charge": v.conj().T @ (8 * p.e_c * n_op) @ v,
+            "flux": v.conj().T @ np.diag(-p.e_j * np.sin(phi - p.phi_ext)) @ v,
+            "ej": v.conj().T @ np.diag(-p.e_j * np.cos(phi - p.phi_ext)) @ v}
+
+
+@pytest.mark.parametrize("params", [cir.CircuitParams(5.0, 1.0, 1.0),
+                                    cir.CircuitParams(5.0, 1.0, 1.0, 0.0, np.pi),
+                                    cir.CircuitParams(2.0, 0.5, 1.0, 0.0, 1.0)])
+@pytest.mark.parametrize("nlevels", [1, 3, 5])
+def test_loop_dipoles_match_dense_operators(params, nlevels):
+    got = cir.dipole_elements(params, nlevels=nlevels, npoints=512)
+    want = _dense_loop_dipoles(params, nlevels, 512)
+    for key in ("charge", "flux", "ej"):
+        assert got[key].shape == (nlevels, nlevels) and got[key].dtype == complex
+        assert np.max(np.abs(got[key] - want[key])) < 1e-12
+
+
+def test_loop_dipoles_build_no_grid_matrix():
+    """At the default 2,048 points a dense npoints x npoints complex matrix
+    alone is 64 MB; the loop dipoles peak under 16 MB."""
+    p = cir.CircuitParams(5.0, 1.0, 1.0, 0.0, np.pi)
+    tracemalloc.start()
+    try:
+        cir.dipole_elements(p, nlevels=5, npoints=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_charge_matrix_element_zero_point():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scqsim import cli, coupling, experiments, gates
+from scqsim import surface_code as sc
 from scqsim import dynamics as dyn
 from scqsim.qcore import CZ_GATE, to_angular
 
@@ -156,6 +157,18 @@ def test_qec_flags_without_config(tmp_path):
     report = read_json(out / "qec.json")
     assert report["logical_error_rate"] == 0.0
     assert report["shots"] == 100
+
+
+def test_qec_manifest_carries_decoder_stats(tmp_path):
+    out = tmp_path / "qec"
+    assert run_cli(["qec", "--d", 5, "--p", 0.08, "--shots", 2000, "--out", out,
+                    "--seed", 11]) == 0
+    stats = read_json(out / "manifest.json")["stats"]
+    res = sc.logical_error_rate(5, 0.08, 1, 2000, 11)
+    assert stats == {"max_defects": res.max_defects,
+                     "distinct_syndromes": res.distinct_syndromes}
+    assert set(stats["max_defects"]) == {"z", "x"}
+    assert min(stats["distinct_syndromes"].values()) > 1
 
 
 @pytest.mark.parametrize("circuit", ["island", "loop"])

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -661,11 +662,12 @@ def test_decoder_matches_brute_force_weight():
 
 
 def _table_weight(picks, d, kind):
-    """Matching weight ``_match`` gives over the move-table weights of
-    defects on the checks ``picks`` (ascending)."""
-    _, weights = sc._move_table(d, kind)
-    cols = [0] + [1 + i for i in picks]
-    weight, _ = sc._match(weights[np.ix_(picks, cols)][None])
+    """Matching weight ``_match`` gives over the move weights of defects on
+    the checks ``picks`` (ascending) in the layout's block-diagonal table."""
+    weights = sc._layout(d).weights
+    rows = [i + (len(weights) // 2 if kind == "x" else 0) for i in picks]
+    cols = [0] + [1 + i for i in rows]
+    weight, _ = sc._match(weights[np.ix_(rows, cols)][None])
     return int(weight[0])
 
 
@@ -773,6 +775,80 @@ def test_x_paths_are_the_z_rule_transposed(d):
     assert np.array_equal(weights, want.sum(axis=-1))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_layout_is_the_move_tables_block_diagonal(d):
+    """The layout's move table holds each kind's ``_move_table`` on its own
+    diagonal block (Z checks first), the moves' logical parities beside it,
+    and no move between kinds; its parity matrices are the adjacency with
+    the logical support as last column."""
+    lat = sc.SurfaceLattice(d)
+    layout = sc._layout(d)
+    m = len(lat.z_checks)
+    x_l, z_l = sc.logical_ops(lat)
+    assert layout.lattice == lat
+    for at, kind, logical in ((0, "z", z_l), (m, "x", x_l)):
+        support = np.bitwise_or(*logical.bits()).astype(int)
+        paths, weights = sc._move_table(d, kind)
+        rows = slice(at, at + m)
+        own, other = np.r_[0, 1 + at:1 + at + m], np.arange(1 + m - at, 1 + 2 * m - at)
+        assert np.array_equal(layout.paths[rows][:, own], paths)
+        assert np.array_equal(layout.weights[rows][:, own], weights)
+        assert np.array_equal(layout.flips[rows][:, own], paths.astype(int) @ support % 2)
+        assert not layout.paths[rows][:, other].any()
+        assert (layout.weights[rows][:, other] == sc._NO_MOVE).all()
+        assert layout.parity[kind].dtype == np.float32
+        assert np.array_equal(layout.parity[kind],
+                              np.column_stack((lat.adjacency(kind), support)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_parities_match_integer_oracle(d):
+    """``_parities`` against integer matmuls mod 2: the check bits, then the
+    parity on the guarded logical, as int8, for random and all-ones
+    patterns, one pattern or many, int8 or bool."""
+    lat = sc.SurfaceLattice(d)
+    x_l, z_l = sc.logical_ops(lat)
+    oracle = {kind: np.column_stack((lat.adjacency(kind),
+                                     np.bitwise_or(*logical.bits()))).astype(int)
+              for kind, logical in (("x", x_l), ("z", z_l))}
+    rng = np.random.default_rng(50 + d)
+    for ex, ez in ((rng.random((2, 64, lat.n_data)) < 0.3).astype(np.int8),
+                   np.ones((2, 3, lat.n_data), dtype=np.int8)):
+        for pair in ((ex, ez), (ex[0], ez[0]), (ex.astype(bool), ez.astype(bool))):
+            x_bits, z_bits = sc._parities(lat, *pair)
+            assert x_bits.dtype == z_bits.dtype == np.int8
+            assert np.array_equal(x_bits, pair[1].astype(int) @ oracle["x"] % 2)
+            assert np.array_equal(z_bits, pair[0].astype(int) @ oracle["z"] % 2)
+            syn = sc.syndrome_from_errors(lat, *pair)
+            assert np.array_equal(syn.x_bits, x_bits[..., :-1])
+            assert np.array_equal(syn.z_bits, z_bits[..., :-1])
+
+
+def test_layout_is_built_once(monkeypatch):
+    """After a warm call, the Monte Carlo, the decoder and the parity rule
+    build no adjacency and no move table: they read the cached layout,
+    whose arrays are read-only."""
+    lat = sc.SurfaceLattice(5)
+    warm = sc.logical_error_rate(5, 0.08, 1, 300, 3)
+    layout = sc._layout(5)
+
+    def no_build(*args):
+        raise AssertionError("layout rebuilt")
+
+    monkeypatch.setattr(sc.SurfaceLattice, "adjacency", no_build)
+    monkeypatch.setattr(sc, "_move_table", no_build)
+    assert sc.logical_error_rate(5, 0.08, 1, 300, 3) == warm
+    ex = np.zeros(lat.n_data, dtype=np.int8)
+    ex[[3, 20]] = 1
+    frame = sc.mwpm_decode(sc.syndrome_from_errors(lat, ex, ex[::-1].copy()), lat)
+    assert frame.x.any() and frame.z.any()
+    assert sc._layout(5) is layout
+    for shared in (layout.paths, layout.weights, layout.flips, *layout.parity.values()):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+
+
 def _pairs_correction(defects, pairs, lat, kind):
     """The data-qubit correction built from matched pairs of ``defects``."""
     out = np.zeros(lat.n_data, dtype=np.int8)
@@ -826,6 +902,28 @@ def test_decode_clears_its_own_syndrome(data):
     again = sc.syndrome_from_errors(lat, frame.x, frame.z)
     assert np.array_equal(again.x_bits, x_bits)
     assert np.array_equal(again.z_bits, z_bits)
+
+
+def test_decode_matches_per_kind_matcher():
+    """``mwpm_decode`` matches both kinds in one call on the layout's table;
+    the oracle matches each kind on its own ``_move_table``, one
+    ``_matched_xor`` call per kind.  200 random d = 5 syndromes."""
+    lat = sc.SurfaceLattice(5)
+    m = len(lat.z_checks)
+    tables = {kind: sc._move_table(5, kind) for kind in "zx"}
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        bits = {}
+        for kind in "zx":
+            bits[kind] = np.zeros(m, dtype=np.int8)
+            picks = rng.choice(m, size=rng.integers(0, sc.MAX_DEFECTS + 1), replace=False)
+            bits[kind][picks] = 1
+        frame = sc.mwpm_decode(sc.Syndrome(0, bits["x"], bits["z"]), lat)
+        want = {kind: sc._matched_xor(bits[kind][None], tables[kind][1],
+                                      tables[kind][0])[0] for kind in "zx"}
+        assert frame.x.dtype == frame.z.dtype == np.int8
+        assert np.array_equal(frame.x, want["z"])
+        assert np.array_equal(frame.z, want["x"])
 
 
 def test_decoder_capacity_limit():
@@ -913,7 +1011,7 @@ def _looped_failures(d, p, cycles, shots, seed):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("p", [1e-3, 0.03, 0.08])
+@pytest.mark.parametrize("p", [1e-3, 0.03, 0.08, 0.15])
 @pytest.mark.parametrize("cycles", [1, 3])
 def test_decode_once_matches_per_shot_loop(d, p, cycles):
     shots, seed = 300, 17
@@ -934,6 +1032,34 @@ def _documented_syndromes(d, p, shots, seed):
         (shots, lat.n_data, 2))
     return ((draws[:, :, 0] < p).astype(int) @ lat.adjacency("z") % 2,
             (draws[:, :, 1] < p).astype(int) @ lat.adjacency("x") % 2)
+
+
+@pytest.mark.parametrize("shots", [1023, 1024, 1025, 2049])
+def test_draw_block_edges_match_per_shot_loop(shots):
+    """Shot counts around the 1,024-shot draw blocks: failures equal the
+    per-shot loop's, and the counts the documented syndromes'."""
+    assert sc._DRAW_SHOTS == 1024
+    d, p, seed = 5, 0.08, 23
+    res = sc.logical_error_rate(d, p, 1, shots, seed)
+    assert res.failures == _looped_failures(d, p, 1, shots, seed)
+    for kind, syn in zip("zx", _documented_syndromes(d, p, shots, seed)):
+        assert res.max_defects[kind] == syn.sum(axis=1).max()
+        assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
+
+
+def test_monte_carlo_memory_bound():
+    """No full-size error array: once its caches are warm, the 10,000-shot
+    d = 5, p = 0.15 call peaks under 6 MB of traced allocations.  Keeping
+    float32 (shots, n_data) error arrays of both kinds takes it to about
+    7.2 MB."""
+    sc.logical_error_rate(5, 0.15, 1, 10000, 7)
+    tracemalloc.start()
+    try:
+        sc.logical_error_rate(5, 0.15, 1, 10000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_monte_carlo_past_the_old_capacity():
