@@ -656,7 +656,7 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
             v = close[inverse[acc[0]]] @ (maps[0] @ v0)
             p1 = 0.5 * (1.0 - v[3])
             q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1   # observed P(0)
-            q = float(np.clip(q, 0.0, 1.0))
+            q = min(max(q, 0.0), 1.0)       # np.clip's value, NaN too, at 1/10 the cost
             if cfg.shots:
                 vals[s] = rng.binomial(cfg.shots, q) / cfg.shots
             else:

@@ -355,7 +355,13 @@ class SurfaceLattice:
         return pos[0] * self.size + pos[1]
 
     def data_index(self, pos) -> int:
-        return self.data.index(pos)
+        """Index of a data qubit in ``data``: data cells are the even cell
+        indices of the row-major grid (its size is odd), so it is half the
+        cell index.  Raises ``ValueError`` for any other position."""
+        r, c = pos
+        if not (0 <= r < self.size and 0 <= c < self.size and (r + c) % 2 == 0):
+            raise ValueError(f"{pos} is not a data qubit at d = {self.d}")
+        return (r * self.size + c) // 2
 
     def check_support(self, pos) -> list:
         """Data qubits adjacent to a syndrome qubit (2 on edges, 4 inside)."""
@@ -539,14 +545,24 @@ MAX_DEFECTS = 19
 """Most defects of one check type the exact matcher takes in one syndrome.
 
 The matcher is a DP over subsets of the defects that always matches the
-lowest one left, to the boundary or to a partner.  From the full set that
-reaches only Fibonacci-many subsets, and it visits no others: 987 at 14
-defects and 10,946 at 19 (counting the empty one), against 2^19 = 524,288
-for the full table.  Each further defect multiplies the states and the run
-time by ~1.6; past 19, :class:`DecoderCapacityError` is raised instead."""
+lowest one left, to the boundary or to a partner, so a state of k defects
+has exactly k moves.  From the full set that reaches only Fibonacci-many
+subsets, and it visits no others: 987 at 14 defects and 10,946 at 19
+(counting the empty one), against 2^19 = 524,288 for the full table, with
+6,255 and 93,845 moves in all.  Each further defect multiplies the states
+by ~1.6 and the moves by ~1.7; past 19, :class:`DecoderCapacityError` is
+raised instead."""
 
 _NO_MOVE = 1 << 20      # weight of a move that does not exist (> any matching)
-_MOVE_BITS = 5          # low bits of a DP key that hold the move (1 + n <= 32)
+# A DP key is one int32: weight << 7 | move << 2 | parity.  The move (0 for
+# the boundary, 1 + j for partner j; 1 + n <= 20 < 32) sits in bits 2-6,
+# and bits 0-1 hold the sum of two parity bits (at most 2, so no carry into
+# the move).  That leaves 24 bits of weight: a matching may weigh up to
+# 2^24 - 1, and ``_NO_MOVE << 7`` = 2^27 still fits.
+_WEIGHT_SHIFT = 7
+_MOVE_SHIFT = 2
+_MOVE_MASK = 31
+_STORED = ~0b1111110    # a stored key keeps the weight and parity bit 0 only
 
 
 def _check_capacity(n_defects: int) -> None:
@@ -621,21 +637,22 @@ class _Layout(NamedTuple):
     ``parity[kind]`` is (n_data, m + 1) float32, m checks of a kind: the
     kind's :meth:`SurfaceLattice.adjacency` and, as its last column, the
     support of the logical its checks guard (Z_L for "z", X_L for "x").
-    ``paths``, ``weights`` and ``flips`` are one block-diagonal move table
-    over both kinds, indexed like a :func:`_move_table` with 2m checks: Z
-    check c is row c and X check c row m + c, column 0 is the boundary move
-    and column 1 + c2 the move to the defect of row c2.  They hold each
-    move's path over the data qubits, its length and its parity on the
-    kind's logical.  A move between kinds does not exist: its path is empty
-    and its weight ``_NO_MOVE``.  No syndrome row mixes the kinds, so each
-    row sees only its own kind's moves, in their own order.
+    ``paths`` and ``move_keys`` are one block-diagonal move table over both
+    kinds, indexed like a :func:`_move_table` with 2m checks: Z check c is
+    row c and X check c row m + c, column 0 is the boundary move and column
+    1 + c2 the move to the defect of row c2.  ``paths`` holds each move's
+    path over the data qubits; ``move_keys`` its DP key without the move,
+    ``weight << 7 | flip``, the weight being the path length and the flip
+    its parity on the kind's logical.  A move between kinds does not exist:
+    its path is empty and its weight ``_NO_MOVE``.  No syndrome row mixes
+    the kinds, so each row sees only its own kind's moves, in their own
+    order.
     """
 
     lattice: SurfaceLattice
     parity: dict
     paths: np.ndarray
-    weights: np.ndarray
-    flips: np.ndarray
+    move_keys: np.ndarray
 
 
 @cache
@@ -645,23 +662,44 @@ def _layout(d: int) -> _Layout:
     m = len(lattice.z_checks)       # as many as X checks
     x_l, z_l = logical_ops(lattice)
     paths = np.zeros((2 * m, 1 + 2 * m, lattice.n_data), dtype=np.int8)
-    weights = np.full((2 * m, 1 + 2 * m), _NO_MOVE, dtype=np.int32)
-    flips = np.zeros((2 * m, 1 + 2 * m), dtype=np.int8)
+    move_keys = np.full((2 * m, 1 + 2 * m), _NO_MOVE << _WEIGHT_SHIFT, dtype=np.int32)
     parity = {}
     for at, kind, logical in ((0, "z", z_l), (m, "x", x_l)):
         support = np.bitwise_or(*logical.bits())
         parity[kind] = np.column_stack((lattice.adjacency(kind), support)).astype(np.float32)
         rows, cols = slice(at, at + m), np.r_[0, 1 + at:1 + at + m]
-        paths[rows, cols], weights[rows, cols] = _move_table(d, kind)
-        flips[rows, cols] = paths[rows, cols] @ support & 1
-    for shared in (paths, weights, flips, *parity.values()):
+        paths[rows, cols], weights = _move_table(d, kind)
+        move_keys[rows, cols] = weights << _WEIGHT_SHIFT | paths[rows, cols] @ support & 1
+    for shared in (paths, move_keys, *parity.values()):
         shared.flags.writeable = False      # cached: every caller gets these
-    return _Layout(lattice, parity, paths, weights, flips)
+    return _Layout(lattice, parity, paths, move_keys)
+
+
+class _Plan(NamedTuple):
+    """The states of the matching DP over n defects and their moves.
+
+    ``levels`` is the index where each size level starts, plus the end.
+    ``first`` (int8) is the lowest defect of each state and ``child``
+    ((states, 1 + n) int16) the state each move leads to, -1 where the move
+    does not exist; only :func:`mwpm_decode`'s read-back uses them.  The DP
+    reads ``moves`` and ``children``: per size level k = 1..n, (k, L_k)
+    int16 tables of the k moves of each of the level's L_k states, in scan
+    order (boundary first, then partners ascending).  A move is given as
+    its row ``move * n + first`` in :func:`_match`'s table of move keys,
+    its child as a state index.  ``width`` is the most moves on one level.
+    """
+
+    levels: np.ndarray
+    first: np.ndarray
+    child: np.ndarray
+    moves: tuple
+    children: tuple
+    width: int
 
 
 @cache
-def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The states of the matching DP over n defects, built once per n.
+def _matching_plan(n: int) -> _Plan:
+    """The :class:`_Plan` over n defects, built once per n.
 
     A state is the set (bit mask) of defects still unmatched.  Its lowest
     defect f goes to the boundary (move 0, to the state without f) or to a
@@ -669,11 +707,6 @@ def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Only the states these moves reach from the full set are kept, ordered
     by size (then by mask), so each size level depends on smaller ones
     only; state 0 is the empty set and the last state the full set.
-
-    Returns ``first`` (f of every state), ``child`` ((states, 1 + n) int32:
-    the state each move leads to, or ``len(first)`` where the move does not
-    exist) and ``levels`` (the index where each size level starts, plus the
-    end).
     """
     bit = 1 << np.arange(n, dtype=np.int64)
 
@@ -690,90 +723,93 @@ def _matching_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     levels = np.concatenate(([0], np.cumsum([len(m) for m in by_size])))
     masks = np.concatenate(by_size)
 
-    def index(to, k):       # state index of each mask, len(masks) for none
+    def index(to, k):       # state index of each mask, -1 for none
         if k < 0:
-            return len(masks)
-        at = levels[k] + np.searchsorted(by_size[k], to)
-        return np.where(to >= 0, at, len(masks))
+            return -1
+        return np.where(to >= 0, levels[k] + np.searchsorted(by_size[k], to), -1)
 
-    child = np.empty((len(masks), 1 + n), dtype=np.int32)
-    child[0] = len(masks)
+    first = np.log2(np.maximum(masks & -masks, 1)).astype(np.int8)
+    child = np.full((len(masks), 1 + n), -1, dtype=np.int16)
+    level_moves, level_children = [], []
     for k in range(1, n + 1):
         rest, pair = moves(by_size[k])
-        child[levels[k]:levels[k + 1], 0] = index(rest, k - 1)
-        child[levels[k]:levels[k + 1], 1:] = index(pair, k - 2)
-    first = np.log2(np.maximum(masks & -masks, 1)).astype(np.int32)
-    for shared in (first, child, levels):     # cached: every caller gets these
-        shared.flags.writeable = False
-    return first, child, levels
+        rows = child[levels[k]:levels[k + 1]]
+        rows[:, 0] = index(rest, k - 1)
+        rows[:, 1:] = index(pair, k - 2)
+        state, move = np.nonzero(rows >= 0)     # row by row: a state's k moves in order
+        row = move * n + first[levels[k] + state]
+        level_moves.append(np.ascontiguousarray(row.reshape(-1, k).T, dtype=np.int16))
+        level_children.append(np.ascontiguousarray(rows[state, move].reshape(-1, k).T))
+    for shared in (levels, first, child, *level_moves, *level_children):
+        shared.flags.writeable = False      # cached: every caller gets these
+    return _Plan(levels, first, child, tuple(level_moves), tuple(level_children),
+                 max(t.size for t in level_moves))
 
 
-def _match(move_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _match(move_key: np.ndarray) -> np.ndarray:
     """Exact minimum-weight matching of S defect sets of one size n at once.
 
-    ``move_weight`` is (S, n, 1 + n): per set, the :func:`_move_table`
-    weights of its defects' moves.  Every state of :func:`_matching_plan`
-    is solved for all S sets, one size level at a time.  A candidate's key
-    is its weight times 32 plus its move, so the smallest key is the
-    lightest candidate and, among equal weights, the first one scanned
-    (boundary first, then partners in ascending order): a later candidate
-    must be strictly lighter to win.
+    ``move_key`` is (S, n, 1 + n): per set, the :func:`_layout` move keys
+    ``weight << 7 | flip`` of its defects' moves, as in a
+    :func:`_move_table` with the set's defects as its checks.  Every state
+    of :func:`_matching_plan` is solved for all S sets, one size level at a
+    time, over the k moves of each state of size k only.  A candidate's key
+    is ``weight << 7 | move << 2 | parity``, the weight and parity being
+    those of the move plus its child's, so the smallest key is the lightest
+    candidate and, among equal weights, the first one scanned (boundary
+    first, then partners in ascending order): a later candidate must be
+    strictly lighter to win.  The moves of a state are distinct, so the
+    parity bits never decide.  They hold the sum of the child's parity and
+    the move's flip; a state stores its winner with the move and bit 1
+    cleared, so bit 0 is the XOR of the flips along its matching and no
+    sum ever carries into the move bits.
 
-    Returns the weight of each set's matching, (S,), and the move chosen in
-    every state, (states, S), from which the matching is read back.
+    Returns each state's winning candidate for every set, (states, S)
+    int32: for the full set (the last row), ``>> 7`` is the matching's
+    weight and ``& 1`` its parity on the logical, and ``>> 2 & 31`` is the
+    move chosen in any state, from which the matching is read back.
     """
-    s, n = move_weight.shape[:2]
-    first, child, levels = _matching_plan(n)
-    move_key = np.ascontiguousarray(   # (1 + n, n, S)
-        ((move_weight << _MOVE_BITS) + np.arange(1 + n, dtype=np.int32)).T)
-    key = np.zeros((len(first) + 1, s), dtype=np.int32)
-    key[-1] = _NO_MOVE << _MOVE_BITS
-    choice = np.zeros((len(first), s), dtype=np.int8)
-    for lo, hi in zip(levels[1:-1], levels[2:]):
-        best = (key[child[lo:hi].T] + move_key[:, first[lo:hi]]).min(axis=0)
-        choice[lo:hi] = best & ((1 << _MOVE_BITS) - 1)
-        key[lo:hi] = best - choice[lo:hi]
-    return key[len(first) - 1] >> _MOVE_BITS, choice
+    s, n = move_key.shape[:2]
+    plan = _matching_plan(n)
+    move_ids = np.arange(1 + n, dtype=np.int32) << _MOVE_SHIFT
+    table = np.ascontiguousarray((move_key + move_ids).T).reshape(-1, s)
+    key = np.zeros((plan.levels[-1], s), dtype=np.int32)
+    best = np.zeros_like(key)
+    for lo, hi, moves, children in zip(plan.levels[1:-1], plan.levels[2:],
+                                       plan.moves, plan.children):
+        candidates = key[children]
+        candidates += table[moves]
+        np.minimum.reduce(candidates, axis=0, out=best[lo:hi])
+        np.bitwise_and(best[lo:hi], _STORED, out=key[lo:hi])
+    return best
 
 
-_CHUNK = 1 << 16        # DP candidates (sets x states x moves) per level step
+_CHUNK = 1 << 15        # DP candidates (sets x moves) per level step
 
 
-def _matched_xor(syn: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The minimum-weight matching of each syndrome row, read back as the
-    XOR of ``table``'s entries over its moves.
+def _matchings(syn: np.ndarray, move_keys: np.ndarray):
+    """Match every syndrome row with :func:`_match`, in batches.
 
-    ``syn`` is (rows, checks) of 0/1 bits; ``weights`` and ``table`` are
-    indexed like a :func:`_move_table` (defect check, move), and ``table``
-    may carry trailing axes (a path over the data qubits, or none for a
-    logical parity).  Rows with the same defect count are matched together,
-    in chunks of at most about ``_CHUNK`` DP candidates per level, and each
-    matching is walked back from the full set along the chosen moves.
+    ``syn`` is (rows, checks) of 0/1 bits and ``move_keys`` is indexed like
+    a :func:`_move_table` (defect check, move).  Rows with the same defect
+    count are matched together, in chunks of at most ``_CHUNK`` DP
+    candidates per level.  Yields, per chunk, the row indices, their
+    defects ((rows, n) check indices, ascending) and :func:`_match`'s keys.
+    Raises :class:`DecoderCapacityError` past ``MAX_DEFECTS`` defects in a
+    row, before any matching.
     """
     counts = syn.sum(axis=1)
     _check_capacity(int(counts.max(initial=0)))
-    out = np.zeros((len(syn),) + table.shape[2:], dtype=table.dtype)
     for n in sorted(set(counts.tolist()) - {0}):
-        first, child, levels = _matching_plan(n)
         rows = np.nonzero(counts == n)[0]
-        step = max(1, _CHUNK // (int(np.diff(levels).max()) * (1 + n)))
+        step = max(1, _CHUNK // _matching_plan(n).width)
         for lo in range(0, len(rows), step):
             part = rows[lo:lo + step]
             defects = np.nonzero(syn[part])[1].reshape(len(part), n)
             cols = np.concatenate((np.zeros((len(part), 1), dtype=defects.dtype),
                                    1 + defects), axis=1)
-            at = (defects[:, :, None], cols[:, None, :])
-            _, choice = _match(weights[at])
-            move_entry = table[at]
-            sets = np.arange(len(part))
-            state = np.full(len(part), len(first) - 1)
-            while len(sets):
-                move = choice[state, sets]
-                out[part[sets]] ^= move_entry[sets, first[state], move]
-                state = child[state, move]
-                live = state > 0
-                sets, state = sets[live], state[live]
-    return out
+            # gathered as (1 + n, n, S), so _match transposes it back without a copy
+            yield part, defects, _match(move_keys[defects.T, cols.T[:, None]].T)
 
 
 def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
@@ -784,12 +820,13 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
     parity of the cumulative error, so the final cycle carries all the
     information and is the one decoded.  Its Z-check and X-check bits are
     two syndrome rows of the :func:`_layout` move table that
-    :func:`logical_error_rate` matches, in one :func:`_matched_xor` call,
-    read back as the XOR of the paths of their moves: Z-check bits give
-    the X correction, X-check bits the Z one.  Corrections land in a Pauli
-    frame, never on the state.  Raises ``ValueError`` unless each bit
-    array holds one bit per check of the lattice, and
-    :class:`DecoderCapacityError` past ``MAX_DEFECTS`` defects of one kind.
+    :func:`logical_error_rate` matches, matched by the same
+    :func:`_matchings` call; each matching is then read back from the full
+    set along the chosen moves, XORing their paths: Z-check bits give the X
+    correction, X-check bits the Z one.  Corrections land in a Pauli frame,
+    never on the state.  Raises ``ValueError`` unless each bit array holds
+    one bit per check of the lattice, and :class:`DecoderCapacityError`
+    past ``MAX_DEFECTS`` defects of one kind.
     """
     if isinstance(syndromes, Syndrome):
         syn = syndromes
@@ -806,8 +843,17 @@ def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
                              f"{m} checks at d = {lattice.d}")
         rows[k, k * m:(k + 1) * m] = bits
     layout = _layout(lattice.d)
-    frame_x, frame_z = _matched_xor(rows, layout.weights, layout.paths)
-    return PauliFrame(frame_x, frame_z)
+    frame = np.zeros((2, lattice.n_data), dtype=np.int8)
+    for part, defects, best in _matchings(rows, layout.move_keys):
+        plan = _matching_plan(defects.shape[1])
+        for row, picks, won in zip(part, defects, best.T):
+            cols = np.r_[0, 1 + picks]
+            state = len(plan.first) - 1
+            while state:
+                move = won[state] >> _MOVE_SHIFT & _MOVE_MASK
+                frame[row] ^= layout.paths[picks[plan.first[state]], cols[move]]
+                state = plan.child[state, move]
+    return PauliFrame(frame[0], frame[1])
 
 
 # ---------------------------------------------------------------------------
@@ -864,12 +910,13 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     error array outlives its block: :func:`_parities` turns each block into
     the check bits and the logical parity of every shot, kept as one
     integer key per shot and kind (the check bits, then the logical bit).
-    Each distinct syndrome of either kind is matched once, all of them in
-    one :func:`_matched_xor` call on the :func:`_layout` move table (the
-    read-back :func:`mwpm_decode` uses), in batches of equal defect count;
-    instead of the paths of the chosen moves it XORs their logical
-    parities, so no correction is built, and the parity is gathered back
-    to the shots that share the syndrome.  A shot with more than
+    Each distinct syndrome of either kind is matched once, all of them by
+    one :func:`_matchings` call on the :func:`_layout` move table (the one
+    :func:`mwpm_decode` uses), in batches of equal defect count.  The DP
+    carries the logical parity of each matching in its keys, so the parity
+    is read straight off the full set's key: no matching is read back and
+    no correction is built.  The parity is gathered back to the shots that
+    share the syndrome.  A shot with more than
     ``MAX_DEFECTS`` defects of one kind raises
     :class:`DecoderCapacityError` before any matching.
     """
@@ -903,7 +950,9 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     most = {"z": int(counts[:split].max()), "x": int(counts[split:].max())}
     distinct = {"z": split, "x": len(both) - split}
     # a shot fails when its residual X error flips Z_L or its Z error X_L
-    flips = _matched_xor(rows, layout.weights, layout.flips)
+    flips = np.zeros(len(rows), dtype=np.int8)
+    for part, _, best in _matchings(rows, layout.move_keys):
+        flips[part] = best[-1] & 1
     failed = (((keys[0] >> m) ^ flips[:split][inverse[0]])
               | ((keys[1] >> m) ^ flips[split:][inverse[1]]))
     failures = int(failed.sum())

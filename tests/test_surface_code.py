@@ -457,6 +457,20 @@ def test_d2_lattice_matches_worked_example():
     assert zl.letters == sc.D2_LOGICAL_Z.letters
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_data_index_is_the_position_in_data(d):
+    """``data_index`` equals ``data.index`` on every data cell and raises
+    ``ValueError`` on every check cell and off the grid."""
+    lat = sc.SurfaceLattice(d)
+    for r in range(-1, lat.size + 1):
+        for c in range(-1, lat.size + 1):
+            if (r, c) in lat.data:
+                assert lat.data_index((r, c)) == lat.data.index((r, c))
+            else:
+                with pytest.raises(ValueError, match="not a data qubit"):
+                    lat.data_index((r, c))
+
+
 # ---------------------------------------------------------------------------
 # Syndrome extraction
 # ---------------------------------------------------------------------------
@@ -662,13 +676,13 @@ def test_decoder_matches_brute_force_weight():
 
 
 def _table_weight(picks, d, kind):
-    """Matching weight ``_match`` gives over the move weights of defects on
+    """Matching weight ``_match`` gives over the move keys of defects on
     the checks ``picks`` (ascending) in the layout's block-diagonal table."""
-    weights = sc._layout(d).weights
-    rows = [i + (len(weights) // 2 if kind == "x" else 0) for i in picks]
+    move_keys = sc._layout(d).move_keys
+    rows = [i + (len(move_keys) // 2 if kind == "x" else 0) for i in picks]
     cols = [0] + [1 + i for i in rows]
-    weight, _ = sc._match(weights[np.ix_(rows, cols)][None])
-    return int(weight[0])
+    best = sc._match(move_keys[np.ix_(rows, cols)][None])
+    return int(best[-1, 0] >> 7)
 
 
 def _recursive_matching(defects, size, kind):
@@ -778,9 +792,9 @@ def test_x_paths_are_the_z_rule_transposed(d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_layout_is_the_move_tables_block_diagonal(d):
     """The layout's move table holds each kind's ``_move_table`` on its own
-    diagonal block (Z checks first), the moves' logical parities beside it,
-    and no move between kinds; its parity matrices are the adjacency with
-    the logical support as last column."""
+    diagonal block (Z checks first), its move keys the weight << 7 and the
+    moves' logical parities in bit 0, and no move between kinds; its parity
+    matrices are the adjacency with the logical support as last column."""
     lat = sc.SurfaceLattice(d)
     layout = sc._layout(d)
     m = len(lat.z_checks)
@@ -792,10 +806,11 @@ def test_layout_is_the_move_tables_block_diagonal(d):
         rows = slice(at, at + m)
         own, other = np.r_[0, 1 + at:1 + at + m], np.arange(1 + m - at, 1 + 2 * m - at)
         assert np.array_equal(layout.paths[rows][:, own], paths)
-        assert np.array_equal(layout.weights[rows][:, own], weights)
-        assert np.array_equal(layout.flips[rows][:, own], paths.astype(int) @ support % 2)
+        assert layout.move_keys.dtype == np.int32
+        keys = layout.move_keys[rows]
+        assert np.array_equal(keys[:, own], weights << 7 | paths.astype(int) @ support % 2)
         assert not layout.paths[rows][:, other].any()
-        assert (layout.weights[rows][:, other] == sc._NO_MOVE).all()
+        assert (keys[:, other] == sc._NO_MOVE << 7).all()
         assert layout.parity[kind].dtype == np.float32
         assert np.array_equal(layout.parity[kind],
                               np.column_stack((lat.adjacency(kind), support)))
@@ -843,7 +858,7 @@ def test_layout_is_built_once(monkeypatch):
     frame = sc.mwpm_decode(sc.syndrome_from_errors(lat, ex, ex[::-1].copy()), lat)
     assert frame.x.any() and frame.z.any()
     assert sc._layout(5) is layout
-    for shared in (layout.paths, layout.weights, layout.flips, *layout.parity.values()):
+    for shared in (layout.paths, layout.move_keys, *layout.parity.values()):
         assert not shared.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0
@@ -904,10 +919,196 @@ def test_decode_clears_its_own_syndrome(data):
     assert np.array_equal(again.z_bits, z_bits)
 
 
+# The padded matcher the compact DP replaced, kept as its oracle: every
+# state scans all 1 + n moves, a move that does not exist reads a sentinel
+# key, and the logical parity is walked back from the full set.
+
+@lru_cache(maxsize=None)
+def _padded_plan(n):
+    """``first`` (lowest defect of each state), ``child`` ((states, 1 + n)
+    int32: the state each move leads to, ``len(first)`` where the move does
+    not exist) and ``levels`` (start of each size level, plus the end)."""
+    bit = 1 << np.arange(n, dtype=np.int64)
+
+    def moves(masks):
+        rest = masks & (masks - 1)
+        return rest, np.where(rest[:, None] & bit != 0, rest[:, None] ^ bit, -1)
+
+    by_size = [np.zeros(0, dtype=np.int64)] * (n + 1)
+    by_size[n] = np.array([(1 << n) - 1], dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        pairs = moves(by_size[k + 2])[1] if k + 2 <= n else np.zeros(0, np.int64)
+        found = np.sort(np.concatenate((moves(by_size[k + 1])[0], pairs[pairs >= 0])))
+        by_size[k] = found[np.r_[True, found[1:] != found[:-1]]]
+    levels = np.concatenate(([0], np.cumsum([len(m) for m in by_size])))
+    masks = np.concatenate(by_size)
+
+    def index(to, k):
+        if k < 0:
+            return len(masks)
+        at = levels[k] + np.searchsorted(by_size[k], to)
+        return np.where(to >= 0, at, len(masks))
+
+    child = np.empty((len(masks), 1 + n), dtype=np.int32)
+    child[0] = len(masks)
+    for k in range(1, n + 1):
+        rest, pair = moves(by_size[k])
+        child[levels[k]:levels[k + 1], 0] = index(rest, k - 1)
+        child[levels[k]:levels[k + 1], 1:] = index(pair, k - 2)
+    first = np.log2(np.maximum(masks & -masks, 1)).astype(np.int32)
+    return first, child, levels
+
+
+def _padded_match(move_weight):
+    """Weight of each set's matching and the move chosen in every state,
+    (states, S), from (S, n, 1 + n) move weights; keys are weight * 32 +
+    move."""
+    s, n = move_weight.shape[:2]
+    first, child, levels = _padded_plan(n)
+    move_key = np.ascontiguousarray(((move_weight << 5) + np.arange(1 + n)).T)
+    key = np.zeros((len(first) + 1, s), dtype=np.int32)
+    key[-1] = sc._NO_MOVE << 5
+    choice = np.zeros((len(first), s), dtype=np.int8)
+    for lo, hi in zip(levels[1:-1], levels[2:]):
+        best = (key[child[lo:hi].T] + move_key[:, first[lo:hi]]).min(axis=0)
+        choice[lo:hi] = best & 31
+        key[lo:hi] = best - choice[lo:hi]
+    return key[len(first) - 1] >> 5, choice
+
+
+def _padded_walk(choice, move_entry):
+    """XOR of ``move_entry`` ((S, n, 1 + n, ...)) over each set's moves,
+    walked back from the full set along ``choice``."""
+    s, n = move_entry.shape[:2]
+    first, child, _ = _padded_plan(n)
+    out = np.zeros((s,) + move_entry.shape[3:], dtype=move_entry.dtype)
+    sets, state = np.arange(s), np.full(s, len(first) - 1)
+    while len(sets):
+        move = choice[state, sets]
+        out[sets] ^= move_entry[sets, first[state], move]
+        state = child[state, move]
+        live = state > 0
+        sets, state = sets[live], state[live]
+    return out
+
+
+def _padded_matched_xor(syn, weights, table):
+    """The padded matching of each syndrome row, as the XOR of ``table``'s
+    entries (indexed like a ``_move_table``) over its moves."""
+    counts = syn.sum(axis=1)
+    out = np.zeros((len(syn),) + table.shape[2:], dtype=table.dtype)
+    for n in sorted(set(counts.tolist()) - {0}):
+        rows = np.nonzero(counts == n)[0]
+        defects = np.nonzero(syn[rows])[1].reshape(len(rows), n)
+        cols = np.concatenate((np.zeros((len(rows), 1), dtype=int), 1 + defects), axis=1)
+        at = (defects[:, :, None], cols[:, None, :])
+        out[rows] = _padded_walk(_padded_match(weights[at])[1], table[at])
+    return out
+
+
+def _dp_parities(rows, move_keys):
+    """The logical parity the compact DP carries to the full set's key."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for part, _, best in sc._matchings(rows, move_keys):
+        out[part] = best[-1] & 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_plan_is_the_padded_plan_compacted(n):
+    """The plan keeps the padded plan's states, first defects and children
+    (-1 for a missing move), and each level's tables list exactly the moves
+    that exist, in scan order, as rows ``move * n + first`` and children."""
+    plan = sc._matching_plan(n)
+    first, child, levels = _padded_plan(n)
+    assert np.array_equal(plan.levels, levels)
+    assert np.array_equal(plan.first, first)
+    assert np.array_equal(plan.child, np.where(child == len(first), -1, child))
+    for k in range(1, n + 1):
+        lo, hi = levels[k], levels[k + 1]
+        state, move = np.nonzero(child[lo:hi] < len(first))
+        assert plan.moves[k - 1].shape == plan.children[k - 1].shape == (k, hi - lo)
+        assert np.array_equal(plan.moves[k - 1].T.ravel(), move * n + first[lo + state])
+        assert np.array_equal(plan.children[k - 1].T.ravel(), child[lo:hi][state, move])
+
+
+def test_plan_holds_only_existing_moves():
+    """A state of k defects has k moves and the plan lists no others: 58
+    DP candidates at 6 defects, 655 at 10 and 6,255 at 14 (a scan of all
+    1 + n moves takes 140, 1,573 and 14,790).  Its arrays are read-only, and
+    at 19 defects they take no more bytes than the padded plan's int32
+    child table alone (875,680)."""
+    for n, want in ((6, 58), (10, 655), (14, 6255)):
+        plan = sc._matching_plan(n)
+        sizes = np.diff(plan.levels)
+        assert sum(t.size for t in plan.moves) == want
+        assert sum(t.size for t in plan.children) == want
+        assert sum(k * int(sizes[k]) for k in range(n + 1)) == want
+        assert plan.width == max(t.size for t in plan.moves)
+    plan = sc._matching_plan(19)
+    arrays = (plan.levels, plan.first, plan.child, *plan.moves, *plan.children)
+    assert _padded_plan(19)[1].nbytes == 875_680
+    assert sum(a.nbytes for a in arrays) <= 875_680
+    for shared in arrays:
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+
+
+def test_dp_parity_equals_padded_walk_on_all_d3_syndromes():
+    """The parity in the full set's key equals the padded matcher's walk
+    over the moves' logical flips, on all 2 x 64 d = 3 syndromes."""
+    layout = sc._layout(3)
+    m = len(layout.lattice.z_checks)
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    rows = np.zeros((2 << m, 2 * m), dtype=np.int8)
+    rows[:1 << m, :m] = rows[1 << m:, m:] = bits
+    want = _padded_matched_xor(rows, layout.move_keys >> 7, layout.move_keys & 1)
+    assert want.any() and not want.all()
+    assert np.array_equal(_dp_parities(rows, layout.move_keys), want)
+
+
+def test_dp_parity_equals_padded_walk_on_random_d5_rows():
+    """The same on 40 random d = 5 rows per kind and defect count 1..14."""
+    layout = sc._layout(5)
+    m = len(layout.lattice.z_checks)
+    rng = np.random.default_rng(71)
+    rows = np.zeros((14, 2, 40, 2 * m), dtype=np.int8)
+    for n in range(1, 15):
+        for kind in range(2):
+            for row in rows[n - 1, kind]:
+                row[kind * m + rng.choice(m, size=n, replace=False)] = 1
+    rows = rows.reshape(-1, 2 * m)
+    want = _padded_matched_xor(rows, layout.move_keys >> 7, layout.move_keys & 1)
+    assert np.array_equal(_dp_parities(rows, layout.move_keys), want)
+
+
+def test_dp_choices_equal_padded_dp_under_ties():
+    """Every state's choice, not only the final parity, on 500 random sets
+    per defect count 1..14 with move weights in {1, 2}, so ties are
+    everywhere, and random flips: the compact DP picks what the padded one
+    does in all 1,290,500 states, and each set's weight and parity match.
+    A stored key that kept bit 1 would let parity sums carry into the move
+    bits and change choices."""
+    rng = np.random.default_rng(81)
+    compared = wrong = 0
+    for n in range(1, 15):
+        weights = rng.integers(1, 3, size=(500, n, 1 + n), dtype=np.int32)
+        flips = rng.integers(0, 2, size=(500, n, 1 + n), dtype=np.int32)
+        best = sc._match(weights << 7 | flips)
+        weight, choice = _padded_match(weights)
+        compared += choice.size
+        wrong += int((best >> 2 & 31 != choice).sum())
+        assert np.array_equal(best[-1] >> 7, weight)
+        assert np.array_equal(best[-1] & 1, _padded_walk(choice, flips))
+    assert (compared, wrong) == (1_290_500, 0)
+
+
 def test_decode_matches_per_kind_matcher():
-    """``mwpm_decode`` matches both kinds in one call on the layout's table;
-    the oracle matches each kind on its own ``_move_table``, one
-    ``_matched_xor`` call per kind.  200 random d = 5 syndromes."""
+    """``mwpm_decode`` matches both kinds in one call on the layout's table
+    and reads the paths back from the compact DP's choices; the oracle
+    matches each kind on its own ``_move_table`` with the padded matcher.
+    200 random d = 5 syndromes."""
     lat = sc.SurfaceLattice(5)
     m = len(lat.z_checks)
     tables = {kind: sc._move_table(5, kind) for kind in "zx"}
@@ -919,8 +1120,8 @@ def test_decode_matches_per_kind_matcher():
             picks = rng.choice(m, size=rng.integers(0, sc.MAX_DEFECTS + 1), replace=False)
             bits[kind][picks] = 1
         frame = sc.mwpm_decode(sc.Syndrome(0, bits["x"], bits["z"]), lat)
-        want = {kind: sc._matched_xor(bits[kind][None], tables[kind][1],
-                                      tables[kind][0])[0] for kind in "zx"}
+        want = {kind: _padded_matched_xor(bits[kind][None], tables[kind][1],
+                                          tables[kind][0])[0] for kind in "zx"}
         assert frame.x.dtype == frame.z.dtype == np.int8
         assert np.array_equal(frame.x, want["z"])
         assert np.array_equal(frame.z, want["x"])
