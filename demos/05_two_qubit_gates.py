@@ -21,7 +21,7 @@ from scqsim.coupling import TwoQubitParams
 
 def main():
     j = 2 * np.pi * 0.01
-    u = gates.iswap(j, (np.pi / 2) / j)
+    u = gates.coherent_exchange(j, (np.pi / 2) / j)
     print("iSWAP at J tau = pi/2: max deviation from the target matrix =",
           f"{np.max(np.abs(u.entries - gates.ISWAP_GATE.entries)):.1e}")
 

@@ -305,7 +305,7 @@ def run_gate(cfg: dict, out: Path, seed: int) -> None:
     kind = c["kind"]
     j_ang = to_angular(c["j_ghz"])
     if kind == "iswap":
-        u = gates.iswap(j_ang, c["tau_ns"])
+        u = gates.coherent_exchange(j_ang, c["tau_ns"])
         target = gates.ISWAP_GATE
     elif kind == "bswap":
         u = gates.bswap(j_ang, c["tau_ns"])

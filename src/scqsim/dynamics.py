@@ -14,7 +14,7 @@ The qubit constructors follow the standard open-system model
 and the resonator constructor keeps the printed sqrt(kappa/2pi) a form:
 with kappa in rad/ns the photon number then decays at kappa/2pi per ns,
 i.e. at the *ordinary* frequency matching that angular kappa.  Use
-``kappa_for_photon_rate`` to go from a target 1/ns decay rate to the kappa
+``qcore.to_angular`` to go from a target 1/ns decay rate to the kappa
 argument and avoid double-counting the 2pi.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .qcore import (NORM_TOL, SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator,
                     StateVector, _as_matrix, annihilation, expm_hermitian,
-                    ordered_product, piecewise_propagator)
+                    piecewise_propagator)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
@@ -170,11 +170,6 @@ def qubit_collapse_ops(t1: float, t2: float) -> list:
     if gamma_phi > 0:
         ops.append(qubit_dephasing(gamma_phi))
     return ops
-
-
-def kappa_for_photon_rate(rate_per_ns: float) -> float:
-    """kappa argument of :func:`resonator_decay` giving d<n>/dt = -rate <n>."""
-    return 2 * np.pi * rate_per_ns
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +437,6 @@ def unitary_evolve(
         for k, a in e_arr.items():
             expect[k].append(float(np.vdot(psi, a @ psi).real))
     return EvolveResult(times, states, {k: np.asarray(v) for k, v in expect.items()})
-
-
-def total_propagator(h, t_span: float, dt: float = 1e-2) -> Operator:
-    """Time-ordered product of midpoint-sampled step propagators over [0, T]."""
-    h = _as_hamiltonian(h)
-    return Operator(ordered_product(step_propagators(h, _sample_times(None, t_span, dt),
-                                                     dt)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,24 +81,16 @@ class GateReport:
 # Single-qubit gates
 # ---------------------------------------------------------------------------
 
-def rabi_gate(omega_rabi: float, tau: float, axis: str = "x") -> Operator:
-    """Resonantly driven rotation: exp(-i Omega_R tau sigma_axis / 2).
-
-    Omega_R tau = pi gives the X (or Y) gate up to global phase.
-    """
-    return rotation_operator(axis, omega_rabi * tau)
-
-
 def xy_rotation(theta: float, phase: float) -> Operator:
-    """Rotation by theta about the equatorial axis at angle ``phase``.
+    """Rotation by theta about the equatorial axis at angle ``phase``:
+    R_z(phase) R_x(theta) R_z(-phase).
 
     phase = 0 is an x rotation; shifting every subsequent drive phase by
-    pi/2 turns x rotations into y rotations exactly (the virtual-Z trick).
+    pi/2 turns x rotations into y rotations exactly (the virtual-Z trick,
+    McKay et al., PRA 96, 022330 (2017)): a frame change, not a new pulse.
     """
-    axis = np.cos(phase) * pauli("x").entries + np.sin(phase) * pauli("y").entries
-    return Operator(
-        np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis, unitary=True
-    )
+    return (rotation_operator("z", phase) @ rotation_operator("x", theta)
+            @ rotation_operator("z", -phase))
 
 
 def driven_qubit_frame(p: JCParams, d: DriveParams):
@@ -150,21 +142,11 @@ def _exchange(dim: int, i: int, j: int, angle: float) -> Operator:
 def coherent_exchange(j: float, tau: float) -> Operator:
     """Propagator of the resonant exchange J (s+ s- + s- s+), angle J tau.
 
-    J tau = pi/2 implements the iSWAP gate.
+    J tau = pi/2 implements the iSWAP gate.  A coupling modulated at the
+    difference frequency (parametric iSWAP) contributes at half weight:
+    its rate is J = J_m / 2, so J_m tau = pi implements the iSWAP.
     """
     return _exchange(4, 1, 2, j * tau)
-
-
-iswap = coherent_exchange
-
-
-def iswap_parametric(j_m: float, tau: float) -> Operator:
-    """Parametrically activated exchange at the difference frequency.
-
-    The modulated coupling contributes at half weight, so the effective
-    exchange rate is J_m / 2 and J_m tau = pi implements the iSWAP.
-    """
-    return coherent_exchange(j_m / 2, tau)
 
 
 def bswap(j_m: float, tau: float) -> Operator:
@@ -210,19 +192,12 @@ def cz_coherent_exchange(j: float, tau: float) -> Operator:
     [|00>, |01>, |10>, |11>, |02>, |20>].
 
     The |11>-|02> matrix element is sqrt(2) J, so sqrt(2) J tau = pi gives
-    <11|U|11> = -1 with the computational block otherwise untouched.
+    <11|U|11> = -1 with the computational block otherwise untouched.  A
+    coupling modulated at the |11>-|02> transition frequency (parametric
+    CZ) contributes at half weight, as for the parametric iSWAP: J = J_m / 2,
+    and sqrt(2) (J_m / 2) tau = pi implements the CZ.
     """
     return _exchange(6, 3, 4, np.sqrt(2) * j * tau)
-
-
-def cz_parametric(j_m: float, tau: float) -> Operator:
-    """CZ via a coupling modulated at the |11>-|02> transition frequency.
-
-    The modulated exchange contributes at half weight (as for the
-    parametric iSWAP), so the effective |11>-|02> rate is J_m/2 and
-    sqrt(2) (J_m/2) tau = pi implements the CZ.
-    """
-    return cz_coherent_exchange(j_m / 2, tau)
 
 
 # ---------------------------------------------------------------------------

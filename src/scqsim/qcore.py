@@ -431,25 +431,6 @@ def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
     return out, peak.reshape(lead + (dim,))
 
 
-def matrix_exp(a) -> Operator:
-    """Matrix exponential e^A.
-
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition;
-    anything else falls back to scaling-and-squaring (Pade).
-    """
-    m = _as_matrix(a)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exp: input has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL:
-        return Operator(expm_hermitian(m))
-    ih = 1j * m
-    if np.max(np.abs(ih - ih.conj().T)) < HERMITIAN_TOL:
-        # A = -iH with H Hermitian: e^A = V e^{-i lambda} V^dag
-        return Operator(expm_hermitian(ih, scale=-1j))
-    from scipy.linalg import expm
-    return Operator(expm(m))
-
-
 def propagator(h, t: float) -> Operator:
     """U = exp(-i H t) for Hermitian H in rad/ns and t in ns."""
     m = _as_matrix(h)
@@ -462,11 +443,6 @@ def propagator(h, t: float) -> Operator:
 def to_angular(f):
     """GHz (ordinary frequency) -> rad/ns.  Works on scalars and matrices."""
     return 2.0 * np.pi * f
-
-
-def from_angular(w):
-    """rad/ns -> GHz."""
-    return w / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +459,6 @@ def tensor(*ops) -> Operator:
     for op in ops[1:]:
         out = np.kron(out, _as_matrix(op))
     return Operator(out)
-
-
-def tensor_state(*states) -> StateVector:
-    if len(states) == 1 and isinstance(states[0], (list, tuple)):
-        states = tuple(states[0])
-    out = states[0].amplitudes
-    for s in states[1:]:
-        out = np.kron(out, s.amplitudes)
-    return StateVector(out)
 
 
 def partial_trace(rho, keep, dims) -> DensityMatrix:
@@ -536,7 +503,3 @@ def global_phase_distance(u1, u2) -> float:
     else:
         phase = overlap / abs(overlap)
     return float(np.max(np.abs(m1 - phase * m2)))
-
-
-def equal_up_to_global_phase(u1, u2, tol: float = 1e-10) -> bool:
-    return global_phase_distance(u1, u2) < tol

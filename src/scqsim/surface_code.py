@@ -17,10 +17,11 @@ Xc = X2 X3 X4, Za = Z0 Z2 Z3, Zb = Z1 Z2 Z4, with logicals
 Z_L = Z0 Z1 (top row) and X_L = X0 X3 (left column).
 
 X-error chains terminate on the top/bottom boundaries (their defects are
-Z-checks), Z-error chains on the left/right boundaries.  The noise model
-is phenomenological: iid X and Z flips on data qubits each cycle with
-perfect extraction circuits, so matching is two-dimensional on the final
-syndrome.
+Z-checks), Z-error chains on the left/right boundaries.  The Monte Carlo
+samples iid X and Z flips on data qubits each cycle and extracts syndromes
+perfectly: a code-capacity model compounded over cycles (the
+phenomenological model of Dennis et al., J. Math. Phys. 43 (2002) 4452,
+adds measurement errors), so matching is 2-D on the final syndrome.
 """
 
 from __future__ import annotations
@@ -505,8 +506,8 @@ def syndrome_from_errors(lattice: SurfaceLattice, ex: np.ndarray,
                          ez: np.ndarray, cycle: int = 0) -> Syndrome:
     """Parities implied by explicit error patterns (fast path; no circuits).
 
-    Agrees with :func:`syndrome_cycle` for the phenomenological model --
-    the test suite asserts exactly that equivalence.
+    Agrees with :func:`syndrome_cycle`, whose extraction is perfect -- the
+    test suite asserts exactly that equivalence.
     """
     x_bits, z_bits = _parities(lattice, ex, ez)
     return Syndrome(cycle, x_bits[..., :-1], z_bits[..., :-1])
@@ -519,12 +520,12 @@ def _parities(lattice: SurfaceLattice, ex, ez) -> tuple[np.ndarray, np.ndarray]:
     checks guard, X_L for the X checks that Z errors ``ez`` trip and Z_L
     for the Z checks that X errors ``ex`` trip.
 
-    One float32 matmul per kind against :func:`_layout`'s ``parity``
-    matrices (BLAS; numpy's integer matmul is not), exact for sums of a few
-    ones, then a cast to int8 and ``& 1``: float ``% 2`` costs about 100
-    times as much.
+    One float32 matmul per kind against the :func:`_parity` matrices
+    (BLAS; numpy's integer matmul is not), exact for sums of a few ones,
+    then a cast to int8 and ``& 1``: float ``% 2`` costs about 100 times as
+    much.
     """
-    parity = _layout(lattice.d).parity
+    parity = _parity(lattice.d)
     return ((ez @ parity["x"]).astype(np.int8) & 1,
             (ex @ parity["z"]).astype(np.int8) & 1)
 
@@ -634,19 +635,16 @@ class _Layout(NamedTuple):
     """What the Monte Carlo and the decoder read at one distance, built once
     per d by :func:`_layout`; every array is read-only.
 
-    ``parity[kind]`` is (n_data, m + 1) float32, m checks of a kind: the
-    kind's :meth:`SurfaceLattice.adjacency` and, as its last column, the
-    support of the logical its checks guard (Z_L for "z", X_L for "x").
-    ``paths`` and ``move_keys`` are one block-diagonal move table over both
-    kinds, indexed like a :func:`_move_table` with 2m checks: Z check c is
-    row c and X check c row m + c, column 0 is the boundary move and column
-    1 + c2 the move to the defect of row c2.  ``paths`` holds each move's
-    path over the data qubits; ``move_keys`` its DP key without the move,
-    ``weight << 7 | flip``, the weight being the path length and the flip
-    its parity on the kind's logical.  A move between kinds does not exist:
-    its path is empty and its weight ``_NO_MOVE``.  No syndrome row mixes
-    the kinds, so each row sees only its own kind's moves, in their own
-    order.
+    ``parity`` is :func:`_parity`'s dict at d.  ``paths`` and ``move_keys``
+    are one block-diagonal move table over both kinds, indexed like a
+    :func:`_move_table` with 2m checks: Z check c is row c and X check c
+    row m + c, column 0 is the boundary move and column 1 + c2 the move to
+    the defect of row c2.  ``paths`` holds each move's path over the data
+    qubits; ``move_keys`` its DP key without the move, ``weight << 7 |
+    flip``, the weight being the path length and the flip its parity on the
+    kind's logical.  A move between kinds does not exist: its path is empty
+    and its weight ``_NO_MOVE``.  No syndrome row mixes the kinds, so each
+    row sees only its own kind's moves, in their own order.
     """
 
     lattice: SurfaceLattice
@@ -656,21 +654,35 @@ class _Layout(NamedTuple):
 
 
 @cache
+def _parity(d: int) -> dict:
+    """``parity[kind]`` at distance d, read-only (n_data, m + 1) float32 for
+    m checks of a kind: the kind's :meth:`SurfaceLattice.adjacency` and, as
+    its last column, the support of the logical its checks guard (Z_L for
+    "z", X_L for "x").  Built without any move table."""
+    lattice = SurfaceLattice(d)
+    x_l, z_l = logical_ops(lattice)
+    parity = {}
+    for kind, logical in (("z", z_l), ("x", x_l)):
+        support = np.bitwise_or(*logical.bits())
+        parity[kind] = np.column_stack((lattice.adjacency(kind), support)).astype(np.float32)
+        parity[kind].flags.writeable = False      # cached: every caller gets these
+    return parity
+
+
+@cache
 def _layout(d: int) -> _Layout:
     """The :class:`_Layout` at distance d."""
     lattice = SurfaceLattice(d)
     m = len(lattice.z_checks)       # as many as X checks
-    x_l, z_l = logical_ops(lattice)
+    parity = _parity(d)
     paths = np.zeros((2 * m, 1 + 2 * m, lattice.n_data), dtype=np.int8)
     move_keys = np.full((2 * m, 1 + 2 * m), _NO_MOVE << _WEIGHT_SHIFT, dtype=np.int32)
-    parity = {}
-    for at, kind, logical in ((0, "z", z_l), (m, "x", x_l)):
-        support = np.bitwise_or(*logical.bits())
-        parity[kind] = np.column_stack((lattice.adjacency(kind), support)).astype(np.float32)
+    for at, kind in ((0, "z"), (m, "x")):
+        support = parity[kind][:, -1].astype(np.int8)
         rows, cols = slice(at, at + m), np.r_[0, 1 + at:1 + at + m]
         paths[rows, cols], weights = _move_table(d, kind)
         move_keys[rows, cols] = weights << _WEIGHT_SHIFT | paths[rows, cols] @ support & 1
-    for shared in (paths, move_keys, *parity.values()):
+    for shared in (paths, move_keys):
         shared.flags.writeable = False      # cached: every caller gets these
     return _Layout(lattice, parity, paths, move_keys)
 
@@ -815,11 +827,11 @@ def _matchings(syn: np.ndarray, move_keys: np.ndarray):
 def mwpm_decode(syndromes, lattice: SurfaceLattice) -> PauliFrame:
     """Minimum-weight matching correction from measured syndromes.
 
-    Accepts a single :class:`Syndrome` or a sequence over cycles; with the
-    phenomenological model (perfect extraction) each cycle reports the
-    parity of the cumulative error, so the final cycle carries all the
-    information and is the one decoded.  Its Z-check and X-check bits are
-    two syndrome rows of the :func:`_layout` move table that
+    Accepts a single :class:`Syndrome` or a sequence over cycles; with
+    perfect extraction (data flips only, no measurement errors) each cycle
+    reports the parity of the cumulative error, so the final cycle carries
+    all the information and is the one decoded.  Its Z-check and X-check
+    bits are two syndrome rows of the :func:`_layout` move table that
     :func:`logical_error_rate` matches, matched by the same
     :func:`_matchings` call; each matching is then read back from the full
     set along the chosen moves, XORing their paths: Z-check bits give the X
@@ -895,7 +907,8 @@ _DRAW_SHOTS = 1024      # shots per block of uniform draws
 
 def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
                        seed: int = 0) -> LogicalRateResult:
-    """Monte Carlo logical error rate under phenomenological noise.
+    """Monte Carlo logical error rate under code-capacity noise compounded
+    over cycles: data-qubit flips only, perfect syndrome extraction.
 
     Each data qubit flips (X and, independently, Z) with probability p per
     cycle; the cumulative flip probability over ``cycles`` rounds is

@@ -110,7 +110,8 @@ def test_05_gate_identities():
     with Budget(1.0) as b:
         j = 2 * np.pi * 0.01
         dev_iswap = np.max(np.abs(
-            gates.iswap(j, (np.pi / 2) / j).entries - gates.ISWAP_GATE.entries))
+            gates.coherent_exchange(j, (np.pi / 2) / j).entries
+            - gates.ISWAP_GATE.entries))
         assert dev_iswap < 1e-12
 
         tau = np.pi / (np.sqrt(2) * j)

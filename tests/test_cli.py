@@ -268,7 +268,8 @@ _GATE_TAU = {"iswap": (np.pi / 2) / (2 * np.pi * _J),
              "cz": np.pi / (np.sqrt(2) * 2 * np.pi * _J),
              "cr": (np.pi / 2) / (2 * np.pi * _CR.omega_cr)}
 _GATE_LIBRARY = {
-    "iswap": lambda tau: (gates.iswap(to_angular(_J), tau), gates.ISWAP_GATE),
+    "iswap": lambda tau: (gates.coherent_exchange(to_angular(_J), tau),
+                          gates.ISWAP_GATE),
     "bswap": lambda tau: (gates.bswap(to_angular(_J), tau), gates.BSWAP_GATE),
     "cz": lambda tau: (gates.Operator(gates.cz_coherent_exchange(
         to_angular(_J), tau).entries[:4, :4]), CZ_GATE),

@@ -291,8 +291,8 @@ def test_fock_headroom_check():
     import scqsim.qcore as q
 
     nr = 4
-    psi = q.tensor_state(q.ket(0, 2), q.ket(0, nr))
+    psi = q.ket(0, 2 * nr)                       # |0>_q |0>_r
     assert cp.fock_headroom(psi.to_density(), n_max=3) == 0.0
-    top = q.tensor_state(q.ket(0, 2), q.ket(3, nr))
+    top = q.ket(3, 2 * nr)                       # |0>_q |3>_r
     with pytest.raises(ValueError, match="n_max"):
         cp.fock_headroom(top.to_density(), n_max=3)

@@ -547,8 +547,6 @@ def test_bad_step_or_span_raises(dt, t_span):
         dyn.lindblad_evolve(h, rho, [], dt=dt, t_span=t_span)
     with pytest.raises(ValueError, match="must be finite"):
         dyn.unitary_evolve(h, q.ket(0, 2), dt=dt, t_span=t_span)
-    with pytest.raises(ValueError, match="must be finite"):
-        dyn.total_propagator(h, t_span, dt)
 
 
 @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, np.nan], [0.0, np.inf]])
@@ -593,6 +591,11 @@ def test_rabi_oscillation_frequency():
     assert p1[full] == pytest.approx(0.0, abs=1e-6)
 
 
+def _total_propagator(h, t_span, dt):
+    """The time-ordered product of the midpoint steps <= dt over [0, t_span]."""
+    return q.ordered_product(dyn.step_propagators(h, np.array([0.0, t_span]), dt))
+
+
 def test_time_ordering_converges_under_dt_halving():
     # non-commuting schedule: H(t) = sz + u(t) sx with a fast ramp
     sz = q.SIGMA_Z.entries
@@ -601,16 +604,16 @@ def test_time_ordering_converges_under_dt_halving():
         return np.sin(3.0 * t)
 
     h = dyn.TimeDependentH(1.5 * sz, [(2.0 * SX, env)])
-    naive = q.matrix_exp(-1j * 2.0 * (1.5 * sz + 2.0 * SX * np.trapezoid(
+    naive = expm(-1j * 2.0 * (1.5 * sz + 2.0 * SX * np.trapezoid(
         [env(t) for t in np.linspace(0, 2, 200)], np.linspace(0, 2, 200)) / 2.0))
-    u_coarse = dyn.total_propagator(h, 2.0, dt=0.02)
-    u_fine = dyn.total_propagator(h, 2.0, dt=0.0025)
-    u_finer = dyn.total_propagator(h, 2.0, dt=0.00125)
+    u_coarse = _total_propagator(h, 2.0, dt=0.02)
+    u_fine = _total_propagator(h, 2.0, dt=0.0025)
+    u_finer = _total_propagator(h, 2.0, dt=0.00125)
     # the time-ordered product differs from the naive average-H exponential
-    assert np.max(np.abs(u_fine.entries - naive.entries)) > 1e-3
+    assert np.max(np.abs(u_fine - naive)) > 1e-3
     # and converges as dt -> 0 (second-order midpoint rule)
-    err1 = np.max(np.abs(u_coarse.entries - u_finer.entries))
-    err2 = np.max(np.abs(u_fine.entries - u_finer.entries))
+    err1 = np.max(np.abs(u_coarse - u_finer))
+    err2 = np.max(np.abs(u_fine - u_finer))
     assert err2 < err1 / 16
     assert err2 < 1e-4
 
@@ -619,8 +622,8 @@ def test_unitarity_drift_small():
     h = dyn.TimeDependentH(
         2 * np.pi * 1.0 * EXCITED, [(SX, lambda t: 0.3 * np.cos(2 * np.pi * t))]
     )
-    u = dyn.total_propagator(h, 10.0, dt=0.01)
-    assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(2))) < 1e-8
+    u = _total_propagator(h, 10.0, dt=0.01)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-8
 
 
 def test_rotating_frame_zero_generator():
@@ -680,10 +683,10 @@ def test_rotating_frame_two_qubit_terms():
 
 
 def test_resonator_decay_bookkeeping():
-    """sqrt(kappa/2pi) a gives photon decay at kappa/2pi; the helper
+    """sqrt(kappa/2pi) a gives photon decay at kappa/2pi; to_angular
     converts a target rate into the kappa argument."""
     rate = 0.005
-    kappa = dyn.kappa_for_photon_rate(rate)
+    kappa = q.to_angular(rate)
     n_levels = 6
     a = q.annihilation(n_levels)
     rho0 = np.zeros((n_levels, n_levels), dtype=complex)

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from scqsim import dynamics as dyn
 from scqsim import experiments as ex
 from scqsim.coupling import JCParams
-from scqsim.qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, equal_up_to_global_phase,
+from scqsim.qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, global_phase_distance,
                           rotation_operator, to_angular)
 
 
@@ -450,7 +450,7 @@ def test_clifford_table_matches_matrix_products():
     assert table.shape == (24, 24)
     for a, b in itertools.product(range(24), repeat=2):
         want = cl[b].op.entries @ cl[a].op.entries
-        assert equal_up_to_global_phase(cl[table[a, b]].op, want)
+        assert global_phase_distance(cl[table[a, b]].op, want) < 1e-10
     assert np.allclose(cl[0].op.entries, np.eye(2))
     assert np.array_equal(table[0], np.arange(24))
     assert np.array_equal(table[:, 0], np.arange(24))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from scqsim import dynamics as dyn
 from scqsim import gates
@@ -12,19 +13,19 @@ from scqsim.coupling import JCParams, TwoQubitParams
 # ---------------------------------------------------------------------------
 
 def test_rabi_pi_pulse_is_x():
-    u = gates.rabi_gate(np.pi / 10.0, 10.0)      # Omega_R * tau = pi
-    assert q.equal_up_to_global_phase(u, q.X_GATE, tol=1e-12)
+    u = q.rotation_operator("x", np.pi / 10.0 * 10.0)     # Omega_R * tau = pi
+    assert q.global_phase_distance(u, q.X_GATE) < 1e-12
 
 
 def test_rabi_two_pi_is_minus_identity():
-    u = gates.rabi_gate(np.pi, 2.0)
+    u = q.rotation_operator("x", np.pi * 2.0)
     assert np.allclose(u.entries, -np.eye(2), atol=1e-12)
 
 
 def test_rabi_half_pi_about_y():
-    u = gates.rabi_gate(np.pi / 2, 1.0, axis="y")
-    want = q.rotation_operator("y", np.pi / 2)
-    assert np.max(np.abs(u.entries - want.entries)) < 1e-14
+    u = q.rotation_operator("y", np.pi / 2 * 1.0)
+    want = expm(-1j * (np.pi / 4) * q.SIGMA_Y.entries)
+    assert np.max(np.abs(u.entries - want)) < 1e-14
     assert np.allclose(np.linalg.norm(u.entries, axis=0), 1.0)
 
 
@@ -61,7 +62,7 @@ def test_driven_frame_simulated_rabi_frequency():
     nq = q.tensor(q.number_op(2), np.eye(p.n_max + 1)).entries
     period = 1.0 / abs(omega_rabi)
     times = np.linspace(0.0, 3 * period, 301)
-    psi0 = q.tensor_state(q.ket(0, 2), q.ket(0, p.n_max + 1))
+    psi0 = q.ket(0, 2 * (p.n_max + 1))           # |0>_q |0>_r
     res = dyn.lindblad_evolve(h_rot.entries, psi0.to_density().entries, [],
                               times=times, dt=0.02, e_ops={"p1": nq})
     p1 = res.expectations["p1"]
@@ -82,12 +83,12 @@ def test_driven_frame_simulated_rabi_frequency():
 def test_iswap_quarter_period():
     j = 2 * np.pi * 0.01
     tau = (np.pi / 2) / j                        # J tau = pi/2
-    u = gates.iswap(j, tau)
+    u = gates.coherent_exchange(j, tau)
     assert np.max(np.abs(u.entries - gates.ISWAP_GATE.entries)) < 1e-12
 
 
 def test_iswap_full_period_sign():
-    u = gates.iswap(np.pi / 3.0, 3.0)            # J tau = pi
+    u = gates.coherent_exchange(np.pi / 3.0, 3.0)    # J tau = pi
     ket01 = q.basis_ket("01").amplitudes
     assert np.allclose(u.entries @ ket01, -ket01, atol=1e-12)
 
@@ -97,8 +98,8 @@ def test_iswap_matches_matrix_exponential():
     raise_q = np.array([[0, 0], [1, 0]], dtype=complex)
     exch = (np.kron(raise_q, raise_q.conj().T)
             + np.kron(raise_q.conj().T, raise_q))
-    want = q.matrix_exp(-1j * j * tau * exch).entries
-    assert np.max(np.abs(gates.iswap(j, tau).entries - want)) < 1e-12
+    want = expm(-1j * j * tau * exch)
+    assert np.max(np.abs(gates.coherent_exchange(j, tau).entries - want)) < 1e-12
 
 
 def test_iswap_squared_on_exchange_block():
@@ -108,8 +109,8 @@ def test_iswap_squared_on_exchange_block():
 
 
 def test_iswap_parametric_half_rate():
-    j_m, tau = 0.2, np.pi / 0.2                  # J_m tau = pi
-    u = gates.iswap_parametric(j_m, tau)
+    j_m, tau = 0.2, np.pi / 0.2                  # J_m tau = pi at J = J_m / 2
+    u = gates.coherent_exchange(j_m / 2, tau)
     assert np.max(np.abs(u.entries - gates.ISWAP_GATE.entries)) < 1e-12
 
 
@@ -147,7 +148,7 @@ def test_cz_constant_zeta_schedule():
     zeta = 0.05
     report = gates.cz_adiabatic(lambda t: zeta, tau=np.pi / zeta)
     assert report.infidelity < 1e-12
-    assert q.equal_up_to_global_phase(report.propagator, q.CZ_GATE)
+    assert q.global_phase_distance(report.propagator, q.CZ_GATE) < 1e-10
 
 
 def test_cz_adiabatic_calibration_error():
@@ -349,9 +350,9 @@ def test_infidelity_dim_mismatch():
 
 def test_all_constructors_unitary():
     mats = [
-        gates.rabi_gate(0.3, 1.7).entries,
+        q.rotation_operator("x", 0.3 * 1.7).entries,
         gates.xy_rotation(0.9, 0.4).entries,
-        gates.iswap(0.21, 2.2).entries,
+        gates.coherent_exchange(0.21, 2.2).entries,
         gates.bswap(0.13, 1.1).entries,
         gates.cz_coherent_exchange(0.08, 3.0).entries,
         gates.cr_propagator(0.77).entries,
@@ -381,6 +382,6 @@ def test_gate_report_validation():
 def test_cz_parametric_half_rate():
     j_m = 2 * np.pi * 0.01
     tau = np.pi / (np.sqrt(2) * j_m / 2)
-    u = gates.cz_parametric(j_m, tau).entries
+    u = gates.cz_coherent_exchange(j_m / 2, tau).entries
     assert abs(u[3, 3] + 1.0) < 1e-10
     assert np.allclose(u[:3, :3], np.eye(3), atol=1e-12)

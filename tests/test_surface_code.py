@@ -1,4 +1,5 @@
 import copy
+import itertools
 import tracemalloc
 from functools import lru_cache
 
@@ -595,24 +596,37 @@ def test_decoder_restores_trivial_syndrome():
         assert not resid.z_bits.any()
 
 
-def test_d3_exhaustive_single_errors_corrected():
-    lat = sc.SurfaceLattice(3)
+def _assert_low_weight_corrected(d, max_weight):
+    """Every X and every Z pattern of weight <= max_weight is corrected
+    with no logical flip and an empty residual syndrome."""
+    lat = sc.SurfaceLattice(d)
     xl, zl = sc.logical_ops(lat)
     xl_sup = np.zeros(lat.n_data, np.int8)
     xl_sup[list(xl.support())] = 1
     zl_sup = np.zeros(lat.n_data, np.int8)
     zl_sup[list(zl.support())] = 1
-    for i in range(lat.n_data):
+    patterns = [c for w in range(max_weight + 1)
+                for c in itertools.combinations(range(lat.n_data), w)]
+    for flipped in patterns:
         for kind in ("x", "z"):
             ex = np.zeros(lat.n_data, dtype=np.int8)
             ez = np.zeros(lat.n_data, dtype=np.int8)
-            (ex if kind == "x" else ez)[i] = 1
+            (ex if kind == "x" else ez)[list(flipped)] = 1
             frame = sc.mwpm_decode(sc.syndrome_from_errors(lat, ex, ez), lat)
             rx, rz = ex ^ frame.x, ez ^ frame.z
             assert int(rx @ zl_sup) % 2 == 0
             assert int(rz @ xl_sup) % 2 == 0
             resid = sc.syndrome_from_errors(lat, rx, rz)
             assert not resid.x_bits.any() and not resid.z_bits.any()
+
+
+def test_d3_exhaustive_single_errors_corrected():
+    _assert_low_weight_corrected(3, 1)
+
+
+def test_d5_exhaustive_weight_two_errors_corrected():
+    """1 + 41 + 820 = 862 patterns per kind."""
+    _assert_low_weight_corrected(5, 2)
 
 
 def test_d2_degenerate_decoding_no_logical_error():
@@ -837,6 +851,23 @@ def test_parities_match_integer_oracle(d):
             syn = sc.syndrome_from_errors(lat, *pair)
             assert np.array_equal(syn.x_bits, x_bits[..., :-1])
             assert np.array_equal(syn.z_bits, z_bits[..., :-1])
+
+
+def test_parity_builds_no_move_table(monkeypatch):
+    """The first ``syndrome_from_errors`` at a distance builds its parity
+    matrices alone: with ``_move_table`` raising, d = 7 still gives the
+    integer oracle's bits."""
+    sc._parity.cache_clear()         # the call below is the first at d = 7
+
+    def no_build(*args):
+        raise AssertionError("move table built")
+
+    monkeypatch.setattr(sc, "_move_table", no_build)
+    lat = sc.SurfaceLattice(7)
+    ex, ez = (np.random.default_rng(57).random((2, 32, lat.n_data)) < 0.2).astype(np.int8)
+    syn = sc.syndrome_from_errors(lat, ex, ez)
+    assert np.array_equal(syn.x_bits, ez.astype(int) @ lat.adjacency("x") % 2)
+    assert np.array_equal(syn.z_bits, ex.astype(int) @ lat.adjacency("z") % 2)
 
 
 def test_layout_is_built_once(monkeypatch):
