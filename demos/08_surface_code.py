@@ -54,7 +54,7 @@ def circuit_story():
 
 
 def monte_carlo_story():
-    print("\nLogical error rates (phenomenological noise, 100k shots):")
+    print("\nLogical error rates (code-capacity noise, 100k shots):")
     for d in (2, 3):
         for p in (1e-3, 1e-2, 3e-2):
             res = sc.logical_error_rate(d, p, cycles=1, shots=100000, seed=7)

@@ -384,7 +384,7 @@ def central_difference(f, x0: float, delta: float) -> float:
 
 
 def find_derivative_zero(f, bracket: tuple[float, float], delta: float,
-                         tol: float = 1e-8, max_iter: int = 200) -> float:
+                         tol: float = 1e-8) -> float:
     """Bisection root of the central-difference derivative of f.
 
     Raises :class:`SweetSpotNotFound` when the derivative has the same sign
@@ -402,7 +402,7 @@ def find_derivative_zero(f, bracket: tuple[float, float], delta: float,
             f"derivative does not change sign over {bracket} "
             f"(values {g_lo:.3e}, {g_hi:.3e})"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = central_difference(f, mid, delta)
         if hi - lo < tol or g_mid == 0.0:

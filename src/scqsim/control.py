@@ -126,10 +126,9 @@ def make_envelope(
     return PulseEnvelope(kind, t, shape, np.zeros_like(t))
 
 
-def pi_pulse(kind: str, duration: float, nsamples: int = 513,
-             sigma: float | None = None) -> PulseEnvelope:
+def pi_pulse(kind: str, duration: float, nsamples: int = 513) -> PulseEnvelope:
     """Envelope calibrated to area pi (a pi rotation for an ideal qubit)."""
-    return make_envelope(kind, duration, area=np.pi, nsamples=nsamples, sigma=sigma)
+    return make_envelope(kind, duration, area=np.pi, nsamples=nsamples)
 
 
 def spectrum_of(p: PulseEnvelope, npoints: int = 4096):

@@ -156,21 +156,20 @@ def dispersive_shift(p: JCParams) -> DispersiveReport:
     return DispersiveReport(float(chi), float(n_crit), float(kappa_opt), bool(is_opt))
 
 
-def fock_headroom(rho, n_max: int, threshold: float = 1e-6) -> float:
+def fock_headroom(rho, n_max: int) -> float:
     """Population of the top resonator Fock level of a qubit x resonator state.
 
-    Readout-style simulations must keep this below ``threshold`` (default
-    1e-6) or the truncation at n_max is eating real dynamics; raises
-    ValueError beyond it.
+    Readout-style simulations must keep this below 1e-6 or the truncation
+    at n_max is eating real dynamics; raises ValueError beyond it.
     """
     m = _as_matrix(rho)
     nr = n_max + 1
     if m.shape[0] != 2 * nr:
         raise ValueError(f"expected a 2 x {nr} dim state, got dim {m.shape[0]}")
     pop = float(sum(m[q * nr + n_max, q * nr + n_max].real for q in (0, 1)))
-    if pop >= threshold:
+    if pop >= 1e-6:
         raise ValueError(
-            f"top Fock level holds {pop:.2e} >= {threshold:.0e}: "
+            f"top Fock level holds {pop:.2e} >= 1e-06: "
             "increase n_max"
         )
     return pop

@@ -111,9 +111,6 @@ class EvolveResult:
     # checked blocks, the largest trace drift, distinct powered maps
     stats: dict = field(default_factory=dict)
 
-    def final(self):
-        return self.states[-1]
-
 
 # ---------------------------------------------------------------------------
 # Collapse-operator constructors

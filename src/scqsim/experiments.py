@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import DispersiveLimitError, JCParams
-from .dynamics import effective_t2, lindblad_evolve, qubit_collapse_ops
+from .dynamics import effective_t2, lindblad_evolve, liouvillian, qubit_collapse_ops
 from .qcore import (H_GATE, PAULIS, S_GATE, SIGMA_X, Operator, rotation_operator,
                     to_angular)
 
@@ -127,42 +127,35 @@ def resonator_response(p: JCParams, qubit_state: str, omega: np.ndarray) -> np.n
     return (p.kappa / 2) / (p.kappa / 2 + 1j * (omega - w0))
 
 
-def two_tone_scan(
-    omega_q: float,
-    t1: float,
-    t2: float,
-    drive_rate: float,
-    omega_d: np.ndarray,
-    chi: float = 0.0,
-    settle: float = 8.0,
-    dt: float | None = None,
-) -> np.ndarray:
+def two_tone_scan(omega_q: float, t1: float, t2: float, drive_rate: float,
+                  omega_d: np.ndarray, chi: float = 0.0) -> np.ndarray:
     """Steady-state excited population versus drive frequency (GHz grid).
 
-    Runs the rotating-frame Lindblad model per drive point until ~settle
-    transverse lifetimes have passed.  ``drive_rate`` is the Rabi rate in
-    rad/ns; linearity requires the saturation parameter
-    s = drive_rate^2 T1 T2 << 1 (warned above 0.5).  When the qubit is
-    measured through its resonator the line sits at the Lamb-shifted
-    frequency omega_q - chi; passing ``chi`` applies that convention.
-    T2 follows :func:`effective_t2`; the window needs a finite T1 or T2.
+    Solves L rho = 0 for :func:`qubit_run`'s model at every drive point,
+    with row 0 of each generator :func:`liouvillian` replaced by the trace
+    condition tr rho = 1, in one batched linear solve; there is no time
+    window.  ``drive_rate`` is the Rabi rate in rad/ns; linearity requires
+    the saturation parameter s = drive_rate^2 T1 T2 << 1 (warned above
+    0.5).  When the qubit is measured through its resonator the line sits
+    at the Lamb-shifted frequency omega_q - chi; passing ``chi`` applies
+    that convention.  T2 follows :func:`effective_t2`; a unique steady
+    state needs a finite T1 or T2, and a drive when T1 is infinite.
     """
     t2 = effective_t2(t1, t2)
-    if not np.isfinite(t2):
-        raise ValueError("two_tone_scan needs a finite T1 or T2 (window settle * T2)")
+    if not np.isfinite(t2) or not (np.isfinite(t1) or drive_rate):
+        raise ValueError("two_tone_scan needs a finite T1 or T2, and a drive when T1 "
+                         "is infinite (no unique steady state)")
     s = drive_rate**2 * t1 * t2
     if s > 0.5:
         warnings.warn(
             f"saturation parameter {s:.2f} leaves the linear-response regime",
             stacklevel=2,
         )
-    peak = omega_q - chi
-    times = np.array([0.0, settle * t2])
-    if dt is None:
-        dt = min(t2 / 200.0, 0.5)
-    return np.array([qubit_run(times, t1, t2, to_angular(peak - wd), drive_rate,
-                               dt).expectations["p1"][-1]
-                     for wd in np.asarray(omega_d, dtype=float)])
+    delta = to_angular(omega_q - chi - np.asarray(omega_d, dtype=float))
+    gen = (liouvillian(0.5 * drive_rate * SIGMA_X, qubit_collapse_ops(t1, t2))
+           + delta[:, None, None] * liouvillian(N_Q))
+    gen[:, 0] = np.eye(2).reshape(-1)
+    return np.linalg.solve(gen, np.eye(4)[:, :1])[:, 3, 0].real
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +181,7 @@ def run_rabi(rabi_rate: float, taus: np.ndarray, t1: float = np.inf,
 
 def run_t1(taus: np.ndarray, t1: float, t2: float = np.inf,
            readout: ReadoutModel = ReadoutModel(), seed: int = 0,
-           pi_pulse_error: float = 0.0, dt: float | None = None) -> ExperimentData:
+           pi_pulse_error: float = 0.0) -> ExperimentData:
     """Inversion-recovery: pi pulse, wait tau, read the excited population.
 
     The default T2 = inf adds no pure dephasing, i.e. T2 = 2 T1.
@@ -197,16 +190,13 @@ def run_t1(taus: np.ndarray, t1: float, t2: float = np.inf,
     """
     taus = np.asarray(taus, dtype=float)
     u = rotation_operator("x", np.pi * (1.0 - pi_pulse_error)).entries
-    if dt is None:
-        dt = t1 / 200.0
-    p1 = qubit_run(taus, t1, t2, dt=dt, prep=u).expectations["p1"]
+    p1 = qubit_run(taus, t1, t2, dt=t1 / 200.0, prep=u).expectations["p1"]
     rng = np.random.default_rng(seed)
     return ExperimentData(taus, *readout.sample(p1, rng), "t1")
 
 
 def run_ramsey(taus: np.ndarray, t1: float, t2: float, detuning: float,
-               readout: ReadoutModel = ReadoutModel(), seed: int = 0,
-               dt: float | None = None) -> ExperimentData:
+               readout: ReadoutModel = ReadoutModel(), seed: int = 0) -> ExperimentData:
     """Ramsey fringes: pi/2, free evolution at ``detuning`` (GHz), -pi/2.
 
     The free evolution is simulated once; the closing pi/2 rotation is
@@ -216,8 +206,8 @@ def run_ramsey(taus: np.ndarray, t1: float, t2: float, detuning: float,
     c = 1 / np.sqrt(2)
     u_half = np.array([[c, -1j * c], [-1j * c, c]])        # R_x(pi/2)
     u_back = u_half.conj().T                               # R_x(-pi/2)
-    if dt is None:    # T2 is at most 2 T1, and an infinite T2 means 2 T1
-        dt = min(t2 / 200.0, t1 / 100.0, 0.05 / max(abs(detuning), 1e-6))
+    # T2 is at most 2 T1, and an infinite T2 means 2 T1
+    dt = min(t2 / 200.0, t1 / 100.0, 0.05 / max(abs(detuning), 1e-6))
     res = qubit_run(taus, t1, t2, to_angular(detuning), dt=dt, prep=u_half)
     p1 = [(u_back @ state.entries @ u_back.conj().T)[1, 1].real
           for state in res.states]

@@ -75,9 +75,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def __matmul__(self, other):
         if isinstance(other, StateVector):
             return StateVector(self.entries @ other.amplitudes, _skip_norm_check=True)
@@ -116,9 +113,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amplitudes / np.linalg.norm(self.amplitudes))
 
     def to_density(self) -> "DensityMatrix":
         v = self.amplitudes
@@ -203,9 +197,6 @@ SIGMA_Z = Operator([[1, 0], [0, -1]], hermitian=True, unitary=True)
 SIGMA_PLUS = Operator([[0, 1], [0, 0]])
 SIGMA_MINUS = Operator([[0, 0], [1, 0]])
 
-X_GATE = SIGMA_X
-Y_GATE = SIGMA_Y
-Z_GATE = SIGMA_Z
 H_GATE = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2), hermitian=True, unitary=True)
 S_GATE = Operator([[1, 0], [0, 1j]], unitary=True)
 T_GATE = Operator([[1, 0], [0, np.exp(1j * np.pi / 4)]], unitary=True)

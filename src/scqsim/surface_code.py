@@ -121,11 +121,11 @@ class PauliString:
         return self.sign * tensor([PAULIS[c] for c in self.letters]).entries
 
     @classmethod
-    def from_support(cls, n: int, letter: str, support, phase: int = 0) -> "PauliString":
+    def from_support(cls, n: int, letter: str, support) -> "PauliString":
         letters = ["I"] * n
         for q in support:
             letters[q] = letter
-        return cls("".join(letters), phase)
+        return cls("".join(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,6 @@ class StabilizerTableau:
         if p.phase % 2:
             raise ValueError("measured Pauli must be Hermitian")
         return 1 - 2 * self._measure(*p.bits(), p.phase // 2, rng)
-
-    def stabilizer_strings(self) -> list[PauliString]:
-        return [PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
-                for i in range(self.n, 2 * self.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_closed_system_matches_propagator():
     res = dyn.lindblad_evolve(h, rho0, [], times=np.array([0.0, t_end]), dt=0.002)
     u = q.propagator(h, t_end).entries
     want = u @ rho0 @ u.conj().T
-    assert np.max(np.abs(res.final().entries - want)) < 1e-8
+    assert np.max(np.abs(res.states[-1].entries - want)) < 1e-8
 
 
 def test_driven_dephasing_vs_step_halving_oracle():
@@ -48,7 +48,7 @@ def test_driven_dephasing_vs_step_halving_oracle():
     times = np.array([0.0, 120.0])
     coarse = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=0.05)
     fine = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=0.005)
-    assert np.max(np.abs(coarse.final().entries - fine.final().entries)) < 1e-6
+    assert np.max(np.abs(coarse.states[-1].entries - fine.states[-1].entries)) < 1e-6
 
 
 def test_trace_and_hermiticity_preserved():
@@ -573,7 +573,7 @@ def test_unitary_evolve_static_exact():
     psi0 = q.ket(0, 2)
     res = dyn.unitary_evolve(h, psi0, times=np.array([0.0, 3.7]), dt=0.5)
     want = q.propagator(h, 3.7).entries @ psi0.amplitudes
-    assert np.max(np.abs(res.final().amplitudes - want)) < 1e-12
+    assert np.max(np.abs(res.states[-1].amplitudes - want)) < 1e-12
 
 
 def test_rabi_oscillation_frequency():
@@ -695,7 +695,7 @@ def test_resonator_decay_bookkeeping():
     res = dyn.lindblad_evolve(
         np.zeros((n_levels, n_levels), complex), rho0,
         [dyn.resonator_decay(kappa, n_levels)], times=times, dt=0.05,
-        e_ops={"n": (a.dag() @ a).entries},
+        e_ops={"n": a.entries.conj().T @ a.entries},
     )
     n_t = res.expectations["n"]
     assert np.max(np.abs(n_t - 3.0 * np.exp(-rate * times))) < 1e-6

@@ -114,14 +114,30 @@ def test_two_tone_lamb_shift_convention():
     assert grid[np.argmax(pops)] == pytest.approx(5.0 - chi, abs=grid[1] - grid[0])
 
 
+@pytest.mark.parametrize("sat, chi, grid", [
+    (0.05, 0.0025, np.linspace(4.991, 5.003, 25)),     # demo 02's scan
+    (0.5, -0.004, np.linspace(4.996, 5.012, 33)),
+])
+def test_two_tone_is_the_closed_form_steady_state(sat, chi, grid):
+    """The scan is the driven qubit's steady state to round-off:
+    rho_ee = (s/2) / (1 + (Delta T2)^2 + s) with Delta = 2 pi (w_q - chi - w_d)."""
+    t1, t2 = 250.0, 200.0
+    drive = np.sqrt(sat / (t1 * t2))
+    pops = ex.two_tone_scan(5.0, t1, t2, drive, grid, chi=chi)
+    s = drive**2 * t1 * t2
+    delta = to_angular(5.0 - chi - grid)
+    oracle = (s / 2) / (1 + (delta * t2) ** 2 + s)
+    assert np.max(np.abs(pops - oracle)) < 1e-12
+
+
 def test_two_tone_saturation_warning():
     with pytest.warns(UserWarning, match="saturation"):
         ex.two_tone_scan(5.0, 250.0, 200.0, 0.01, np.array([5.0]))
 
 
 def test_two_tone_infinite_t2_is_twice_t1():
-    """An infinite T2 sizes the window, step and saturation parameter as
-    T2 = 2 T1 does, and warns of nothing."""
+    """An infinite T2 sizes the saturation parameter as T2 = 2 T1 does,
+    and warns of nothing."""
     grid = np.linspace(4.995, 5.005, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -132,6 +148,17 @@ def test_two_tone_infinite_t2_is_twice_t1():
 def test_two_tone_needs_a_finite_coherence_time():
     with pytest.raises(ValueError, match="finite T1 or T2"):
         ex.two_tone_scan(5.0, np.inf, np.inf, 1e-3, np.array([5.0]))
+
+
+def test_two_tone_without_decay_needs_a_drive():
+    """Pure dephasing leaves every diagonal state steady without a drive;
+    with one, the steady state is the fully mixed state (and the
+    saturation parameter is infinite)."""
+    with pytest.raises(ValueError, match="a drive when T1 is infinite"):
+        ex.two_tone_scan(5.0, np.inf, 100.0, 0.0, np.array([5.0]))
+    with pytest.warns(UserWarning, match="saturation"):
+        pops = ex.two_tone_scan(5.0, np.inf, 100.0, 1e-3, np.array([4.999, 5.0]))
+    assert np.max(np.abs(pops - 0.5)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +290,16 @@ def test_run_ramsey_is_the_free_qubit_between_half_pulses():
 
 
 def test_two_tone_scan_is_the_driven_qubit_per_point():
+    """The steady state is where the driven qubit ends up: one long run per
+    point (60 T1, so the transient is e^-60 of its start) at dt = 0.5."""
     t1, t2 = 250.0, 200.0
     drive = np.sqrt(0.1 / (t1 * t2))
     grid = np.array([4.999, 5.0015])
-    pops = ex.two_tone_scan(5.0, t1, t2, drive, grid, settle=2.0, dt=0.5)
-    want = [dyn.lindblad_evolve(to_angular(5.0 - wd) * EXCITED
-                                + 0.5 * drive * SIGMA_X.entries, GROUND,
-                                dyn.qubit_collapse_ops(t1, t2),
-                                times=np.array([0.0, 2.0 * t2]), dt=0.5,
-                                e_ops={"p1": EXCITED}).expectations["p1"][-1]
+    pops = ex.two_tone_scan(5.0, t1, t2, drive, grid)
+    want = [ex.qubit_run(np.array([0.0, 60.0 * t1]), t1, t2, to_angular(5.0 - wd),
+                         drive, dt=0.5).expectations["p1"][-1]
             for wd in grid]
-    assert np.array_equal(pops, want)
+    assert np.max(np.abs(pops - want)) < 1e-12
 
 
 @pytest.mark.parametrize("shots", [None, 1, 7, 1000, 100_000])

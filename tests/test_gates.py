@@ -14,7 +14,7 @@ from scqsim.coupling import JCParams, TwoQubitParams
 
 def test_rabi_pi_pulse_is_x():
     u = q.rotation_operator("x", np.pi / 10.0 * 10.0)     # Omega_R * tau = pi
-    assert q.global_phase_distance(u, q.X_GATE) < 1e-12
+    assert q.global_phase_distance(u, q.SIGMA_X) < 1e-12
 
 
 def test_rabi_two_pi_is_minus_identity():
@@ -73,7 +73,7 @@ def test_driven_frame_simulated_rabi_frequency():
     assert np.max(p1) > 0.99   # full population inversion
     # the truncated Fock space stayed empty at the top (headroom check)
     from scqsim.coupling import fock_headroom
-    fock_headroom(res.final(), p.n_max)
+    fock_headroom(res.states[-1], p.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_infidelity_global_phase_immune():
 
 
 def test_infidelity_orthogonal_gates():
-    assert gates.gate_infidelity(q.X_GATE, q.identity(2)) == pytest.approx(1.0)
+    assert gates.gate_infidelity(q.SIGMA_X, q.identity(2)) == pytest.approx(1.0)
 
 
 def test_infidelity_dim_mismatch():

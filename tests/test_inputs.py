@@ -10,7 +10,9 @@ import pytest
 from scqsim import circuits as cir
 from scqsim import control as ctl
 from scqsim import coupling as cp
+from scqsim import experiments as ex
 from scqsim import gates
+from scqsim import surface_code as sc
 
 SRC = Path(cir.__file__).parent
 
@@ -98,6 +100,14 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     lambda: cir.frequency_derivative(_CIRCUIT, "flux", delta=1e-4),
     lambda: cir.dephasing_rate(_CIRCUIT, cir.NoiseSpec("flux", 1e-4), delta=1e-4),
     lambda: cir.sweet_spot(_CIRCUIT, "flux", (2.3, 3.8), delta=1e-4),
+    lambda: ex.two_tone_scan(5.0, 250.0, 200.0, 1e-3, np.array([5.0]), settle=8.0),
+    lambda: ex.two_tone_scan(5.0, 250.0, 200.0, 1e-3, np.array([5.0]), dt=0.5),
+    lambda: ctl.pi_pulse("gaussian", 6.4, sigma=1.6),
+    lambda: cir.find_derivative_zero(np.cos, (2.0, 4.0), 1e-5, max_iter=200),
+    lambda: cp.fock_headroom(np.diag([1.0] + [0.0] * 7), 3, threshold=1e-6),
+    lambda: sc.PauliString.from_support(5, "X", [2], phase=0),
+    lambda: ex.run_t1(np.array([0.0, 10.0]), 100.0, dt=0.5),
+    lambda: ex.run_ramsey(np.array([0.0, 10.0]), 100.0, 100.0, 0.01, dt=0.5),
 ], ids=[
     "JCParams.gamma", "CapacitiveCouplingSpec.c_r", "CapacitiveCouplingSpec.beta",
     "CapacitiveCouplingSpec.v_r0", "TwoQubitParams.alpha_2", "TwoQubitParams.levels",
@@ -105,7 +115,10 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     "cz_adiabatic.nsteps", "cz_adiabatic.check", "cz_adiabatic.array_zeta",
     "cz_adiabatic_simulate.leakage_threshold", "make_envelope.slices",
     "sequence_propagator.env_dim", "frequency_derivative.delta",
-    "dephasing_rate.delta", "sweet_spot.delta",
+    "dephasing_rate.delta", "sweet_spot.delta", "two_tone_scan.settle",
+    "two_tone_scan.dt", "pi_pulse.sigma", "find_derivative_zero.max_iter",
+    "fock_headroom.threshold", "PauliString.from_support.phase", "run_t1.dt",
+    "run_ramsey.dt",
 ])
 def test_removed_input_raises_type_error(call):
     with pytest.raises(TypeError):

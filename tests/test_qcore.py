@@ -58,7 +58,7 @@ def test_bloch_round_trip(theta, phi, r):
 def test_rotation_operator_pauli_x():
     rx = q.rotation_operator("x", np.pi)
     assert np.allclose(rx.entries, -1j * q.SIGMA_X.entries, atol=1e-15)
-    assert q.global_phase_distance(rx, q.X_GATE) < 1e-10
+    assert q.global_phase_distance(rx, q.SIGMA_X) < 1e-10
 
 
 def test_rotation_operator_identity_and_phase_gate():
@@ -160,15 +160,15 @@ def test_partial_trace_dim_mismatch():
 
 
 def test_gate_set_unitary():
-    for gate in (q.X_GATE, q.Y_GATE, q.Z_GATE, q.H_GATE, q.S_GATE, q.T_GATE,
+    for gate in (q.SIGMA_X, q.SIGMA_Y, q.SIGMA_Z, q.H_GATE, q.S_GATE, q.T_GATE,
                  q.CNOT_GATE, q.CZ_GATE):
         m = gate.entries
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-12
 
 
 def test_gate_identities():
-    assert np.allclose((q.H_GATE @ q.Z_GATE @ q.H_GATE).entries, q.X_GATE.entries)
-    assert np.allclose((q.S_GATE @ q.S_GATE).entries, q.Z_GATE.entries)
+    assert np.allclose((q.H_GATE @ q.SIGMA_Z @ q.H_GATE).entries, q.SIGMA_X.entries)
+    assert np.allclose((q.S_GATE @ q.S_GATE).entries, q.SIGMA_Z.entries)
     assert np.allclose((q.T_GATE @ q.T_GATE).entries, q.S_GATE.entries)
 
 
@@ -232,7 +232,7 @@ def test_global_phase_comparison():
 
 def test_operators_are_immutable():
     with pytest.raises(ValueError):
-        q.X_GATE.entries[0, 0] = 5.0
+        q.SIGMA_X.entries[0, 0] = 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import chi2_contingency
 
 from scqsim import surface_code as sc
@@ -1277,6 +1278,59 @@ def test_draw_block_edges_match_per_shot_loop(shots):
     for kind, syn in zip("zx", _documented_syndromes(d, p, shots, seed)):
         assert res.max_defects[kind] == syn.sum(axis=1).max()
         assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
+
+
+@lru_cache(maxsize=None)
+def _failing_by_weight(d):
+    """(n_data, failing X patterns by weight, failing Z patterns by weight):
+    every one of the 2^n_data patterns of each kind is corrected by
+    ``mwpm_decode``, each distinct syndrome decoded once, and counted as
+    failing when the residual flips the logical of the other kind."""
+    lat = sc.SurfaceLattice(d)
+    x_l, z_l = sc.logical_ops(lat)
+    n = lat.n_data
+    patterns = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    none = np.zeros(len(lat.z_checks), dtype=np.int8)
+    failing = []
+    # X errors light Z checks and may flip Z_L; Z errors light X checks
+    for kind, logical in (("z", z_l), ("x", x_l)):
+        support = np.zeros(n, dtype=int)
+        support[list(logical.support())] = 1
+        found, inverse = np.unique(patterns @ lat.adjacency(kind) % 2, axis=0,
+                                   return_inverse=True)
+        fixes = []
+        for bits in found.astype(np.int8):
+            both = (none, bits) if kind == "z" else (bits, none)
+            frame = sc.mwpm_decode(sc.Syndrome(0, *both), lat)
+            fixes.append(frame.x if kind == "z" else frame.z)
+        residual = patterns ^ np.array(fixes)[inverse.reshape(-1)]
+        failing.append(np.bincount(patterns.sum(axis=1), weights=residual @ support % 2,
+                                   minlength=n + 1))
+    return (n, *failing)
+
+
+def _exact_logical_rate(d, p, cycles):
+    """1 - (1 - P_x)(1 - P_z), each kind's failing patterns summed at the
+    cumulative flip probability (1 - (1 - 2p)^cycles) / 2."""
+    n, fail_x, fail_z = _failing_by_weight(d)
+    q = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
+    w = np.arange(n + 1)
+    pw = q**w * (1 - q) ** (n - w)
+    return 1.0 - (1.0 - fail_x @ pw) * (1.0 - fail_z @ pw)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.15])
+@pytest.mark.parametrize("cycles", [1, 3])
+def test_monte_carlo_matches_exact_oracle(d, p, cycles):
+    """Failure counts of 20,000 shots are a Binomial(shots, exact) draw:
+    neither tail of the count falls below 1e-6."""
+    shots, seed = 20_000, 41
+    exact = _exact_logical_rate(d, p, cycles)
+    k = sc.logical_error_rate(d, p, cycles, shots, seed).failures
+    at_most = betainc(shots - k, k + 1, 1.0 - exact) if k < shots else 1.0
+    at_least = betainc(k, shots - k + 1, exact) if k > 0 else 1.0
+    assert min(at_most, at_least) >= 1e-6, (k, shots * exact)
 
 
 def test_monte_carlo_memory_bound():
