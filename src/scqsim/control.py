@@ -93,13 +93,12 @@ def make_envelope(
     amplitude: float | None = None,
     area: float | None = None,
     nsamples: int = 513,
-    sigma: float | None = None,
 ) -> PulseEnvelope:
     """Build a single-quadrature envelope (Omega_y = 0).
 
-    kinds: 'square'; 'gaussian' (truncated at +-2 sigma with the truncation
-    offset subtracted so the endpoints are exactly zero; sigma defaults to
-    duration/4); 'cosine' (Hann, zero endpoints).  Exactly one of
+    kinds: 'square'; 'gaussian' (sigma = duration/4, truncated at +-2 sigma
+    with the truncation offset subtracted so the endpoints are exactly
+    zero); 'cosine' (Hann, zero endpoints).  Exactly one of
     ``amplitude`` or ``area`` sets the scale.  Piecewise-constant envelopes
     come from :func:`grape_pulse` and :func:`pulse_from_csv`.
     """
@@ -107,7 +106,7 @@ def make_envelope(
     if kind == "square":
         shape = np.ones_like(t)
     elif kind == "gaussian":
-        s = duration / 4 if sigma is None else sigma
+        s = duration / 4
         center = duration / 2
         shape = np.exp(-((t - center) ** 2) / (2 * s**2))
         shape = shape - np.exp(-(duration / 2) ** 2 / (2 * s**2))

@@ -103,6 +103,7 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     lambda: ex.two_tone_scan(5.0, 250.0, 200.0, 1e-3, np.array([5.0]), settle=8.0),
     lambda: ex.two_tone_scan(5.0, 250.0, 200.0, 1e-3, np.array([5.0]), dt=0.5),
     lambda: ctl.pi_pulse("gaussian", 6.4, sigma=1.6),
+    lambda: ctl.make_envelope("gaussian", 6.4, area=np.pi, sigma=1.6),
     lambda: cir.find_derivative_zero(np.cos, (2.0, 4.0), 1e-5, max_iter=200),
     lambda: cp.fock_headroom(np.diag([1.0] + [0.0] * 7), 3, threshold=1e-6),
     lambda: sc.PauliString.from_support(5, "X", [2], phase=0),
@@ -116,7 +117,8 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     "cz_adiabatic_simulate.leakage_threshold", "make_envelope.slices",
     "sequence_propagator.env_dim", "frequency_derivative.delta",
     "dephasing_rate.delta", "sweet_spot.delta", "two_tone_scan.settle",
-    "two_tone_scan.dt", "pi_pulse.sigma", "find_derivative_zero.max_iter",
+    "two_tone_scan.dt", "pi_pulse.sigma", "make_envelope.sigma",
+    "find_derivative_zero.max_iter",
     "fock_headroom.threshold", "PauliString.from_support.phase", "run_t1.dt",
     "run_ramsey.dt",
 ])

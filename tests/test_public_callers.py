@@ -59,10 +59,9 @@ UNPASSED_OPTIONS = {
         "dipole_elements.npoints", "sweet_spot.ncut", "sweet_spot.extent"), _GRID),
     **dict.fromkeys(("run_rabi.dt", "classical_oscillators.dt"), _PINNED),
     **dict.fromkeys((
-        "make_envelope.sigma", "refocus_sequence.include_prep",
-        "run_t1.pi_pulse_error", "lindblad_evolve.t_span", "grape_optimize.seed",
-        "sweet_spot.tol", "syndrome_from_errors.cycle",
-        "zz_engineering_propagator.signs"), _INPUT),
+        "refocus_sequence.include_prep", "run_t1.pi_pulse_error",
+        "lindblad_evolve.t_span", "grape_optimize.seed", "sweet_spot.tol",
+        "syndrome_from_errors.cycle", "zz_engineering_propagator.signs"), _INPUT),
 }
 
 
