@@ -217,25 +217,6 @@ def _loop_tridiagonal(p: CircuitParams, extent: float, npoints: int):
     return diag, off, phi
 
 
-def loop_hamiltonian(
-    p: CircuitParams,
-    extent: float = DEFAULT_EXTENT,
-    npoints: int = DEFAULT_NPOINTS,
-) -> Operator:
-    """Phase-grid Hamiltonian of a loop circuit (E_L > 0), in GHz.
-
-    Kinetic term 4 E_C N^2 with N = -i d/dphi discretized by second-order
-    central differences; potential E_L phi^2/2 - E_J cos(phi - phi_ext);
-    Dirichlet boundaries at +-extent.
-    """
-    diag, off, _ = _loop_tridiagonal(p, extent, npoints)
-    h = np.diag(diag).astype(complex)
-    idx = np.arange(npoints - 1)
-    h[idx, idx + 1] = off
-    h[idx + 1, idx] = off
-    return Operator(h, hermitian=True)
-
-
 def loop_spectrum(
     p: CircuitParams,
     nlevels: int = 5,
@@ -244,8 +225,10 @@ def loop_spectrum(
 ) -> SpectrumResult:
     """Lowest levels of a loop circuit via the tridiagonal eigensolver.
 
-    Equivalent to ``spectrum(loop_hamiltonian(...))`` but scales to the
-    fine grids needed for tight convergence checks.
+    Equivalent to the dense spectrum of the same grid H (kinetic term
+    4 E_C N^2 by second-order central differences, potential
+    E_L phi^2/2 - E_J cos(phi - phi_ext), Dirichlet walls at +-extent), but
+    scales to the fine grids needed for tight convergence checks.
     """
     _check_levels(nlevels)
     from scipy.linalg import eigh_tridiagonal

@@ -1,9 +1,10 @@
 """Virtual characterization experiments and randomized benchmarking.
 
 Experiments run on the Lindblad engine (rotating-frame models) and return
-plain data series; the fitters are deterministic damped least squares
-(Levenberg-Marquardt) seeded from spectral estimates, so identical data
-always reproduce bit-identical fits.
+plain data series.  Every fitted model is linear in all but one or two
+parameters: a fit seeds those on a grid, solving the linear ones in closed
+form, and polishes by damped Gauss-Newton, so identical data always
+reproduce bit-identical fits.
 
 Benchmarking is single-qubit only: the estimator formulas are
 dimension-generic, but the 11,520-element two-qubit Clifford group is out
@@ -13,7 +14,7 @@ of scope here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -238,27 +239,77 @@ def projective_readout(rho: np.ndarray, rng,
 # Curve fitting
 # ---------------------------------------------------------------------------
 
-def _lm_fit(model, jac, x, y, p0, names) -> FitResult:
-    from scipy.optimize import least_squares
-    try:
-        sol = least_squares(
-            lambda p: model(p, x) - y, p0, jac=lambda p: jac(p, x), method="lm",
-            max_nfev=20000,
-        )
-    except Exception:
-        return FitResult({n: np.nan for n in names}, {n: np.inf for n in names},
-                         np.inf, False)
-    res = sol.fun
-    m, n = len(x), len(p0)
-    dof = max(m - n, 1)
-    s2 = float(res @ res) / dof
-    jtj = sol.jac.T @ sol.jac
-    cov = np.linalg.pinv(jtj) * s2
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    params = dict(zip(names, (float(v) for v in sol.x)))
-    sigmas = dict(zip(names, (float(v) for v in sig)))
-    return FitResult(params, sigmas, float(np.linalg.norm(res)), bool(sol.success),
-                     int(sol.nfev))
+_FLAT = 1e-12       # peak-to-peak at or below which a series is fitted by no model
+
+
+def _projected(cols: np.ndarray, y: np.ndarray) -> tuple[int, np.ndarray]:
+    """Index and coefficients c of the best of g grid points (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10 (1973) 413): one batched solve of (B^T B) c = B^T y
+    = b over the bases ``cols`` (g, n, k), projected RSS y^T y - c^T b."""
+    bt = cols.transpose(0, 2, 1)
+    b = bt @ y
+    c = np.linalg.solve(bt @ cols, b[..., None])[..., 0]
+    i = int(np.argmin(y @ y - np.einsum("gi,gi->g", c, b)))
+    return i, c[i]
+
+
+def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
+    """Damped Gauss-Newton (Marquardt, J. SIAM 11 (1963) 431) from p on
+    ``fun(p)`` = (model, Jacobian), columns scaled to unit norm by D: a step
+    (J_s^T J_s + lam I) s = J_s^T r is taken (lam / 10) unless it raises the
+    RSS past its round-off 1e-15 |y| |r| (lam * 10), until the undamped step
+    is within 1e-10 of D p, or 200 steps (not converged).  The last parameter
+    k is reported as ``report(k)`` = (value, slope); sigmas from pinv(J^T J) s^2."""
+    p = np.asarray(p, dtype=float)
+    f, jac = fun(p)
+    r = y - f
+    rss, lam, nfev, converged = r @ r, 1e-3, 1, False
+    with np.errstate(all="ignore"):     # an overflowing trial is not taken; sv = 0 is masked
+        while nfev <= 200 and not converged:
+            d = np.maximum(np.sqrt(np.einsum("ij,ij->j", jac, jac)), np.finfo(float).tiny)
+            u, sv, vt = np.linalg.svd(jac / d, full_matrices=False)
+            ur = u.T @ r
+            gn = (ur / sv)[sv > 1e-15 * sv[0]]
+            converged = gn @ gn <= 1e-20 * ((d * p) @ (d * p))
+            trial = p + vt.T @ (sv * ur / (sv**2 + lam)) / d
+            f, jac_t = fun(trial)
+            nfev += 1
+            r_t = y - f
+            if r_t @ r_t <= rss + 1e-15 * np.sqrt((y @ y) * rss):
+                p, jac, r, rss, lam = trial, jac_t, r_t, r_t @ r_t, lam / 10
+            else:
+                lam *= 10
+    p[-1], slope = report(p[-1])
+    jac[:, -1] /= slope
+    s2 = rss / max(len(y) - len(p), 1)
+    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(jac.T @ jac) * s2), 0.0, None))
+    return FitResult(dict(zip(names, map(float, p))), dict(zip(names, map(float, sig))),
+                     float(np.sqrt(rss)), bool(converged), nfev)
+
+
+def _time(k):
+    return 1 / k, -1 / k**2         # a rate reported as its time constant, and the slope
+
+
+def _exp_fit(h: np.ndarray, y: np.ndarray, names, report, env=1.0, w=1.0) -> FitResult:
+    """(a0 + a1 env exp(-k h)) w fitted to y w by :func:`_fit`, seeded at the best
+    of 24 rates k over 0.01-100 per span of h (basis from h.min(): no underflow)."""
+    wc = np.asarray(w, dtype=float)[..., None]
+    k = np.logspace(-2, 2, 24) / np.ptp(h)
+    g = env * np.exp(-k[:, None] * (h - h.min()))
+    i, (a0, a1) = _projected(np.stack([np.ones_like(g), g], axis=2) * wc, y * w)
+
+    def fun(p):
+        g = env * np.exp(-p[2] * h)
+        return (p[0] + p[1] * g) * w, np.array([np.ones_like(g), g, -p[1] * h * g]).T * wc
+
+    return _fit(fun, y * w, [a0, a1 * np.exp(-k[i] * h.min()), k[i]], names, report)
+
+
+def _flat(y: np.ndarray, names, values, converged: bool = True) -> FitResult:
+    """Unfitted result: the values, zero sigmas, the residual about the mean."""
+    return FitResult(dict(zip(names, map(float, values))), dict.fromkeys(names, 0.0),
+                     float(np.linalg.norm(y - np.mean(y))), converged)
 
 
 def _fft_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
@@ -280,63 +331,50 @@ def _bic(fit: FitResult, n: int, k: int, rss_floor: float) -> float:
 
 
 def _series(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float arrays: 1-D, of one length, at least 8 points."""
+    """x and y as float arrays: 1-D, of one length, at least 8 finite points."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x, y must be 1-D of one length, got {x.shape}, {y.shape}")
     if len(x) < 8:
         raise ValueError("need at least 8 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x, y must be finite")
     return x, y
 
 
 def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """A0 + A1 cos(Omega t + A2) exp(-t / T_R); Omega seeded from the FFT.
-
-    The FFT peak (DC excluded) seeds Omega.  In bin 2 or higher the
-    oscillating fit is returned as it comes.  In bin 1 (at most about 1.5
-    periods in the window) the FFT cannot tell an oscillation from a pure
-    decay, so the decay-only model of ``fit_t1`` is fitted as well, and the
-    oscillating fit is kept only if it converged, has T_R > 0 and has the
-    lower Bayesian information criterion, n ln(RSS/n) + k ln n with k = 5
-    against k = 3.  RSS is floored at n (1e-10 peak-to-peak(y))^2, so a tie
-    between two fits at round-off goes to the decay model.  An oscillating
-    fit with T_R <= 0 is thus never returned from bin 1.  Otherwise the
-    result is the decay-only branch with Omega = A2 = 0 (and zero sigmas
-    for both), so the phase degeneracy of pure-decay data cannot blow up
-    the uncertainties.  That branch is ``fit_t1``'s fit as it comes; on
-    oscillating data that the oscillating fit missed, its T_R need not be
-    physical either.
-
-    Windows of 0.5 to 1 period are not settled: a decay can fit such a
-    stretch of cosine almost as well as the oscillating model, so either
-    branch may win, and an oscillating fit there may not recover Omega.
-    """
+    """A0 + A1 cos(Omega t + A2) exp(-t / T_R), linear in A0, c = A1 cos A2
+    and s = -A1 sin A2: seeded at the best of 7 x 8 points (Omega > 0 within
+    a bin of the DC-excluded FFT peak, 1/T_R over 0.01-100 per span) and
+    polished by :func:`_fit`.  From FFT bin 2 up that fit is returned.  In
+    bin 1 (at most ~1.5 periods) ``fit_t1`` runs too, and the oscillating fit
+    is kept only if it converged, has T_R > 0 and the lower BIC n ln(RSS/n) +
+    k ln n (k = 5 against 3; RSS floored at n (1e-10 peak-to-peak(y))^2, so
+    a round-off tie goes to the decay); else ``fit_t1``'s fit is returned
+    with Omega = A2 = 0, sigmas 0; from 0.5 to 1 period either may win.  A
+    series flat to 1e-12 is not fitted: A0 its mean, T_R the span, others 0."""
     x, y = _series(x, y)
-    omega0, peak_bin = _fft_frequency(x, y)
-    span = x[-1] - x[0]
-
-    def model(p, t):
-        a0, a1, a2, w, tr = p
-        return a0 + a1 * np.cos(w * t + a2) * np.exp(-t / tr)
-
-    def jac(p, t):
-        a0, a1, a2, w, tr = p
-        e = np.exp(-t / tr)
-        c = np.cos(w * t + a2)
-        s = np.sin(w * t + a2)
-        return np.stack([
-            np.ones_like(t),
-            c * e,
-            -a1 * s * e,
-            -a1 * t * s * e,
-            a1 * c * e * t / tr**2,
-        ], axis=1)
-
-    p0 = [float(np.mean(y)), float((np.max(y) - np.min(y)) / 2), np.pi,
-          omega0, span]
     names = ["a0", "a1", "a2", "omega", "t_r"]
-    osc = _lm_fit(model, jac, x, y, p0, names)
+    if np.ptp(y) <= _FLAT:
+        return _flat(y, names, [np.mean(y), 0.0, 0.0, 0.0, np.ptp(x)])
+    omega0, peak_bin = _fft_frequency(x, y)
+    w = omega0 * (1 + np.linspace(-1, 1, 7) / peak_bin)      # within one FFT bin
+    w, k, t = w[w > 0], np.logspace(-2, 2, 8) / np.ptp(x), x - x[0]   # t: no underflow
+    e, wt = np.exp(-np.outer(k, t)), np.outer(w, t)
+    cols = np.ones((len(w), len(k), len(t), 3))
+    cols[..., 1], cols[..., 2] = np.cos(wt)[:, None] * e, np.sin(wt)[:, None] * e
+    i, (a0, c, s) = _projected(cols.reshape(-1, len(t), 3), y)
+    w, k = w[i // len(k)], k[i % len(k)]
+
+    def damped_cosine(p):
+        offset, a1, a2, omega, rate = p
+        e = np.exp(-rate * x)
+        c, s = np.cos(omega * x + a2) * e, -a1 * np.sin(omega * x + a2) * e
+        return offset + a1 * c, np.array([np.ones_like(x), c, s, x * s, -a1 * x * c]).T
+
+    seed = [a0, np.hypot(c, s) * np.exp(k * x[0]), np.arctan2(-s, c) - w * x[0], w, k]
+    osc = _fit(damped_cosine, y, seed, names, _time)
     if peak_bin > 1:
         return osc
     dec = fit_t1(x, y)
@@ -351,27 +389,13 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 
 def fit_t1(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """A0 + A1 exp(-t / T1), seeded from the log-linear slope."""
+    """A0 + A1 exp(-t / T1) by :func:`_exp_fit`.  A series flat to 1e-12 is
+    not fitted: A0 is its mean, A1 = 0, T1 the span, sigmas 0."""
     x, y = _series(x, y)
-    a0 = float(y[-1])
-    a1 = float(y[0] - a0)
-    resid = np.abs(y - a0)
-    good = resid > max(1e-12, 0.05 * np.max(resid))
-    if np.count_nonzero(good) >= 2:
-        slope = np.polyfit(x[good], np.log(resid[good]), 1)[0]
-        t10 = -1.0 / slope if slope < 0 else (x[-1] - x[0])
-    else:
-        t10 = x[-1] - x[0]
-    t10 = float(np.clip(t10, (x[1] - x[0]) / 10, 1e6 * (x[-1] - x[0] + 1)))
-
-    def model(p, t):
-        return p[0] + p[1] * np.exp(-t / p[2])
-
-    def jac(p, t):
-        e = np.exp(-t / p[2])
-        return np.stack([np.ones_like(t), e, p[1] * e * t / p[2] ** 2], axis=1)
-
-    return _lm_fit(model, jac, x, y, [a0, a1, t10], ["a0", "a1", "t1"])
+    names = ["a0", "a1", "t1"]
+    if np.ptp(y) <= _FLAT:
+        return _flat(y, names, [np.mean(y), 0.0, np.ptp(x)])
+    return _exp_fit(x, y, names, _time)
 
 
 def fit_ramsey(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -384,35 +408,19 @@ def fit_ramsey(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 
 def fit_ramsey_gaussian(x: np.ndarray, y: np.ndarray, t1: float) -> FitResult:
-    """A0 + A1 exp(-t^2 / T_G^2) exp(-t / 2 T1) with T1 fixed, not fitted.
-
-    The Gaussian envelope models dephasing dominated by low-frequency
-    noise; T1 must come from an independent measurement.
-    """
+    """A0 + A1 exp(-t^2 / T_G^2) exp(-t / 2 T1) with T1 fixed, not fitted:
+    :func:`_exp_fit` in t^2.  The Gaussian envelope models dephasing
+    dominated by low-frequency noise; T1 must come from an independent
+    measurement.  A series flat to 1e-12 is not fitted: A0 is its mean,
+    A1 = 0, T_G half the last time (at least one step), sigmas 0."""
     x, y = _series(x, y)
     if not np.isfinite(t1) or t1 <= 0:
         raise ValueError("a measured, finite T1 is required")
-    a0 = float(y[-1])
-    a1 = float(y[0] - a0)
-    # crude width seed: where the excess over a0 falls to 1/e of its start
-    excess = np.abs(y - a0)
-    thresh = excess[0] / np.e
-    below = np.nonzero(excess < thresh)[0]
-    tg0 = float(x[below[0]]) if len(below) else float(x[-1] / 2)
-    tg0 = max(tg0, (x[1] - x[0]))
-
-    def model(p, t):
-        return p[0] + p[1] * np.exp(-(t / p[2]) ** 2) * np.exp(-t / (2 * t1))
-
-    def jac(p, t):
-        g = np.exp(-(t / p[2]) ** 2) * np.exp(-t / (2 * t1))
-        return np.stack([
-            np.ones_like(t),
-            g,
-            p[1] * g * 2 * t**2 / p[2] ** 3,
-        ], axis=1)
-
-    return _lm_fit(model, jac, x, y, [a0, a1, tg0], ["a0", "a1", "t_g"])
+    names = ["a0", "a1", "t_g"]
+    if np.ptp(y) <= _FLAT:
+        return _flat(y, names, [np.mean(y), 0.0, max(x[-1] / 2, x[1] - x[0])])
+    return _exp_fit(x**2, y, names, lambda k: (k**-0.5, -0.5 * k**-1.5),
+                    env=np.exp(-x / (2 * t1)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +511,7 @@ def _clifford_ptms() -> np.ndarray:
     """Read-only (24, 4, 4) stack of the :func:`_ptm` of each element of
     :func:`clifford_1q`, built on first use.
 
-    Each is a signed permutation up to round-off (<= 4.4e-16).  Rounding them
-    would make every noiseless survival curve exactly constant, and where the
-    decay fit of a constant curve lands depends on that round-off."""
+    Each is a signed permutation up to round-off (<= 4.4e-16)."""
     ptms = np.array([_ptm(np.asarray(c.op.entries)) for c in clifford_1q()])
     ptms.setflags(write=False)
     return ptms
@@ -657,7 +663,9 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
-    """Weighted fit of A p^m + B (inverse-variance weights from shot noise)."""
+    """Weighted fit of A p^m + B (inverse-variance weights from shot noise)
+    by :func:`_exp_fit` in p = exp(-k).  A curve flat to 1e-12 does not
+    identify p: not fitted, it is p = 1, A = 0, B its mean, not converged."""
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival, dtype=float)
     if sem is None or np.all(np.asarray(sem) <= 0):
@@ -666,42 +674,24 @@ def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
         s = np.asarray(sem, dtype=float)
         floor = max(np.min(s[s > 0], initial=1e-3), 1e-4)
         w = 1.0 / np.clip(s, floor, None)
-    b0 = float(np.clip(y[-1], 0.0, 1.0)) if y[-1] < 0.9 else 0.5
-    a0 = float(np.clip(y[0] - b0, 1e-3, 1.0))
-    decayed = np.clip((y - b0) / a0, 1e-6, None)
-    slope = np.polyfit(m, np.log(decayed), 1)[0]
-    p0 = float(np.clip(np.exp(slope), 1e-4, 0.99999))
-
-    def model(p, t):
-        return (p[0] * p[1] ** t + p[2]) * w
-
-    def jac(p, t):
-        pt = p[1] ** t
-        return np.stack([pt, p[0] * t * p[1] ** (t - 1), np.ones_like(t)],
-                        axis=1) * w[:, None]
-
-    return _lm_fit(model, jac, m, y * w, [a0, p0, b0], ["a", "p", "b"])
+    names = ["b", "a", "p"]            # as B + A exp(-k m), with p = exp(-k)
+    if np.ptp(y) <= _FLAT:
+        return _flat(y, names, [np.mean(y), 0.0, 1.0], converged=False)
+    return _exp_fit(m, y, names, lambda k: (np.exp(-k), -np.exp(-k)), w=w)
 
 
 def _rb_decay(cfg: RBConfig, survival, sem,
               name: str) -> tuple[FitResult, float, dict]:
-    """:func:`fit_rb_decay` and its decay parameter, which must lie in
-    (0, 1]; a flat zero-noise decay fits p = 1 + fuzz and is clipped to 1.
-    A constant curve (equal up to round-off, peak-to-peak <= 1e-12) does not
-    identify p in A p^m + B, so where its fit lands outside (0, 1] it is
-    reported as p = 1 with the fit marked not converged (``flat_curve`` in
-    the stats); any other curve raises :class:`FitQualityError`.
-    """
+    """:func:`fit_rb_decay` and its p clipped to 1 (:class:`FitQualityError`
+    past 1 + 1e-6); ``flat_curve`` marks a curve flat to 1e-12 (p = 1)."""
     fit = fit_rb_decay(cfg.lengths, survival, sem)
     p = fit.params["p"]
-    flat = not 0.0 < p <= 1.0 + 1e-6
-    if flat:
-        if np.ptp(survival) > 1e-12:
-            raise FitQualityError(f"{name} = {p!r} outside (0, 1]")
-        fit = replace(fit, params={**fit.params, "p": 1.0}, converged=False)
-    stats = {"fit_converged": fit.converged, "fit_nfev": fit.nfev, "flat_curve": flat,
+    if not 0.0 < p <= 1.0 + 1e-6:
+        raise FitQualityError(f"{name} = {p!r} outside (0, 1]")
+    stats = {"fit_converged": fit.converged, "fit_nfev": fit.nfev,
+             "flat_curve": bool(np.ptp(survival) <= _FLAT),
              "cliffords": cfg.sequences_per_length * sum(cfg.lengths)}
-    return fit, min(fit.params["p"], 1.0), stats
+    return fit, min(p, 1.0), stats
 
 
 def rb_standard(cfg: RBConfig) -> RBResult:

@@ -538,21 +538,22 @@ def syndromes_to_csv(syndromes, path) -> None:
 # Exact minimum-weight matching
 # ---------------------------------------------------------------------------
 
-MAX_DEFECTS = 19
+MAX_DEFECTS = 20
 """Most defects of one check type the exact matcher takes in one syndrome.
 
 The matcher is a DP over subsets of the defects that always matches the
 lowest one left, to the boundary or to a partner, so a state of k defects
 has exactly k moves.  From the full set that reaches only Fibonacci-many
-subsets, and it visits no others: 987 at 14 defects and 10,946 at 19
-(counting the empty one), against 2^19 = 524,288 for the full table, with
-6,255 and 93,845 moves in all.  Each further defect multiplies the states
-by ~1.6 and the moves by ~1.7; past 19, :class:`DecoderCapacityError` is
-raised instead."""
+subsets, and it visits no others: 987 at 14 defects and 17,711 at 20
+(counting the empty one), against 2^20 = 1,048,576 for the full table,
+with 6,255 and 159,765 moves in all.  Each further defect multiplies the
+states by ~1.6 and the moves by ~1.7; past 20, :class:`DecoderCapacityError`
+is raised instead.  Distances 2, 3 and 5 have at most 20 checks of a type,
+so no syndrome of theirs exceeds the capacity."""
 
 _NO_MOVE = 1 << 20      # weight of a move that does not exist (> any matching)
 # A DP key is one int32: weight << 7 | move << 2 | parity.  The move (0 for
-# the boundary, 1 + j for partner j; 1 + n <= 20 < 32) sits in bits 2-6,
+# the boundary, 1 + j for partner j; 1 + n <= 21 < 32) sits in bits 2-6,
 # and bits 0-1 hold the sum of two parity bits (at most 2, so no carry into
 # the move).  That leaves 24 bits of weight: a matching may weigh up to
 # 2^24 - 1, and ``_NO_MOVE << 7`` = 2^27 still fits.
@@ -925,9 +926,9 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     carries the logical parity of each matching in its keys, so the parity
     is read straight off the full set's key: no matching is read back and
     no correction is built.  The parity is gathered back to the shots that
-    share the syndrome.  A shot with more than
-    ``MAX_DEFECTS`` defects of one kind raises
-    :class:`DecoderCapacityError` before any matching.
+    share the syndrome.  A syndrome has at most 20 checks of a kind at
+    d <= 5, so none exceeds ``MAX_DEFECTS`` and no call aborts for the
+    decoder's capacity.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")

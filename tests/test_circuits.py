@@ -148,20 +148,28 @@ def test_loop_grid_doubling_convergence():
 
 def test_loop_resolution_error():
     with pytest.raises(ValueError, match="npoints"):
-        cir.loop_hamiltonian(cir.CircuitParams(5, 1, 1), npoints=64)
+        cir.loop_spectrum(cir.CircuitParams(5, 1, 1), nlevels=3, npoints=127)
     with pytest.raises(ValueError, match="npoints"):
         cir.loop_spectrum(cir.CircuitParams(5, 1, 1), npoints=64)
     with pytest.raises(ValueError, match="npoints"):
         cir.dipole_elements(cir.CircuitParams(5, 1, 1), nlevels=3, npoints=64)
-    with pytest.raises(ValueError):
-        cir.loop_hamiltonian(cir.CircuitParams(5, 1, 0))
+    with pytest.raises(ValueError, match="E_L > 0"):
+        cir.loop_spectrum(cir.CircuitParams(5, 1, 0), nlevels=3)
     with pytest.raises(ValueError):
         cir.loop_spectrum(cir.CircuitParams(5, 1, 0))
 
 
+def _loop_hamiltonian(p, extent=cir.DEFAULT_EXTENT, npoints=cir.DEFAULT_NPOINTS):
+    """The dense phase-grid H of a loop circuit (the oracle of loop_spectrum):
+    kinetic term 4 E_C N^2 by second-order central differences, potential
+    E_L phi^2/2 - E_J cos(phi - phi_ext), Dirichlet walls at +-extent."""
+    diag, off, _ = cir._loop_tridiagonal(p, extent, npoints)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_loop_dense_matches_tridiagonal():
     p = cir.CircuitParams(2.0, 0.5, 1.0, 0.0, 1.0)
-    dense = cir.spectrum(cir.loop_hamiltonian(p, npoints=512), 4).levels
+    dense = cir.spectrum(_loop_hamiltonian(p, npoints=512), 4).levels
     tri = cir.loop_spectrum(p, 4, npoints=512).levels
     assert np.max(np.abs(dense - tri)) < 1e-10
 

@@ -497,20 +497,20 @@ def test_rb_manifest_carries_fit_stats(tmp_path):
 
 
 # rb.csv and rb.json of the benchmark's RB shapes at seed 7, recorded with
-# numpy 2.4.6 and scipy 1.17.1 from the per-gate loop that the tree product
-# replaced (digests: rb.csv, rb.json)
+# numpy 2.4.6: rb.csv from the per-gate loop that the tree product replaced,
+# rb.json from the grid-seeded Gauss-Newton decay fit (digests: rb.csv, rb.json)
 _RB_PINNED = {
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n":
         ("870204a0baafaf99464572ec436391a01df92f4121454b5c2cd8aa65d6df904c",
-         "b78a974f180cb153189fc5a22357e4e8532b61cedce35e2560f7be402e5fe834"),
+         "c655af2680382d18097b56dde54a8954ac144b44249974390c2ba7ac381a5dfc"),
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n"
     "prep_error = 0.02\n":
         ("3988027d8e6331c93d355ba9cc2a0971251c10a915ed71a8cf632bca2cdc977d",
-         "ba55563cfe33ebe27826617142941b014dfa4ef5842fe4a9a4da20281cfe022f"),
+         "315072a26c2d8e1d424e2317b52af6ee3b7597ae87a65f2326ac88d098fb97d8"),
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128\nsequences_per_length = 40\n"
     "interleaved = 3\n":
         ("8993ec3b1fd0cbb663d96d12e8fcd89eaeec5c7095e4ebe741d557eb166479f7",
-         "30b9146990ab45b805662bdc56aad9ea187a114639104fb5e5191972d117f729"),
+         "5bad8e3b81cd221793495e867e257565575b3ab1cb4c7a1c1d315b02735bfe7c"),
 }
 
 
@@ -676,6 +676,24 @@ def test_module_entry_point(tmp_path, src_env):
         capture_output=True, env=src_env,
     )
     assert proc.returncode == 0
+
+
+def test_experiment_and_rb_never_load_scipy_optimize(tmp_path, src_env):
+    """The fits run on numpy alone: CLI experiment (all three kinds) and rb
+    finish without importing scipy.optimize."""
+    args = []
+    runs = [("experiment", f"kind = {k}\n") for k in ("rabi", "t1", "ramsey")]
+    runs.append(("rb", "lengths = 1, 2, 4, 8, 16\nsequences_per_length = 5\n"))
+    for i, (sub, text) in enumerate(runs):
+        (tmp_path / f"{i}.cfg").write_text(text)
+        args.append(f"{sub} --config {tmp_path / f'{i}.cfg'} --out {tmp_path / str(i)}")
+    code = ("import sys; from scqsim import cli\n"
+            "codes = [cli.main(a.split()) for a in sys.argv[1:]]\n"
+            "print(codes, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 def test_import_leaves_scipy_linalg_and_optimize_unloaded(src_env):

@@ -45,7 +45,6 @@ CALLED_BY_TESTS_ONLY = {
         "PulseEnvelope.drive_functions", "StateVector.to_density",
         "PauliString.commutes_with", "StabilizerTableau.apply",
         "StabilizerTableau.measure_pauli", "SurfaceLattice.stabilizer"), _TOOL),
-    "loop_hamiltonian": "the dense test oracle for loop_spectrum",
 }
 
 _GRID = "the circuit grid, passed through to circuit_spectrum"

@@ -1160,7 +1160,8 @@ def test_decode_matches_per_kind_matcher():
 
 
 def test_decoder_capacity_limit():
-    lat = sc.SurfaceLattice(5)
+    """d = 7 has 42 checks of a kind, past the matcher's capacity."""
+    lat = sc.SurfaceLattice(7)
     syn = sc.Syndrome(0, np.zeros(len(lat.x_checks), np.int8),
                       np.ones(len(lat.z_checks), np.int8))
     with pytest.raises(sc.DecoderCapacityError):
@@ -1366,17 +1367,22 @@ def test_monte_carlo_counts(d, p, shots, seed):
         assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
 
 
-def test_monte_carlo_capacity_error():
-    """d = 5, p = 0.5, seed 9: the draws hold a shot with more defects than
-    the matcher takes, and the whole call raises before decoding."""
+def test_monte_carlo_at_full_capacity():
+    """d = 5, p = 0.5, seed 9: the draws hold a shot with every one of the 20
+    X checks lit, which the matcher takes, and decoding that syndrome (or
+    all 20 Z checks) leaves none lit."""
     d, p, shots, seed = 5, 0.5, 10000, 9
-    most = max(int(syn.sum(axis=1).max())
-               for syn in _documented_syndromes(d, p, shots, seed))
-    assert most > sc.MAX_DEFECTS
-    with pytest.raises(sc.DecoderCapacityError,
-                       match=f"^{most} defects exceed the exhaustive-matching "
-                             f"capacity {sc.MAX_DEFECTS}$"):
-        sc.logical_error_rate(d, p, 1, shots, seed)
+    assert len(sc.SurfaceLattice(d).z_checks) == sc.MAX_DEFECTS == 20
+    res = sc.logical_error_rate(d, p, 1, shots, seed)
+    assert res.max_defects == {"z": 18, "x": 20}
+    assert res.failures == 7484
+    lat = sc.SurfaceLattice(d)
+    for kind in "xz":
+        bits = {k: np.full(20, int(k == kind), np.int8) for k in "xz"}
+        frame = sc.mwpm_decode(sc.Syndrome(0, bits["x"], bits["z"]), lat)
+        again = sc.syndrome_from_errors(lat, frame.x, frame.z)
+        assert np.array_equal(again.x_bits, bits["x"])
+        assert np.array_equal(again.z_bits, bits["z"])
 
 
 @pytest.mark.parametrize("p, cycles, shots", [
