@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (Operator, _as_matrix, ordered_product, pauli, piecewise_propagator,
-                    rotation_operator, step_unitaries, tensor)
+from .qcore import (Operator, _as_matrix, _cf4_rows, ordered_product, pauli,
+                    piecewise_propagator, rotation_operator, step_unitaries, tensor)
 
 TWO_PI = 2.0 * np.pi
 GRAPE_STEP = 0.5
@@ -173,29 +173,32 @@ def three_level_drive_ops(lam: float):
 
 def _three_level_unitary(p: PulseEnvelope, alpha: float, lam: float,
                          refine: int) -> np.ndarray:
-    # ``refine`` midpoint steps per sample interval, the quadratures
-    # interpolated linearly to each midpoint
-    frac = (np.arange(refine) + 0.5) / refine
-    amps = [np.outer(q[:-1], 1 - frac) + np.outer(q[1:], frac)
-            for q in (p.omega_x, p.omega_y)]
+    # ``refine`` CF4 steps per sample interval, the quadratures
+    # interpolated linearly to each Gauss node
+    def sample(c):
+        frac = (np.arange(refine) + c) / refine
+        return 0.5 * np.reshape([np.outer(q[:-1], 1 - frac) + np.outer(q[1:], frac)
+                                 for q in (p.omega_x, p.omega_y)], (2, -1))
+
+    amps, widths = _cf4_rows(sample, np.repeat(np.diff(p.times) / refine, refine))
     return piecewise_propagator(np.diag([0.0, 0.0, alpha]), three_level_drive_ops(lam),
-                                0.5 * np.reshape(amps, (2, -1)),
-                                np.repeat(np.diff(p.times) / refine, refine))
+                                amps, widths)
 
 
 def leakage_simulate(p: PulseEnvelope, alpha: float, lam: float = np.sqrt(2),
-                     refine: int = 4, check: bool = True):
+                     refine: int = 1, check: bool = True):
     """Drive a three-level ladder with the envelope; report |2> leakage.
 
     The rotating-frame Hamiltonian is diag(0, 0, alpha) plus the
     lam-weighted x/y drive operators; ``alpha`` in rad/ns.  Each sample
-    interval takes ``refine`` midpoint steps with the quadratures
-    interpolated linearly, and U is their
+    interval takes ``refine`` fourth-order commutator-free steps (two
+    exponentials each, with the quadratures interpolated linearly to the
+    Gauss nodes; see :func:`~scqsim.qcore._cf4_rows`), and U is their
     :func:`~scqsim.qcore.piecewise_propagator` tree product.  Returns
     ``(U, leakage)`` with leakage = max over the computational basis states
-    of the final |2> population.  With ``check=True`` the product formula is
-    re-run at half the step and a leakage shift above 1e-7 raises
-    :class:`ConvergenceError`.
+    of the final |2> population.  With ``check=True`` the run is repeated
+    at ``2 * refine`` steps, that result is returned, and a leakage shift
+    above 1e-7 raises :class:`ConvergenceError`.
     """
     u = _three_level_unitary(p, alpha, lam, refine)
     leak = float(max(abs(u[2, 0]) ** 2, abs(u[2, 1]) ** 2))

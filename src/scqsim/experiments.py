@@ -253,21 +253,29 @@ def _projected(cols: np.ndarray, y: np.ndarray) -> tuple[int, np.ndarray]:
     return i, c[i]
 
 
+def _unit_columns(jac: np.ndarray):
+    """(J / D, D) with D the column norms of J (a zero column kept at zero)."""
+    d = np.maximum(np.sqrt(np.einsum("ij,ij->j", jac, jac)), np.finfo(float).tiny)
+    return jac / d, d
+
+
 def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
     """Damped Gauss-Newton (Marquardt, J. SIAM 11 (1963) 431) from p on
     ``fun(p)`` = (model, Jacobian), columns scaled to unit norm by D: a step
     (J_s^T J_s + lam I) s = J_s^T r is taken (lam / 10) unless it raises the
     RSS past its round-off 1e-15 |y| |r| (lam * 10), until the undamped step
     is within 1e-10 of D p, or 200 steps (not converged).  The last parameter
-    k is reported as ``report(k)`` = (value, slope); sigmas from pinv(J^T J) s^2."""
+    k is reported as ``report(k)`` = (value, slope).  Sigmas are sqrt(diag(
+    pinv(J_s^T J_s)) s^2) / D at the solution, with J_s = J / D, so a poorly
+    scaled parameter is not cut off by pinv's relative threshold."""
     p = np.asarray(p, dtype=float)
     f, jac = fun(p)
     r = y - f
     rss, lam, nfev, converged = r @ r, 1e-3, 1, False
     with np.errstate(all="ignore"):     # an overflowing trial is not taken; sv = 0 is masked
         while nfev <= 200 and not converged:
-            d = np.maximum(np.sqrt(np.einsum("ij,ij->j", jac, jac)), np.finfo(float).tiny)
-            u, sv, vt = np.linalg.svd(jac / d, full_matrices=False)
+            js, d = _unit_columns(jac)
+            u, sv, vt = np.linalg.svd(js, full_matrices=False)
             ur = u.T @ r
             gn = (ur / sv)[sv > 1e-15 * sv[0]]
             converged = gn @ gn <= 1e-20 * ((d * p) @ (d * p))
@@ -282,7 +290,8 @@ def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
     p[-1], slope = report(p[-1])
     jac[:, -1] /= slope
     s2 = rss / max(len(y) - len(p), 1)
-    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(jac.T @ jac) * s2), 0.0, None))
+    js, d = _unit_columns(jac)
+    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(js.T @ js)) * s2, 0.0, None)) / d
     return FitResult(dict(zip(names, map(float, p))), dict(zip(names, map(float, sig))),
                      float(np.sqrt(rss)), bool(converged), nfev)
 

@@ -18,6 +18,7 @@ from .qcore import (
     CZ_GATE,
     Operator,
     _as_matrix,
+    _cf4_rows,
     annihilation,
     number_op,
     pauli,
@@ -257,19 +258,22 @@ def cz_adiabatic_simulate(
     alpha_2: float,
     j: float,
     tau: float,
-    dt: float = 0.005,
+    dt: float = 0.02,
 ) -> dict:
     """Time evolution of the two-transmon model under a flux-bias excursion.
 
-    ``bias_fn(t)`` returns omega_q2(t) in GHz, sampled at the midpoint of
-    each of ceil(tau / dt) equal steps.  The propagator is
-    :func:`~scqsim.qcore.piecewise_propagator`'s tree product; H conserves
-    the excitation number, so each step is diagonalized per excitation
-    block.  Starting from |11>, the run tracks the instantaneous |02>
-    population (the adiabaticity monitor: one mat-vec per step inside the
-    three-level block of |11>, |02> and |20>) and reports the conditional
-    phase theta_11 - theta_10 - theta_01 + theta_00 accumulated relative to
-    the single-qubit frames.
+    The run takes ceil(tau / dt) equal fourth-order commutator-free steps
+    (:func:`~scqsim.qcore._cf4_rows`): ``bias_fn(t)`` returns omega_q2(t)
+    in GHz and is sampled at the two Gauss nodes of each step, and each
+    step is two half-length rows of
+    :func:`~scqsim.qcore.piecewise_propagator`, whose tree product is the
+    propagator; H conserves the excitation number, so each row is
+    diagonalized per excitation block.  Starting from |11>, the run tracks
+    the |02> population (the adiabaticity monitor: one mat-vec per row
+    inside the three-level block of |11>, |02> and |20>, read after every
+    half-step row) and reports the conditional phase
+    theta_11 - theta_10 - theta_01 + theta_00 accumulated relative to the
+    single-qubit frames.
 
     Returns a dict with 'conditional_phase', 'leakage' (final |02>
     population), 'max_02_population', and 'adiabatic' (monitor vs the
@@ -280,10 +284,11 @@ def cz_adiabatic_simulate(
     # H is linear in omega_q2: H(omega_q2 = 0) + omega_q2 n_2
     h_fixed = two_transmon_hamiltonian(omega_q1, 0.0, alpha_1, alpha_2, j).entries
     n_2 = tensor(np.eye(3), number_op(3)).entries
-    omega_q2 = [bias_fn((i + 0.5) * sub) for i in range(nsteps)]
+    omega_q2, widths = _cf4_rows(
+        lambda c: [[bias_fn((i + c) * sub) for i in range(nsteps)]], np.full(nsteps, sub))
     idx11, idx02 = _bare_index(1, 1), _bare_index(0, 2)
-    u, peak = piecewise_propagator(to_angular(h_fixed), [to_angular(n_2)], [omega_q2],
-                                   np.full(nsteps, sub), watch=idx11)
+    u, peak = piecewise_propagator(to_angular(h_fixed), [to_angular(n_2)], omega_q2,
+                                   widths, watch=idx11)
     max_02 = float(peak[idx02])
     phases = {
         lbl: np.angle(u[_bare_index(*lbl), _bare_index(*lbl)])

@@ -366,6 +366,30 @@ def ordered_product(us) -> np.ndarray:
     return us[..., 0, :, :]
 
 
+def _cf4_rows(sample, widths):
+    """:func:`piecewise_propagator` rows of fourth-order commutator-free
+    Magnus steps (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519; CFET4:2
+    of Alvermann & Fehske, J. Comput. Phys. 230 (2011) 5930) for
+    H(t) = H0 + sum_k u_k(t) H_k:
+    U(t + h, t) = exp(-ih(a1 H1 + a2 H2)) exp(-ih(a2 H1 + a1 H2)), with
+    H_j = H(t + c_j h) at the Gauss nodes c = 1/2 -+ sqrt(3)/6 and
+    a = (3 -+ 2 sqrt(3))/12.  As a1 + a2 = 1/2, each factor is a step of
+    h/2 with the amplitudes 2(a2 u1 + a1 u2) (the earlier one) or
+    2(a1 u1 + a2 u2).
+
+    ``sample(c)`` returns the amplitudes (k, n) at fraction c of each of
+    the n steps of ``widths``.  Returns amplitudes (k, 2n) and durations
+    (2n,), each step's two rows adjacent, the earlier first.
+    """
+    r3 = 3.0 ** 0.5
+    u1 = np.asarray(sample(0.5 - r3 / 6), dtype=float)
+    u2 = np.asarray(sample(0.5 + r3 / 6), dtype=float)
+    a1, a2 = (3 - 2 * r3) / 6, (3 + 2 * r3) / 6         # the weights, doubled
+    amps = np.stack((a2 * u1 + a1 * u2, a1 * u1 + a2 * u2), axis=-1)
+    return (amps.reshape(amps.shape[:-2] + (-1,)),
+            np.repeat(0.5 * np.asarray(widths, dtype=float), 2))
+
+
 def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
     """The time-ordered product U_n ... U_1 of the :func:`step_unitaries` steps.
 

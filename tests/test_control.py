@@ -140,6 +140,32 @@ def test_longer_pulse_needs_smaller_y_quadrature():
     assert 7.0 < ratio < 11.0      # ~ (19.2/6.4)^2 = 9 for self-similar shapes
 
 
+@pytest.mark.parametrize("drag", [False, True], ids=["plain", "drag"])
+def test_leakage_default_matches_refine_32(drag):
+    """One fourth-order step per sample interval (checked at two) is within
+    1e-11 of 32 steps per interval on demo 06's 641-sample pi pulse."""
+    base = ctl.pi_pulse("gaussian", 6.4, nsamples=641)
+    p = ctl.drag_envelope(base, ALPHA) if drag else base
+    u, leak = ctl.leakage_simulate(p, ALPHA, np.sqrt(2))
+    u32, leak32 = ctl.leakage_simulate(p, ALPHA, np.sqrt(2), refine=32, check=False)
+    assert np.max(np.abs(u.entries - u32.entries)) < 1e-11
+    assert abs(leak - leak32) < 1e-11
+
+
+@pytest.mark.parametrize("nsamples, bound", [(513, 1e-11), (161, 1e-10)])
+def test_plain_pi_pulse_passes_the_halving_check(nsamples, bound):
+    """A plain 6.4 ns Gaussian pi pulse (leakage 0.11) passes the 1e-7
+    halving check at the default 513 samples and at 161, within ``bound``
+    of 64 steps per interval (second-order steps moved it by 1.5e-7 and
+    1.5e-6 under halving and raised)."""
+    base = ctl.pi_pulse("gaussian", 6.4, nsamples=nsamples)
+    u, leak = ctl.leakage_simulate(base, ALPHA, np.sqrt(2))
+    u64, leak64 = ctl.leakage_simulate(base, ALPHA, np.sqrt(2), refine=64, check=False)
+    assert leak > 0.1
+    assert np.max(np.abs(u.entries - u64.entries)) < bound
+    assert abs(leak - leak64) < bound
+
+
 def test_leakage_convergence_guard():
     # 9 samples over a pi pulse is far too coarse for the halving check
     base = ctl.pi_pulse("gaussian", 6.4, nsamples=9)

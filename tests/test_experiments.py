@@ -484,6 +484,38 @@ def test_fit_is_the_least_squares_minimum(case):
     assert np.all(np.abs(diff) <= 1e-7 * np.maximum(np.abs(sol.x), 1e-3)), (got, sol.x)
 
 
+# Rabi at T_R far beyond the window (as CLI `experiment` kind = rabi with
+# 2,000 shots): with J^T J unscaled, pinv's relative cutoff dropped T_R
+_T_LONG = np.linspace(0.0, 1000.0, 101)
+_SIGMA_CASES = {**_ORACLE_CASES, "rabi_long_t_r": (
+    ex.fit_rabi, _damped_cosine, ["a0", "a1", "a2", "omega", "t_r"], _T_LONG,
+    0.5 + 0.45 * np.cos(0.0628 * _T_LONG + np.pi) * np.exp(-_T_LONG / 12000)
+    + 0.011 * np.random.default_rng(7).standard_normal(101),
+    [0.5, 0.45, np.pi, 0.0628, 12000.0], None)}
+
+
+@pytest.mark.parametrize("case", list(_SIGMA_CASES))
+def test_fit_sigmas_are_the_covariance_diagonal(case):
+    """Sigmas are sqrt(diag((J^T J)^-1) s^2) at the fitted parameters, s^2 =
+    RSS / (n - p), to 1e-6 relative: J by complex-step differentiation of the
+    model, the inverse in 40-digit arithmetic (mpmath) with no cutoff."""
+    mpmath = pytest.importorskip("mpmath")
+    fit, model, names, x, y, _, w = _SIGMA_CASES[case]
+    w = np.ones_like(y) if w is None else w
+    res = fit(x, y)
+    p = np.array([res.params[n] for n in names])
+    steps = 1e-20 * np.maximum(np.abs(p), 1.0)
+    jac = np.array([model(p + 1j * h * e, x).imag / h * w
+                    for h, e in zip(steps, np.eye(len(p)))]).T
+    r = (y - model(p, x)) * w
+    s2 = (r @ r) / (len(y) - len(p))
+    with mpmath.workdps(40):
+        cov = mpmath.inverse(mpmath.matrix(jac.T.tolist()) * mpmath.matrix(jac.tolist()))
+        want = [float(mpmath.sqrt(cov[i, i] * s2)) for i in range(len(p))]
+    got = [res.sigmas[n] for n in names]
+    assert got == pytest.approx(want, rel=1e-6)
+
+
 # Each fit's result on a flat series at level L (None stands for L)
 _FLAT_WANT = {
     "rabi": (ex.fit_rabi, {"a0": None, "a1": 0.0, "a2": 0.0, "omega": 0.0, "t_r": 100.0}),

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -218,52 +220,104 @@ def test_cz_smooth_ramp_beats_square():
     assert soft["max_02_population"] < hard["max_02_population"]
 
 
+def _cf4_loop(exp_step, w1, bias, a1, a2, jc, tau, dt):
+    """Oracle: the full 9x9 product of ceil(tau / dt) fourth-order
+    commutator-free steps, exp(-ih(b1 H1 + b2 H2)) exp(-ih(b2 H1 + b1 H2))
+    with H at the Gauss nodes 1/2 -+ sqrt(3)/6 of each step and
+    b = (3 -+ 2 sqrt(3))/12, each factor formed as ``exp_step(H, h)`` =
+    exp(-ihH); the running max of |<02|U|11>|^2 is read after every factor."""
+    nsteps = int(np.ceil(tau / dt))
+    sub = tau / nsteps
+    c1, c2 = 0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6
+    b1, b2 = (3 - 2 * np.sqrt(3)) / 12, (3 + 2 * np.sqrt(3)) / 12
+    u = np.eye(9, dtype=complex)
+    max_02 = 0.0
+    for i in range(nsteps):
+        h1, h2 = (q.to_angular(gates.two_transmon_hamiltonian(
+            w1, bias((i + c) * sub), a1, a2, jc).entries) for c in (c1, c2))
+        for h in (b2 * h1 + b1 * h2, b1 * h1 + b2 * h2):
+            u = exp_step(h, sub) @ u
+            max_02 = max(max_02, abs(u[2, 4]) ** 2)
+    return u, max_02
+
+
 def test_cz_monitor_equals_running_column_loop():
     """max_02_population from the kernel's block mat-vecs equals the running
-    |<02|U_t|11>|^2 of a per-step product of full 9x9 steps (oracle), over
-    4,000 steps (many chunks of every excitation block)."""
+    |<02|U_t|11>|^2 of a per-factor product of full 9x9 CF4 factors (oracle),
+    over 4,000 steps (many chunks of every excitation block)."""
     w1, a1, a2, jc, tau, dt = 5.0, -0.3, -0.3, 0.02, 20.0, 0.005
 
     def bias(t):
         return 5.8 - 0.38 * np.sin(np.pi * t / tau) ** 2
 
     res = gates.cz_adiabatic_simulate(w1, bias, a1, a2, jc, tau, dt=dt)
-    nsteps = int(np.ceil(tau / dt))
-    sub = tau / nsteps
-    u = np.eye(9, dtype=complex)
-    max_02 = 0.0
-    for i in range(nsteps):
-        h = gates.two_transmon_hamiltonian(w1, bias((i + 0.5) * sub), a1, a2, jc)
-        u = q.expm_hermitian(q.to_angular(h.entries), -1j * sub) @ u
-        max_02 = max(max_02, abs(u[2, 4]) ** 2)
+    u, max_02 = _cf4_loop(lambda h, s: q.expm_hermitian(h, -1j * s),
+                          w1, bias, a1, a2, jc, tau, dt)
     assert abs(res["max_02_population"] - max_02) < 1e-12
     assert np.max(np.abs(res["propagator"].entries - u)) < 1e-12
 
 
 def test_cz_simulate_matches_looped_reference():
-    """H(omega_q2 = 0) + omega_q2 n_2 agrees with rebuilding H at every step."""
-    from scipy.linalg import expm
-
+    """H(omega_q2 = 0) + omega_q2 n_2 agrees with rebuilding H at every node."""
     w1, a1, a2, jc, tau, dt = 5.0, -0.3, -0.3, 0.02, 10.0, 0.005
 
     def bias(t):
         return 5.8 - 0.38 * np.sin(np.pi * t / tau) ** 2
 
     res = gates.cz_adiabatic_simulate(w1, bias, a1, a2, jc, tau, dt=dt)
-    nsteps = int(np.ceil(tau / dt))
-    sub = tau / nsteps
-    u = np.eye(9, dtype=complex)
-    max_02 = 0.0
-    for i in range(nsteps):
-        h = gates.two_transmon_hamiltonian(w1, bias((i + 0.5) * sub), a1, a2, jc)
-        u = expm(-1j * sub * q.to_angular(h.entries)) @ u
-        max_02 = max(max_02, abs(u[2, 4]) ** 2)
+    u, max_02 = _cf4_loop(lambda h, s: expm(-1j * s * h), w1, bias, a1, a2, jc, tau, dt)
     assert np.max(np.abs(res["propagator"].entries - u)) < 1e-10
     assert abs(res["max_02_population"] - max_02) < 1e-10
     assert abs(res["leakage"] - abs(u[2, 4]) ** 2) < 1e-10
     d = np.angle(np.diag(u)[[0, 1, 3, 4]])
     cond = np.angle(np.exp(1j * (d[3] - d[2] - d[1] + d[0])))
     assert abs(res["conditional_phase"] - cond) < 1e-10
+
+
+def _excursion(tau, w_gate=5.42, w_idle=5.8):
+    ramp = tau / 4
+
+    def bias(t):
+        if t < ramp:
+            s = 0.5 * (1 - np.cos(np.pi * t / ramp))
+        elif t > tau - ramp:
+            s = 0.5 * (1 - np.cos(np.pi * (tau - t) / ramp))
+        else:
+            s = 1.0
+        return w_idle + (w_gate - w_idle) * s
+
+    return bias
+
+
+# the benchmark's three cosine-ramped excursions and the sine bias above
+CZ_CASES = {f"excursion_{tau:g}": (_excursion(tau), tau) for tau in (10.0, 15.0, 20.0)}
+CZ_CASES["sine_10"] = (lambda t: 5.8 - 0.38 * np.sin(np.pi * t / 10.0) ** 2, 10.0)
+
+
+@functools.cache
+def _cz_run(case, dt=None):
+    bias, tau = CZ_CASES[case]
+    kw = {} if dt is None else {"dt": dt}
+    return gates.cz_adiabatic_simulate(5.0, bias, -0.3, -0.3, 0.02, tau, **kw)
+
+
+@pytest.mark.parametrize("case", CZ_CASES)
+def test_cz_default_step_is_converged(case):
+    """The default dt = 0.02 run agrees with a dt = 1e-4 run."""
+    res, fine = _cz_run(case), _cz_run(case, 1e-4)
+    assert np.max(np.abs(res["propagator"].entries - fine["propagator"].entries)) < 1e-9
+    assert abs(res["conditional_phase"] - fine["conditional_phase"]) < 1e-10
+    assert res["max_02_population"] == pytest.approx(fine["max_02_population"], rel=1e-5)
+
+
+@pytest.mark.parametrize("case", CZ_CASES)
+def test_cz_step_is_fourth_order(case):
+    """Halving dt from 0.05 to 0.025 cuts the propagator error against the
+    dt = 1e-4 run about 16-fold (a second-order step: 4-fold)."""
+    fine = _cz_run(case, 1e-4)["propagator"].entries
+    err = [np.max(np.abs(_cz_run(case, dt)["propagator"].entries - fine))
+           for dt in (0.05, 0.025)]
+    assert err[0] > 10 * err[1]
 
 
 # ---------------------------------------------------------------------------
