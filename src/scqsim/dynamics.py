@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcore import (NORM_TOL, SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator,
-                    StateVector, _as_matrix, annihilation, expm_hermitian,
+                    StateVector, _as_matrix, _chunk, annihilation, expm_hermitian,
                     piecewise_propagator)
 
 TRACE_HARD_LIMIT = 1e-4
@@ -178,12 +178,17 @@ def liouvillian(h, collapse: Sequence = ()) -> np.ndarray:
     vec(rho) = rho.reshape(-1): -i (H x I - I x H^T)
     + sum_k (L_k x L_k^* - (L_k^dag L_k x I + I x (L_k^dag L_k)^T) / 2)."""
     hm = _as_matrix(h)
-    eye = np.eye(hm.shape[0])
-    out = -1j * (np.kron(hm, eye) - np.kron(eye, hm.T))
+    d = hm.shape[0]
+    eye = np.eye(d)
+
+    def kron(a, b):
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+    out = -1j * (kron(hm, eye) - kron(eye, hm.T))
     for c in collapse:
         l = _as_matrix(c)
         ll = l.conj().T @ l
-        out += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+        out += kron(l, l.conj()) - 0.5 * (kron(ll, eye) + kron(eye, ll.T))
     return out
 
 
@@ -213,16 +218,23 @@ def lindblad_evolve(
     d rho/dt = -i [H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)
 
     RK4 runs on vec(rho), with the :func:`liouvillian` superoperators built
-    once: L(t) = L0 + sum_k u_k(t) L_k.  A driven H steps through the RK4
-    loop.  A static H (no drives) takes each sample interval as one mat-vec
-    with the RK4 step map raised to its step count; that power is built once
-    per distinct (step count, step size) within the call.  Both are the same
+    once: L(t) = L0 + sum_k u_k(t) L_k.  Each RK4 step is then v <- v + D v,
+    one mat-vec with its step increment D.  A static H (no drives) takes
+    each sample interval as one such mat-vec, with the step map raised to
+    its step count; that power is built once per distinct (step count, step
+    size) within the call.  A driven H builds every product of 1 to 4 of
+    L0 ... LK once per call, and each chunk of steps gets its increments
+    from them by one matrix product with the RK4 coefficients of the
+    envelope samples at each step's start, midpoint and end (1 + 2 nsub
+    calls of each envelope per interval of nsub steps).  Both are the same
     RK4 steps, so dt means the same thing on either path.
 
     ``times`` are the requested sample points (the grid is the union of RK4
-    steps of size <= dt hitting each sample exactly).  Trace drift beyond
-    1e-4 raises :class:`IntegrationError`, and so does positivity loss
-    beyond -1e-6 (RK4 keeps the trace of this generator exactly, so an
+    steps of size <= dt hitting each sample exactly).  The initial state is
+    repaired as every sample is, and that repaired state is the first
+    sample, its expectations and the start of the stepping.  Trace drift
+    beyond 1e-4 raises :class:`IntegrationError`, and so does positivity
+    loss beyond -1e-6 (RK4 keeps the trace of this generator exactly, so an
     unstable step announces itself through the spectrum).  Drift inside
     those limits is repaired: renormalization above 1e-6 trace error,
     eigenvalue clipping of sub-threshold negative dust.  A driven run checks
@@ -235,22 +247,14 @@ def lindblad_evolve(
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)
     l0 = liouvillian(h.static, collapse)
-    drives = [(liouvillian(op), fn) for op, fn in h.drives]
-
-    def generator(t):
-        out = l0
-        for lk, fn in drives:
-            out = out + float(fn(t)) * lk
-        return out
-
-    rho = _coerce_rho(rho0)
     e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
     stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
              "max_trace_drift": 0.0, "powered_maps": 0}
-    states = [DensityMatrix(_repair(rho, 0.0, stats))]
+    rho = _repair(_coerce_rho(rho0), 0.0, stats)
+    states = [DensityMatrix(rho)]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
-    if not drives:
+    if not h.drives:
         for block, verified in _static_blocks(l0, rho, times, dt, stats):
             if verified:
                 states.extend(DensityMatrix._verified(m) for m in block)
@@ -259,28 +263,82 @@ def lindblad_evolve(
             for k, a in e_arr.items():
                 expect[k].extend(np.trace(block @ a, axis1=1, axis2=2).real.tolist())
     else:
+        words = _generator_words(np.stack([l0] + [liouvillian(op) for op, _ in h.drives]))
+        fns = [fn for _, fn in h.drives]
+        size = _chunk(len(l0))
         for t0, t1 in zip(times[:-1], times[1:]):
             nsub, sub = _substeps(t1 - t0, dt)
-            v = rho.reshape(-1)
-            t = t0
-            g = generator(t)  # each step's end generator starts the next one
+            v = rho.reshape(-1).copy()
             # an unstable step overflows to inf/nan; _settle reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(nsub):
-                    mid = generator(t + sub / 2)
-                    k1 = g @ v
-                    k2 = mid @ (v + sub / 2 * k1)
-                    k3 = mid @ (v + sub / 2 * k2)
-                    g = generator(t + sub)
-                    k4 = g @ (v + sub * k3)
-                    v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                    t += sub
+                for rows in _envelope_rows(fns, t0, nsub, sub, size):
+                    incs = _step_increments(words, rows, sub)
+                    for inc in incs.reshape((-1,) + l0.shape):
+                        v += inc @ v
             rho = _settle(v.reshape(rho.shape), t1, dt, stats)
             states.append(DensityMatrix(rho))
             for k, a in e_arr.items():
                 expect[k].append(float(np.trace(rho @ a).real))
     return EvolveResult(times, states, {k: np.asarray(v) for k, v in expect.items()},
                         stats)
+
+
+def _generator_words(gens: np.ndarray) -> np.ndarray:
+    """Every product of 1 to 4 of the generators gens (K + 1, m, m), the
+    word (a, b, ...) being L_a L_b ..., shortest first and each length in
+    lexicographic order, as the rows of one real (words, 2 m^2) array."""
+    words = [gens]
+    for _ in range(3):
+        words.append((words[-1][:, None] @ gens).reshape((-1,) + gens.shape[1:]))
+    words = np.concatenate(words)
+    return words.reshape(len(words), -1).view(np.float64)
+
+
+def _envelope_rows(fns, t0, nsub: int, sub: float, size: int):
+    """The generator coefficients (1, u_1(t), ..., u_K(t)) of one sample
+    interval's nsub RK4 steps, as (2n + 1, K + 1) rows per chunk of at most
+    ``size`` steps: the chunk's start, then each step's midpoint and end,
+    the ends accumulated from t0 as t += sub would.  Each envelope is called
+    1 + 2 nsub times, in time order; a chunk starts at the last row of the
+    one before."""
+    start, t = [float(fn(t0)) for fn in fns], t0
+    for s in range(0, nsub, size):
+        n = min(size, nsub - s)
+        ends = np.cumsum([t] + [sub] * n)
+        ts = np.empty(2 * n)
+        ts[::2], ts[1::2] = ends[:-1] + sub / 2, ends[1:]
+        rows = np.ones((2 * n + 1, len(fns) + 1))
+        rows[0, 1:] = start
+        rows[1:, 1:] = np.reshape([float(fn(x)) for x in ts for fn in fns], (2 * n, -1))
+        yield rows
+        start, t = rows[-1, 1:], ends[-1]
+
+
+def _step_increments(words: np.ndarray, rows: np.ndarray, h: float) -> np.ndarray:
+    """The increments D_j of n RK4 steps of size h, I + D_j being the step
+    map, from :func:`_generator_words` and the (2n + 1, K + 1) generator
+    coefficients rows (1, u_1, ..., u_K) at the steps' start, midpoint, end,
+    midpoint, end, ...  With G0, Gm, G1 the generators at a step's start,
+    midpoint and end, RK4's stages multiply out to
+
+        D = h/6 (G0 + 4 Gm + G1) + h^2/6 (Gm G0 + Gm^2 + G1 Gm)
+            + h^3/12 (Gm^2 G0 + G1 Gm^2) + h^4/24 G1 Gm^2 G0,
+
+    whose coefficients on the words are products of the rows' entries.
+    Each D_j comes back flat, as row j of an (n, m^2) array."""
+    a0, am, a1 = rows[:-1:2], rows[1::2], rows[2::2]
+    n = len(am)
+
+    def outer(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(n, -1)
+
+    amam = outer(am, am)
+    amama0 = outer(amam, a0)
+    coef = np.concatenate([h / 6 * (a0 + 4 * am + a1),
+                           h**2 / 6 * (outer(am, a0 + am) + outer(a1, am)),
+                           h**3 / 12 * (amama0 + outer(a1, amam)),
+                           h**4 / 24 * outer(a1, amama0)], axis=1)
+    return (coef @ words).view(complex)
 
 
 def _static_blocks(l0, rho, times, dt, stats):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,15 +161,16 @@ def test_static_three_level_vs_exact_liouvillian():
         assert np.max(np.abs(state.entries - want)) < 1e-10
 
 
-def test_driven_qubit_vs_solve_ivp():
-    sx = q.SIGMA_X.entries
+def _gaussian(t):
+    return 0.2 * np.exp(-0.5 * ((t - 20.0) / 6.0) ** 2)
+
+
+def _assert_driven_qubit_matches_solve_ivp(drives):
+    """A weakly detuned qubit under T1 = 80, T2 = 120 ns, driven over 40 ns
+    at dt = 0.01: every sample within 1e-8 of DOP853 at rtol 1e-10."""
     static = 2 * np.pi * 0.003 * EXCITED
     collapse = dyn.qubit_collapse_ops(80.0, 120.0)
-
-    def envelope(t):
-        return 0.2 * np.exp(-0.5 * ((t - 20.0) / 6.0) ** 2)
-
-    h = dyn.TimeDependentH(static, [(0.5 * sx, envelope)])
+    h = dyn.TimeDependentH(static, drives)
     times = np.linspace(0.0, 40.0, 21)
     res = dyn.lindblad_evolve(h, np.diag([1.0, 0.0]).astype(complex), collapse,
                               times=times, dt=0.01)
@@ -177,6 +180,17 @@ def test_driven_qubit_vs_solve_ivp():
         t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
     for k, state in enumerate(res.states):
         assert np.max(np.abs(state.entries.reshape(-1) - sol.y[:, k])) < 1e-8
+
+
+def test_driven_qubit_vs_solve_ivp():
+    _assert_driven_qubit_matches_solve_ivp([(0.5 * SX, _gaussian)])
+
+
+def test_two_drive_qubit_vs_solve_ivp():
+    """The same qubit with a second, quadrature drive on its own envelope."""
+    _assert_driven_qubit_matches_solve_ivp([
+        (0.5 * SX, _gaussian),
+        (0.5 * q.SIGMA_Y.entries, lambda t: -0.25 * (t - 20.0) / 6.0 * _gaussian(t))])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
@@ -191,6 +205,30 @@ def test_liouvillian_trace_annihilating_and_hermiticity_preserving(seed, d):
     lx_dag = (liou @ x.conj().T.reshape(-1)).reshape(d, d)
     assert np.max(np.abs(lx_dag - lx.conj().T)) < 1e-12
     assert np.max(np.abs(lx - _lindblad_rhs(h, collapse, x))) < 1e-12
+
+
+def _kron_liouvillian(h, collapse):
+    """The Lindblad superoperator from np.kron terms, summed in the order
+    :func:`dyn.liouvillian` sums them (its exact oracle)."""
+    hm = q._as_matrix(h)
+    eye = np.eye(hm.shape[0])
+    out = -1j * (np.kron(hm, eye) - np.kron(eye, hm.T))
+    for c in collapse:
+        l = q._as_matrix(c)
+        ll = l.conj().T @ l
+        out += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_liouvillian_is_the_kron_formula_bit_for_bit(d):
+    """50 random systems per dimension with 0 to 2 collapse operators: the
+    broadcast Kronecker terms give the np.kron superoperator byte for byte."""
+    for seed in range(50):
+        h, collapse = _random_open_system(1000 * d + seed, d)
+        got, want = dyn.liouvillian(h, collapse), _kron_liouvillian(h, collapse)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def _rk4_loop(liou, v, sub, nsub):
@@ -283,9 +321,9 @@ def _per_sample_static(h, rho0, collapse, times, dt, e_ops):
     DensityMatrix constructor on its own.  Also returns the repair counts
     and the block count that the block rule gives for its events."""
     l0 = dyn.liouvillian(h, collapse)
-    rho = dyn._coerce_rho(rho0)
     stats = {"renormalized": 0, "clipped": 0, "max_trace_drift": 0.0}
-    states = [q.DensityMatrix(dyn._repair(rho, 0.0, stats))]
+    rho = dyn._repair(dyn._coerce_rho(rho0), 0.0, stats)
+    states = [q.DensityMatrix(rho)]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_ops.items()}
     maps, events = {}, []
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -459,9 +497,8 @@ def test_driven_run_stats():
     assert res.stats["renormalized"] == 0
 
 
-def _three_builds_per_step(h, rho0, collapse, times, dt):
-    """The driven loop as it was (oracle): every RK4 step builds the
-    generator at t, t + sub/2 and t + sub."""
+def _stage_generators(h, collapse):
+    """The driven generator as the stage loop built it, L0 + sum_k u_k(t) L_k."""
     l0 = dyn.liouvillian(h.static, collapse)
     drives = [(dyn.liouvillian(op), fn) for op, fn in h.drives]
 
@@ -471,10 +508,18 @@ def _three_builds_per_step(h, rho0, collapse, times, dt):
             out = out + float(fn(t)) * lk
         return out
 
-    rho = dyn._coerce_rho(rho0)
+    return generator
+
+
+def _stage_loop(h, rho0, collapse, times, dt):
+    """The driven run as the RK4 stage loop (oracle): every step builds the
+    generator at t, t + sub/2 and t + sub and applies the four stages to
+    the state, from the repaired initial state."""
+    generator = _stage_generators(h, collapse)
     stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
              "max_trace_drift": 0.0, "powered_maps": 0}
-    states = [dyn._repair(rho, 0.0, stats)]
+    rho = dyn._repair(dyn._coerce_rho(rho0), 0.0, stats)
+    states = [rho]
     for t0, t1 in zip(times[:-1], times[1:]):
         nsub, sub = dyn._substeps(t1 - t0, dt)
         v, t = rho.reshape(-1), t0
@@ -509,23 +554,111 @@ def _driven_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(7))
-def test_driven_run_reuses_step_end_generator(seed):
-    """Each RK4 step's generator at t + sub starts the next step: states and
-    counts are bit-equal to three builds per step, and an interval of nsub
-    steps evaluates each envelope 1 + 2 nsub times."""
+def test_driven_run_matches_stage_loop(seed):
+    """The step increments from generator words take the same RK4 steps as
+    the stage loop: states within round-off (1e-13), the same repair counts,
+    and an interval of nsub steps evaluates each envelope 1 + 2 nsub times,
+    at the stage loop's times."""
     h, rho0, collapse, times = _driven_case(seed)
     calls = []
     (op, fn), = h.drives
     counted = dyn.TimeDependentH(h.static, [(op, lambda t: calls.append(t) or fn(t))])
     res = dyn.lindblad_evolve(counted, rho0, collapse, times=times, dt=0.01)
-    want_states, want_stats = _three_builds_per_step(h, rho0, collapse, times, 0.01)
-    assert all(np.array_equal(a.entries, b) for a, b in zip(res.states, want_states))
+    want_states, want_stats = _stage_loop(h, rho0, collapse, times, 0.01)
     assert len(res.states) == len(want_states)
-    assert res.stats == want_stats
-    nsubs = [dyn._substeps(t1 - t0, 0.01)[0] for t0, t1 in zip(times[:-1], times[1:])]
-    assert len(calls) == sum(1 + 2 * n for n in nsubs)
+    assert max(np.max(np.abs(a.entries - b))
+               for a, b in zip(res.states, want_states)) < 1e-13
+    counts = ("renormalized", "clipped", "checked_blocks", "powered_maps")
+    assert {k: res.stats[k] for k in counts} == {k: want_stats[k] for k in counts}
+    assert abs(res.stats["max_trace_drift"] - want_stats["max_trace_drift"]) < 1e-14
+    want_calls = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        nsub, sub = dyn._substeps(t1 - t0, 0.01)
+        t = t0
+        want_calls.append(t)
+        for _ in range(nsub):
+            want_calls += [t + sub / 2, t + sub]
+            t += sub
+    assert calls == want_calls
     if seed == 0:
         assert res.stats["clipped"] > 0
+
+
+def _stage_map_increment(generator, t, h, m):
+    """I + D of one RK4 step, the four stages applied to the identity."""
+    g0, gm, g1 = generator(t), generator(t + h / 2), generator(t + h)
+    eye = np.eye(m)
+    k1 = g0 @ eye
+    k2 = gm @ (eye + h / 2 * k1)
+    k3 = gm @ (eye + h / 2 * k2)
+    k4 = g1 @ (eye + h * k3)
+    return h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("n_drives", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_step_increments_equal_stage_form_maps(d, n_drives):
+    """Each step increment from the generator words equals the stage-form
+    RK4 map's, to 1e-14 relative, on random systems with one and two drives
+    and steps of ||L|| h from 0.01 to 0.5."""
+    for seed in range(6):
+        rng = np.random.default_rng(100 * d + 10 * n_drives + seed)
+        h0, collapse = _random_open_system(seed, d)
+        ops = []
+        for _ in range(n_drives):
+            b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ops.append((b + b.conj().T) / 2)
+        amps, freqs = rng.uniform(0.2, 2.0, n_drives), rng.uniform(0.5, 3.0, n_drives)
+        h = dyn.TimeDependentH(h0, [(op, lambda t, a=a, w=w: a * np.cos(w * t))
+                                    for op, a, w in zip(ops, amps, freqs)])
+        generator = _stage_generators(h, collapse)
+        gens = np.stack([dyn.liouvillian(h0, collapse)]
+                        + [dyn.liouvillian(op) for op in ops])
+        words = dyn._generator_words(gens)
+        sub = rng.uniform(0.01, 0.5) / np.linalg.norm(gens[0], 2)
+        rows = list(dyn._envelope_rows([fn for _, fn in h.drives], 0.3, 40, sub, 16))
+        assert [len(r) for r in rows] == [33, 33, 17]
+        incs = np.concatenate([dyn._step_increments(words, r, sub) for r in rows])
+        t = 0.3
+        for inc in incs.reshape(-1, d * d, d * d):
+            want = _stage_map_increment(generator, t, sub, d * d)
+            assert np.linalg.norm(inc - want) <= 1e-14 * np.linalg.norm(want)
+            t += sub
+
+
+def _driven_interval_peak(steps):
+    """The tracemalloc peak of a driven d = 3 run over one sample interval
+    of ``steps`` RK4 steps."""
+    h0, collapse = _random_open_system(3, 3)
+    h = dyn.TimeDependentH(h0, [(np.diag([0.0, 1.0, 2.0]), lambda t: 0.1 * np.cos(t))])
+    times = np.array([0.0, steps * 0.001])
+    tracemalloc.start()
+    try:
+        dyn.lindblad_evolve(h, np.eye(3)[0], collapse, times=times, dt=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_driven_interval_memory_is_flat():
+    """Steps go chunk by chunk: a 100,000-step interval peaks within 1.5x
+    of a 1,000-step one."""
+    assert _driven_interval_peak(100_000) <= 1.5 * _driven_interval_peak(1_000)
+
+
+def test_initial_state_is_repaired_before_it_is_used():
+    """An input with -5e-7 of population in |1>: the first sample, its
+    expectation and the stepping all start from the clipped state, so no
+    sample reports a negative population and only the input is clipped."""
+    rho0 = np.diag([1.0 + 5e-7, -5e-7]).astype(complex)
+    res = dyn.lindblad_evolve(np.zeros((2, 2)), rho0,
+                              dyn.qubit_collapse_ops(100.0, 150.0),
+                              times=np.linspace(0.0, 10.0, 3), e_ops={"p1": EXCITED})
+    assert np.array_equal(res.states[0].entries, np.diag([1.0, 0.0]))
+    assert res.expectations["p1"][0] == 0.0
+    assert np.all(res.expectations["p1"] >= 0.0)
+    assert res.stats["clipped"] == 1
 
 
 def test_unitary_evolve_rejects_density_matrix():
