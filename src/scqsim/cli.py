@@ -19,8 +19,9 @@ files with numerics printed to 12 significant digits, plus a
 ``manifest.json`` with the config hash, seed, and versions (and a
 ``stats`` block: for ``evolve`` the repair counts of its Lindblad run, for
 ``qec`` the most defects in one shot and the distinct syndromes matched,
-per check kind, for ``rb`` each curve's fit convergence, fit evaluations,
-flat-curve flag and random Cliffords applied).  Identical
+per check kind, for ``experiment`` its fit's convergence and evaluations,
+for ``rb`` each curve's fit convergence, fit evaluations, flat-curve flag
+and random Cliffords applied).  Identical
 config + seed reproduces byte-identical outputs except for the manifest
 timestamp.
 
@@ -393,7 +394,7 @@ def run_qec(cfg: dict, out: Path, seed: int) -> dict:
             "distinct_syndromes": res.distinct_syndromes}
 
 
-def run_experiment(cfg: dict, out: Path, seed: int) -> None:
+def run_experiment(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"kind": str, "t1_ns": 10000.0, "t2_ns": 15000.0,
                "rabi_ghz": 0.01, "detuning_ghz": 0.001,
                "tau_max_ns": 1000.0, "points": 101, "shots": 0,
@@ -422,6 +423,7 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> None:
         "params": fit.params, "sigmas": fit.sigmas,
         "residual_norm": fit.residual_norm, "converged": fit.converged,
     })
+    return {"fit_converged": fit.converged, "fit_nfev": fit.nfev}
 
 
 def run_rb(cfg: dict, out: Path, seed: int) -> dict:

@@ -176,8 +176,11 @@ def qubit_collapse_ops(t1: float, t2: float) -> list:
 def liouvillian(h, collapse: Sequence = ()) -> np.ndarray:
     """Superoperator of the Lindblad generator of a static H on row-major
     vec(rho) = rho.reshape(-1): -i (H x I - I x H^T)
-    + sum_k (L_k x L_k^* - (L_k^dag L_k x I + I x (L_k^dag L_k)^T) / 2)."""
+    + sum_k (L_k x L_k^* - (L_k^dag L_k x I + I x (L_k^dag L_k)^T) / 2).
+    Raises ``ValueError`` unless H is a square matrix."""
     hm = _as_matrix(h)
+    if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
+        raise ValueError(f"H must be a square matrix, got shape {hm.shape}")
     d = hm.shape[0]
     eye = np.eye(d)
 
@@ -242,16 +245,20 @@ def lindblad_evolve(
     and checks the block with one stacked ``eigh``; the first sample that
     needs repair (or fails) is checked on its own, and stepping resumes from
     it, so the result is the same as checking every sample.  The counts of
-    these repairs are in ``stats``.
+    these repairs are in ``stats``.  Raises ``ValueError`` unless H is a
+    square matrix of rho's dimension.
     """
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)
     l0 = liouvillian(h.static, collapse)
     e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
+    rho = _coerce_rho(rho0)
+    if rho.shape != h.static.shape:
+        raise ValueError(f"rho of shape {rho.shape} for H of shape {h.static.shape}")
     stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
              "max_trace_drift": 0.0, "powered_maps": 0}
-    rho = _repair(_coerce_rho(rho0), 0.0, stats)
+    rho = _repair(rho, 0.0, stats)
     states = [DensityMatrix(rho)]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
     if not h.drives:

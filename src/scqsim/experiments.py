@@ -394,7 +394,7 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
         return osc
     params, sigmas = ({"a0": d["a0"], "a1": d["a1"], "a2": 0.0, "omega": 0.0,
                        "t_r": d["t1"]} for d in (dec.params, dec.sigmas))
-    return FitResult(params, sigmas, dec.residual_norm, dec.converged)
+    return FitResult(params, sigmas, dec.residual_norm, dec.converged, dec.nfev)
 
 
 def fit_t1(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -413,7 +413,7 @@ def fit_ramsey(x: np.ndarray, y: np.ndarray) -> FitResult:
     new = {"omega": "omega_qd", "t_r": "t2"}
     params, sigmas = ({new.get(k, k): v for k, v in d.items()}
                       for d in (res.params, res.sigmas))
-    return FitResult(params, sigmas, res.residual_norm, res.converged)
+    return FitResult(params, sigmas, res.residual_norm, res.converged, res.nfev)
 
 
 def fit_ramsey_gaussian(x: np.ndarray, y: np.ndarray, t1: float) -> FitResult:

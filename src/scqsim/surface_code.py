@@ -26,6 +26,7 @@ adds measurement errors), so matching is 2-D on the final syndrome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -899,7 +900,96 @@ def _wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-_DRAW_SHOTS = 1024      # shots per block of uniform draws
+_DRAW_SHOTS = 1024      # shots per block of flip draws (the same stream at any size)
+_TABLE_CHECKS = 6       # a kind with at most this many checks (d <= 3) decodes by table
+
+
+def _flip_draws(bit_generator, p: float, shape) -> np.ndarray:
+    """``np.random.Generator(bit_generator).random(shape) < p`` from the
+    same Philox stream, for 0 <= p <= 1, by one compare on the raw 64-bit
+    draws: Philox's ``random()`` is (raw >> 11) 2^-53, which is below p
+    exactly when raw is below ceil(p 2^53) 2^11.  At p = 1 that threshold
+    is 2^64, past uint64, and every draw is below it."""
+    raw = bit_generator.random_raw(math.prod(shape)).reshape(shape)
+    threshold = math.ceil(p * 2.0**53) << 11
+    if threshold >> 64:
+        return np.ones(shape, dtype=bool)
+    return raw < np.uint64(threshold)
+
+
+class _Table(NamedTuple):
+    """Every syndrome of both kinds at one distance, matched once; both
+    arrays are read-only.
+
+    A shot's key of a kind holds its m check bits and, as bit m, its parity
+    on the kind's logical (see :func:`logical_error_rate`).  ``fail[k,
+    key]``, k = 0 for the Z checks and 1 for the X checks, is True when the
+    key's logical bit differs from the logical flip of its syndrome's
+    minimum-weight matching, i.e. when the shot fails on that kind; so
+    ``fail[k, :2^m]`` is each syndrome's flip.  ``defects[s]`` is the
+    defect count of syndrome s.
+    """
+
+    fail: np.ndarray
+    defects: np.ndarray
+
+
+@cache
+def _decode_table(d: int) -> _Table:
+    """The :class:`_Table` at distance d (meant for at most ``_TABLE_CHECKS``
+    checks of a kind): all 2^m syndromes of both kinds in one
+    :func:`_matchings` call on the :func:`_layout` move table, the DP that
+    matches the distinct syndromes at larger d."""
+    layout = _layout(d)
+    m = len(layout.lattice.z_checks)        # as many as X checks
+    syn = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(np.int8)
+    rows = np.zeros((2, 1 << m, 2 * m), dtype=np.int8)
+    rows[0, :, :m], rows[1, :, m:] = syn, syn
+    flips = np.zeros(2 << m, dtype=bool)
+    for part, _, best in _matchings(rows.reshape(2 << m, 2 * m), layout.move_keys):
+        flips[part] = best[-1] & 1
+    flips = flips.reshape(2, 1 << m)
+    table = _Table(np.concatenate((flips, ~flips), axis=1), syn.sum(axis=1))
+    for shared in table:
+        shared.flags.writeable = False      # cached: every caller gets these
+    return table
+
+
+def _decode_by_table(keys: np.ndarray, d: int, m: int):
+    """(failed, most, distinct) of the shot keys (2, shots) from the
+    :func:`_decode_table`: one gather per kind for the failures, one
+    ``bincount`` for the syndromes seen."""
+    table = _decode_table(d)
+    failed = table.fail[0][keys[0]] | table.fail[1][keys[1]]
+    most, distinct = {}, {}
+    for kind, k in zip("zx", keys):
+        seen = np.bincount(k, minlength=2 << m).reshape(2, 1 << m).any(axis=0)
+        most[kind] = int(table.defects[seen].max())
+        distinct[kind] = int(np.count_nonzero(seen))
+    return failed, most, distinct
+
+
+def _decode_distinct(keys: np.ndarray, move_keys: np.ndarray, m: int):
+    """(failed, most, distinct) of the shot keys (2, shots): each distinct
+    syndrome of either kind matched once, all in one :func:`_matchings`
+    call, its logical flip gathered back to the shots that share it."""
+    # one matcher row per distinct syndrome: Z-check bits in the columns
+    # [0, m), X-check bits in [m, 2m)
+    found, inverse = zip(*(np.unique(k & ((1 << m) - 1), return_inverse=True)
+                           for k in keys))
+    split = len(found[0])
+    both = np.concatenate((found[0], found[1].astype("<i8") << m), dtype="<i8")
+    rows = np.unpackbits(both.view(np.uint8).reshape(-1, 8), axis=1, count=2 * m,
+                         bitorder="little")
+    counts = rows.sum(axis=1)
+    most = {"z": int(counts[:split].max()), "x": int(counts[split:].max())}
+    distinct = {"z": split, "x": len(both) - split}
+    flips = np.zeros(len(rows), dtype=np.int8)
+    for part, _, best in _matchings(rows, move_keys):
+        flips[part] = best[-1] & 1
+    failed = (((keys[0] >> m) ^ flips[:split][inverse[0]])
+              | ((keys[1] >> m) ^ flips[split:][inverse[1]]))
+    return failed, most, distinct
 
 
 def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
@@ -913,22 +1003,29 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     makes only the final syndrome matter.  A shot fails when the residual
     error after matching anticommutes with Z_L or X_L.
 
-    The RNG is counter-based (Philox keyed by ``seed``): shot i consumes
-    row i of one (shots, n_data, 2) array of uniform draws, so any shot is
-    reproducible from (seed, shot index) alone.  The array is drawn in
-    blocks of ``_DRAW_SHOTS`` rows, which gives the same numbers, and no
-    error array outlives its block: :func:`_parities` turns each block into
-    the check bits and the logical parity of every shot, kept as one
+    The RNG is counter-based (Philox keyed by ``seed``): shot i flips data
+    qubit j by X where ``random((shots, n_data, 2))[i, j, 0]`` is below the
+    cumulative probability and by Z where ``[i, j, 1]`` is, so any shot is
+    reproducible from (seed, shot index) alone.  The draws are taken in
+    blocks of ``_DRAW_SHOTS`` shots, as the same booleans compared on the
+    raw stream (:func:`_flip_draws`), and no error array outlives its
+    block: one float32 product against both kinds' :func:`_parity`
+    matrices, interleaved to the draws' layout, gives every shot's check
+    bits and logical parities, and one more product turns them into one
     integer key per shot and kind (the check bits, then the logical bit).
-    Each distinct syndrome of either kind is matched once, all of them by
-    one :func:`_matchings` call on the :func:`_layout` move table (the one
-    :func:`mwpm_decode` uses), in batches of equal defect count.  The DP
-    carries the logical parity of each matching in its keys, so the parity
-    is read straight off the full set's key: no matching is read back and
-    no correction is built.  The parity is gathered back to the shots that
-    share the syndrome.  A syndrome has at most 20 checks of a kind at
-    d <= 5, so none exceeds ``MAX_DEFECTS`` and no call aborts for the
-    decoder's capacity.
+
+    At d = 2 and 3 a kind has at most ``_TABLE_CHECKS`` checks, and the
+    keys are looked up in the :func:`_decode_table`, which matched every
+    syndrome once: the failures are one gather per kind, the most defects
+    and the distinct syndromes one ``bincount``.  At d = 5 each distinct
+    syndrome of either kind is matched once, all of them by one
+    :func:`_matchings` call on the :func:`_layout` move table (the one
+    :func:`mwpm_decode` uses), in batches of equal defect count.  Either
+    way the DP carries the logical parity of each matching in its keys, so
+    the parity is read straight off the full set's key: no matching is
+    read back and no correction is built.  A syndrome has at most 20 checks
+    of a kind at d <= 5, so none exceeds ``MAX_DEFECTS`` and no call aborts
+    for the decoder's capacity.
     """
     if d not in (2, 3, 5):
         raise ValueError("supported distances: 2, 3, 5")
@@ -938,34 +1035,32 @@ def logical_error_rate(d: int, p: float, cycles: int = 1, shots: int = 10000,
     n_data, m = layout.lattice.n_data, len(layout.lattice.z_checks)
 
     p_cum = 0.5 * (1.0 - (1.0 - 2.0 * p) ** cycles)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # a shot's key of a kind: its check bits, with its logical parity as bit
-    # m (float32 sums are exact: m + 1 <= 21 bits, under 2^24)
-    bit_value = 2.0 ** np.arange(m + 1, dtype=np.float32)
-    keys = np.empty((2, shots), dtype=np.int32)     # Z-check keys, X-check keys
+    bit_generator = np.random.Philox(key=seed)
+    # one product for both kinds: draw column 2i (qubit i's X flip) meets
+    # row i of the Z-check matrix, column 2i + 1 (its Z flip) the X-check
+    # one's, giving [Z-check bits, Z_L, X-check bits, X_L] per shot
+    parity = _parity(d)
+    fused = np.zeros((n_data, 2, 2, m + 1), dtype=np.float32)
+    fused[:, 0, 0], fused[:, 1, 1] = parity["z"], parity["x"]
+    fused = fused.reshape(2 * n_data, 2 * (m + 1))
+    # then a shot's key of a kind: its check bits, with its logical parity as
+    # bit m (float32 sums are exact: m + 1 <= 21 bits, under 2^24)
+    bit_value = np.zeros((2, 2, m + 1), dtype=np.float32)
+    bit_value[0, 0] = bit_value[1, 1] = 2.0 ** np.arange(m + 1)
+    bit_value = bit_value.reshape(2, 2 * (m + 1)).T
+    keys = np.empty((shots, 2), dtype=np.int32)     # Z-check keys, X-check keys
     for lo in range(0, shots, _DRAW_SHOTS):
-        errors = rng.random((min(_DRAW_SHOTS, shots - lo), n_data, 2)) < p_cum
-        x_bits, z_bits = _parities(layout.lattice, errors[:, :, 0], errors[:, :, 1])
-        keys[:, lo:lo + len(errors)] = z_bits @ bit_value, x_bits @ bit_value
+        n = min(_DRAW_SHOTS, shots - lo)
+        flips = _flip_draws(bit_generator, p_cum, (n, 2 * n_data))
+        keys[lo:lo + n] = ((flips @ fused).astype(np.int8) & 1) @ bit_value
+    keys = np.ascontiguousarray(keys.T)
 
-    # one matcher row per distinct syndrome: Z-check bits in the columns
-    # [0, m), X-check bits in [m, 2m)
-    found, inverse = zip(*(np.unique(k & ((1 << m) - 1), return_inverse=True)
-                           for k in keys))
-    split = len(found[0])
-    both = np.concatenate((found[0], found[1].astype("<i8") << m), dtype="<i8")
-    rows = np.unpackbits(both.view(np.uint8).reshape(-1, 8), axis=1, count=2 * m,
-                         bitorder="little")
-    counts = rows.sum(axis=1)
-    most = {"z": int(counts[:split].max()), "x": int(counts[split:].max())}
-    distinct = {"z": split, "x": len(both) - split}
     # a shot fails when its residual X error flips Z_L or its Z error X_L
-    flips = np.zeros(len(rows), dtype=np.int8)
-    for part, _, best in _matchings(rows, layout.move_keys):
-        flips[part] = best[-1] & 1
-    failed = (((keys[0] >> m) ^ flips[:split][inverse[0]])
-              | ((keys[1] >> m) ^ flips[split:][inverse[1]]))
-    failures = int(failed.sum())
+    if m <= _TABLE_CHECKS:
+        failed, most, distinct = _decode_by_table(keys, d, m)
+    else:
+        failed, most, distinct = _decode_distinct(keys, layout.move_keys, m)
+    failures = int(np.count_nonzero(failed))
     rate = failures / shots
     lo, hi = _wilson_interval(failures, shots)
     return LogicalRateResult(rate, lo, hi, failures, shots, d, p, cycles, seed,

@@ -325,6 +325,28 @@ def test_experiment_subcommand(tmp_path):
     assert abs(fit["params"]["t1"] - 500.0) / 500.0 < 0.01
 
 
+@pytest.mark.parametrize("kind", ["rabi", "t1", "ramsey"])
+def test_experiment_manifest_carries_fit_stats(tmp_path, kind):
+    """``experiment`` writes its fit's convergence and evaluations into the
+    manifest, as the library's fit of the same run reports them."""
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"kind = {kind}\nshots = 500\n")
+    out = tmp_path / "o"
+    assert run_cli(["experiment", "--config", cfg, "--out", out, "--seed", 4]) == 0
+    stats = read_json(out / "manifest.json")["stats"]
+    taus, readout = np.linspace(0.0, 1000.0, 101), experiments.ReadoutModel(0.0, 0.0, 500)
+    if kind == "rabi":
+        data = experiments.run_rabi(to_angular(0.01), taus, 10000.0, 15000.0, readout, 4)
+    elif kind == "t1":
+        data = experiments.run_t1(taus, 10000.0, 15000.0, readout, 4)
+    else:
+        data = experiments.run_ramsey(taus, 10000.0, 15000.0, 0.001, readout, 4)
+    fit = getattr(experiments, f"fit_{kind}")(data.x, data.signal)
+    assert stats == {"fit_converged": fit.converged, "fit_nfev": fit.nfev}
+    assert stats["fit_converged"] is read_json(out / f"{kind}_fit.json")["converged"]
+    assert stats["fit_nfev"] > 0
+
+
 def test_grape_subcommand(tmp_path):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("n_slices = 4\ndt_ns = 1.6\nrestarts = 4\n"

@@ -701,6 +701,28 @@ def test_empty_sample_grid_raises():
         dyn.unitary_evolve(h, q.ket(0, 2), times=[])
 
 
+@pytest.mark.parametrize("h, shape", [
+    (0, r"\(\)"), (np.zeros(2), r"\(2,\)"), (np.zeros((2, 3)), r"\(2, 3\)"),
+    (np.zeros((1, 2, 2)), r"\(1, 2, 2\)"),
+])
+def test_non_square_hamiltonian_raises_naming_its_shape(h, shape):
+    """A scalar, vector or non-square H is a ValueError naming its shape,
+    from ``liouvillian`` and from ``lindblad_evolve`` alike."""
+    with pytest.raises(ValueError, match=f"square matrix, got shape {shape}"):
+        dyn.liouvillian(h)
+    with pytest.raises(ValueError, match=f"square matrix, got shape {shape}"):
+        dyn.lindblad_evolve(h, EXCITED, times=[0.0, 1.0])
+
+
+def test_hamiltonian_of_another_dimension_than_rho_raises():
+    """H of dimension 3 against a qubit rho (or the reverse) is a ValueError
+    naming both shapes, before any stepping."""
+    with pytest.raises(ValueError, match=r"rho of shape \(2, 2\) for H of shape \(3, 3\)"):
+        dyn.lindblad_evolve(np.eye(3), EXCITED, times=[0.0, 1.0])
+    with pytest.raises(ValueError, match=r"rho of shape \(3, 3\) for H of shape \(2, 2\)"):
+        dyn.lindblad_evolve(SX, q.ket(0, 3), [dyn.qubit_decay(0.1)], times=[0.0, 1.0])
+
+
 def test_unitary_evolve_static_exact():
     h = 2 * np.pi * np.array([[0.5, 0.1], [0.1, -0.2]], dtype=complex)
     psi0 = q.ket(0, 2)

@@ -1,5 +1,7 @@
 import copy
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -1273,12 +1275,94 @@ def test_draw_block_edges_match_per_shot_loop(shots):
     """Shot counts around the 1,024-shot draw blocks: failures equal the
     per-shot loop's, and the counts the documented syndromes'."""
     assert sc._DRAW_SHOTS == 1024
-    d, p, seed = 5, 0.08, 23
-    res = sc.logical_error_rate(d, p, 1, shots, seed)
-    assert res.failures == _looped_failures(d, p, 1, shots, seed)
-    for kind, syn in zip("zx", _documented_syndromes(d, p, shots, seed)):
-        assert res.max_defects[kind] == syn.sum(axis=1).max()
-        assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
+    p, seed = 0.08, 23
+    for d in (5, 3):        # distinct syndromes matched, then the decode table
+        res = sc.logical_error_rate(d, p, 1, shots, seed)
+        assert res.failures == _looped_failures(d, p, 1, shots, seed)
+        for kind, syn in zip("zx", _documented_syndromes(d, p, shots, seed)):
+            assert res.max_defects[kind] == syn.sum(axis=1).max()
+            assert res.distinct_syndromes[kind] == len(np.unique(syn, axis=0))
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-3, 0.5, 1 - 2**-53, 1.0])
+def test_flip_draws_equal_random_below_p(p):
+    """``_flip_draws`` gives ``Generator.random(shape) < p`` bit for bit over
+    three consecutive blocks of one stream, and leaves the stream where
+    ``random`` leaves it."""
+    for seed in (0, 23, 2**40 + 3):
+        bit_generator = np.random.Philox(key=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for shape in ((1024, 82), (5, 26), (1025, 2)):
+            got = sc._flip_draws(bit_generator, p, shape)
+            assert got.dtype == bool and got.shape == shape
+            assert np.array_equal(got, rng.random(shape) < p)
+        assert bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 3])
+def test_certain_flips_at_odd_and_even_cycles(cycles):
+    """p = 1 flips every data qubit by X and Z each cycle, so the cumulative
+    probability is 1 after odd cycles (every draw below it) and 0 after even
+    ones: every shot holds the all-ones error, or none."""
+    shots, seed = 40, 5
+    for d in (2, 3, 5):
+        lat = sc.SurfaceLattice(d)
+        every = np.full(lat.n_data, cycles % 2, dtype=np.int8)
+        syn = sc.syndrome_from_errors(lat, every, every)
+        res = sc.logical_error_rate(d, 1.0, cycles, shots, seed)
+        assert res.failures == _looped_failures(d, 1.0, cycles, shots, seed)
+        assert res.failures in ((0, shots) if cycles % 2 else (0,))
+        assert res.max_defects == {"z": syn.z_bits.sum(), "x": syn.x_bits.sum()}
+        assert res.distinct_syndromes == {"z": 1, "x": 1}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decode_table_is_the_decoders_readback(d):
+    """All 2^m syndromes of each kind, decoded by ``mwpm_decode`` and read
+    back: the correction clears the syndrome, the residual of an error with
+    that syndrome and even logical parity flips the guarded logical exactly
+    when the table's flip says so (odd parity the other way), and the
+    defect count is the syndrome's popcount."""
+    lat = sc.SurfaceLattice(d)
+    m = len(lat.z_checks)
+    x_l, z_l = sc.logical_ops(lat)
+    table = sc._decode_table(d)
+    assert table.fail.shape == (2, 2 << m) and table.fail.dtype == bool
+    assert table.defects.shape == (1 << m,)
+    for shared in table:
+        assert not shared.flags.writeable
+    none = np.zeros(m, dtype=np.int8)
+    flips = 0
+    # X errors light Z checks and may flip Z_L; Z errors light X checks and X_L
+    for k, (kind, logical) in enumerate((("z", z_l), ("x", x_l))):
+        support = list(logical.support())
+        for s in range(1 << m):
+            bits = (s >> np.arange(m) & 1).astype(np.int8)
+            syn = sc.Syndrome(0, *((none, bits) if kind == "z" else (bits, none)))
+            frame = sc.mwpm_decode(syn, lat)
+            fix, other = (frame.x, frame.z) if kind == "z" else (frame.z, frame.x)
+            again = sc.syndrome_from_errors(lat, frame.x, frame.z)
+            assert not other.any()
+            assert np.array_equal(again.z_bits if kind == "z" else again.x_bits, bits)
+            flip = bool(fix[support].sum() % 2)
+            flips += flip
+            assert table.fail[k, s] == flip
+            assert table.fail[k, s | 1 << m] == (not flip)
+            assert table.defects[s] == bits.sum()
+    assert 0 < flips < 2 << m
+
+
+def test_decode_table_is_built_lazily_at_small_distances(src_env):
+    """Importing the module builds no table, a d = 5 call builds none, the
+    first d = 3 call builds one."""
+    code = ("import scqsim.surface_code as sc\n"
+            "built = sc._decode_table.cache_info\n"
+            "assert built().currsize == 0\n"
+            "sc.logical_error_rate(5, 0.03, 1, 200, 1)\n"
+            "assert built().currsize == 0\n"
+            "sc.logical_error_rate(3, 0.03, 1, 200, 1)\n"
+            "assert built().currsize == 1\n")
+    subprocess.run([sys.executable, "-c", code], env=src_env, check=True)
 
 
 @lru_cache(maxsize=None)
