@@ -423,7 +423,8 @@ def run_experiment(cfg: dict, out: Path, seed: int) -> dict:
         "params": fit.params, "sigmas": fit.sigmas,
         "residual_norm": fit.residual_norm, "converged": fit.converged,
     })
-    return {"fit_converged": fit.converged, "fit_nfev": fit.nfev}
+    return {"fit_converged": fit.converged, "fit_nfev": fit.nfev,
+            **{f"fit_{k}": v for k, v in fit.stats.items()}}
 
 
 def run_rb(cfg: dict, out: Path, seed: int) -> dict:

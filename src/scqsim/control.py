@@ -193,7 +193,8 @@ def leakage_simulate(p: PulseEnvelope, alpha: float, lam: float = np.sqrt(2),
     lam-weighted x/y drive operators; ``alpha`` in rad/ns.  Each sample
     interval takes ``refine`` fourth-order commutator-free steps (two
     exponentials each, with the quadratures interpolated linearly to the
-    Gauss nodes; see :func:`~scqsim.qcore._cf4_rows`), and U is their
+    Gauss nodes; see :func:`~scqsim.qcore._cf4_rows`), each exponential a
+    shifted Taylor polynomial of the 3 x 3 step, and U is their
     :func:`~scqsim.qcore.piecewise_propagator` tree product.  Returns
     ``(U, leakage)`` with leakage = max over the computational basis states
     of the final |2> population.  With ``check=True`` the run is repeated
@@ -663,11 +664,13 @@ def filter_function(seq: RefocusSequence, omega: np.ndarray) -> np.ndarray:
     segs = toggling_function(seq)
     vals = np.zeros_like(omega, dtype=complex)
     small = np.abs(omega) < 1e-14
+    edge = {}                 # exp(-i omega t) at each edge, shared by its segments
     for t0, t1, s in segs:
+        for t in (t0, t1):
+            if t not in edge:
+                edge[t] = np.exp(-1j * omega * t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = s * (np.exp(-1j * omega * t1) - np.exp(-1j * omega * t0)) / (
-                -1j * omega
-            )
+            term = s * (edge[t1] - edge[t0]) / (-1j * omega)
         term[small] = s * (t1 - t0)
         vals += term
     f = np.abs(vals) ** 2

@@ -14,7 +14,7 @@ of scope here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,7 @@ class FitResult:
     residual_norm: float
     converged: bool
     nfev: int = 0                  # model evaluations the optimizer spent
+    stats: dict = field(default_factory=dict)   # fit_rabi: branch taken, each fit's nfev
 
     def __post_init__(self):
         if self.converged and not np.isfinite(self.residual_norm):
@@ -361,8 +362,11 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
     is kept only if it converged, has T_R > 0 and the lower BIC n ln(RSS/n) +
     k ln n (k = 5 against 3; RSS floored at n (1e-10 peak-to-peak(y))^2, so
     a round-off tie goes to the decay); else ``fit_t1``'s fit is returned
-    with Omega = A2 = 0, sigmas 0; from 0.5 to 1 period either may win.  A
-    series flat to 1e-12 is not fitted: A0 its mean, T_R the span, others 0."""
+    with Omega = A2 = 0, sigmas 0; from 0.5 to 1 period either may win.
+    ``nfev`` is the returned fit's; ``stats`` names the returned ``branch``
+    ("oscillating" or "decay") and holds each fit's evaluations
+    (``oscillating_nfev``, and ``decay_nfev`` in bin 1).  A series flat to
+    1e-12 is not fitted: A0 its mean, T_R the span, others 0, no stats."""
     x, y = _series(x, y)
     names = ["a0", "a1", "a2", "omega", "t_r"]
     if np.ptp(y) <= _FLAT:
@@ -385,16 +389,18 @@ def fit_rabi(x: np.ndarray, y: np.ndarray) -> FitResult:
     seed = [a0, np.hypot(c, s) * np.exp(k * x[0]), np.arctan2(-s, c) - w * x[0], w, k]
     osc = _fit(damped_cosine, y, seed, names, _time)
     if peak_bin > 1:
-        return osc
+        return replace(osc, stats={"branch": "oscillating", "oscillating_nfev": osc.nfev})
     dec = fit_t1(x, y)
     n = len(x)
     floor = max(n * (1e-10 * float(np.ptp(y))) ** 2, np.finfo(float).tiny)
+    stats = {"oscillating_nfev": osc.nfev, "decay_nfev": dec.nfev}
     if (osc.converged and osc.params["t_r"] > 0
             and _bic(osc, n, 5, floor) < _bic(dec, n, 3, floor)):
-        return osc
+        return replace(osc, stats={"branch": "oscillating", **stats})
     params, sigmas = ({"a0": d["a0"], "a1": d["a1"], "a2": 0.0, "omega": 0.0,
                        "t_r": d["t1"]} for d in (dec.params, dec.sigmas))
-    return FitResult(params, sigmas, dec.residual_norm, dec.converged, dec.nfev)
+    return FitResult(params, sigmas, dec.residual_norm, dec.converged, dec.nfev,
+                     {"branch": "decay", **stats})
 
 
 def fit_t1(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -413,7 +419,7 @@ def fit_ramsey(x: np.ndarray, y: np.ndarray) -> FitResult:
     new = {"omega": "omega_qd", "t_r": "t2"}
     params, sigmas = ({new.get(k, k): v for k, v in d.items()}
                       for d in (res.params, res.sigmas))
-    return FitResult(params, sigmas, res.residual_norm, res.converged, res.nfev)
+    return FitResult(params, sigmas, res.residual_norm, res.converged, res.nfev, res.stats)
 
 
 def fit_ramsey_gaussian(x: np.ndarray, y: np.ndarray, t1: float) -> FitResult:

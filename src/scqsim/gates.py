@@ -267,11 +267,12 @@ def cz_adiabatic_simulate(
     in GHz and is sampled at the two Gauss nodes of each step, and each
     step is two half-length rows of
     :func:`~scqsim.qcore.piecewise_propagator`, whose tree product is the
-    propagator; H conserves the excitation number, so each row is
-    diagonalized per excitation block.  Starting from |11>, the run tracks
-    the |02> population (the adiabaticity monitor: one mat-vec per row
-    inside the three-level block of |11>, |02> and |20>, read after every
-    half-step row) and reports the conditional phase
+    propagator; H conserves the excitation number, so each row's step is
+    made per excitation block, by a shifted Taylor polynomial.  Starting
+    from |11>, the run tracks the |02> population (the adiabaticity monitor,
+    read after every half-step row: the states inside the three-level block
+    of |11>, |02> and |20> come from a down-sweep of each chunk's product
+    tree) and reports the conditional phase
     theta_11 - theta_10 - theta_01 + theta_00 accumulated relative to the
     single-qubit frames.
 

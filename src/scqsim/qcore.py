@@ -22,6 +22,7 @@ can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,8 +290,8 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
 
 CHUNK_ENTRIES = 2**11
 """Complex entries per stacked step array in :func:`piecewise_propagator`:
-an m-dimensional block is diagonalized and multiplied ``max(64,
-CHUNK_ENTRIES // m**2)`` steps at a time, so memory stays flat in the step
+an m-dimensional block makes and multiplies its steps ``max(64,
+CHUNK_ENTRIES // m**2)`` at a time, so memory stays flat in the step
 count."""
 
 
@@ -324,8 +325,81 @@ def conserved_blocks(h0, controls) -> list:
     return [np.flatnonzero(row) for i, row in enumerate(reach) if not row[:i].any()]
 
 
-def _steps(h0, controls, amplitudes, durations):
-    """(U, evals, vecs) stacks for steps laid out as ``durations``."""
+def _taylor_plan(norm: float) -> tuple:
+    """(s, K) for exp(Y) with ||Y||_1 <= norm: s halvings bring the norm t to
+    at most 0.5, and K is the least degree whose truncation bound
+    t^(K+1) / (K+1)! e^t (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
+    (2009) 970) is at most 2^-53."""
+    if not math.isfinite(norm):
+        raise np.linalg.LinAlgError("non-finite step generator")
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    t = math.ldexp(norm, -s)
+    k = 0
+    while t ** (k + 1) / math.factorial(k + 1) * math.exp(t) > 2.0**-53:
+        k += 1
+    return s, k
+
+
+def _stack_matmul(a, b):
+    """A_j B_j for every j of two (m, m, n) stacks."""
+    c = a[:, 0, None] * b[None, 0]
+    for l in range(1, len(b)):
+        c += a[:, l, None] * b[None, l]
+    return c
+
+
+def _expm_stack(x) -> np.ndarray:
+    """exp(X_j) for every j of an (m, m, n) stack X, laid out as X.
+
+    With mu = tr X_j / m and Y = X_j - mu I, exp(X_j) = e^mu P_K(Y / 2^s)^(2^s),
+    P_K the degree-K Taylor polynomial (Horner), s and K taken once for the
+    stack by :func:`_taylor_plan` from the largest ||Y||_1.  A 1 x 1 stack
+    is e^X itself, as Y = 0.
+    """
+    m = len(x)
+    diag = slice(None, None, m + 1)              # of a stack viewed as (m * m, n)
+    mu = np.trace(x) / m
+    y = np.array(x, dtype=complex)
+    y.reshape(m * m, -1)[diag] -= mu
+    s, k = _taylor_plan(float(np.abs(y).sum(axis=0).max(initial=0.0)))
+    if k == 0:
+        p = np.zeros_like(y)
+        p.reshape(m * m, -1)[diag] = 1.0
+    else:
+        y *= 0.5**s
+        p = y * (1.0 / math.factorial(k))
+        p.reshape(m * m, -1)[diag] += 1.0 / math.factorial(k - 1)
+        for j in range(k - 2, -1, -1):
+            p = _stack_matmul(y, p)
+            p.reshape(m * m, -1)[diag] += 1.0 / math.factorial(j)
+        for _ in range(s):
+            p = _stack_matmul(p, p)
+    return p * np.exp(mu)
+
+
+def _block_steps(h0, controls, amplitudes, durations):
+    """exp(-i dt_j H_j) as a (..., n, m, m) stack for steps laid out as
+    ``durations`` (..., n), H_j = H0 + sum_k amplitudes[k, ..., j] controls[k]."""
+    h = np.broadcast_to(h0[..., None], h0.shape + (durations.size,))
+    for c, a in zip(controls, amplitudes):
+        h = h + c[..., None] * a.reshape(-1)
+    u = _expm_stack(h * (-1j * durations.reshape(-1)))
+    return np.moveaxis(u, -1, 0).reshape(durations.shape + h0.shape)
+
+
+def step_unitaries(h0, controls, amplitudes, durations):
+    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), as one stack,
+    with the spectral data GRAPE's gradient reads.
+
+    H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns), summed in that
+    order; ``durations`` holds the dt_j in ns (zero widths are allowed).
+    Returns ``(us, evals, vecs)`` of shapes (n, d, d), (n, d) and (n, d, d)
+    from one batched ``eigh`` of the full matrices (H_j = vecs[j]
+    diag(evals[j]) vecs[j]^dag), with ``expm_hermitian(H_j, -1j * dt_j)``'s
+    arithmetic.
+    """
+    h0, controls, amplitudes, durations = _step_inputs(
+        h0, controls, amplitudes, np.reshape(durations, -1))
     h = np.broadcast_to(h0, durations.shape + h0.shape)
     for c, a in zip(controls, amplitudes):
         h = h + a[..., None, None] * c
@@ -335,35 +409,49 @@ def _steps(h0, controls, amplitudes, durations):
     return us, evals, vecs
 
 
-def step_unitaries(h0, controls, amplitudes, durations):
-    """Piecewise-constant propagators U_j = exp(-i dt_j H_j), as one stack.
-
-    H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns), summed in that
-    order; ``durations`` holds the dt_j in ns (zero widths are allowed).
-    Returns ``(us, evals, vecs)`` of shapes (n, d, d), (n, d) and (n, d, d)
-    from one batched ``eigh`` of the full matrices (H_j = vecs[j]
-    diag(evals[j]) vecs[j]^dag), with ``expm_hermitian(H_j, -1j * dt_j)``'s
-    arithmetic.
-    """
-    return _steps(*_step_inputs(h0, controls, amplitudes, np.reshape(durations, -1)))
-
-
-def ordered_product(us) -> np.ndarray:
-    """U_n ... U_2 U_1 of a ``(..., n, d, d)`` stack (U_1 first), leading axes
-    batched.  Adjacent pairs are multiplied, later step on the left, one
-    batched matmul per level; at an odd count the last factor is carried to
-    the next level.  n = 0 gives the identity."""
+def _tree_levels(us) -> list:
+    """The levels of :func:`ordered_product`'s tree: ``us`` (..., n, d, d),
+    then each level's adjacent pairs multiplied, later step on the left, one
+    batched matmul per level, an odd count carrying its last factor to the
+    next level; the last level holds one factor.  n = 0 gives the identity."""
     us = np.asarray(us)
     if us.shape[-3] == 0:
-        return np.broadcast_to(np.eye(us.shape[-1], dtype=us.dtype),
-                               us.shape[:-3] + us.shape[-2:]).copy()
+        return [np.broadcast_to(np.eye(us.shape[-1], dtype=us.dtype),
+                                us.shape[:-3] + (1,) + us.shape[-2:]).copy()]
+    levels = [us]
     while us.shape[-3] > 1:
         even = us.shape[-3] // 2 * 2
         pairs = us[..., 1:even:2, :, :] @ us[..., 0:even:2, :, :]
         if even < us.shape[-3]:
             pairs = np.concatenate((pairs, us[..., even:, :, :]), axis=-3)
         us = pairs
-    return us[..., 0, :, :]
+        levels.append(us)
+    return levels
+
+
+def ordered_product(us) -> np.ndarray:
+    """U_n ... U_2 U_1 of a ``(..., n, d, d)`` stack (U_1 first), leading axes
+    batched: the root of :func:`_tree_levels`.  n = 0 gives the identity."""
+    return _tree_levels(us)[-1][..., 0, :, :]
+
+
+def _down_sweep(levels, psi) -> np.ndarray:
+    """The state before each factor of ``levels[0]`` (..., n, m), for the
+    state ``psi`` (..., m) before the product: Blelloch's down-sweep
+    (CMU-CS-90-190, 1990) on :func:`_tree_levels`, one batched mat-vec per
+    level."""
+    before = psi[..., None, :]
+    for lower in levels[-2::-1]:
+        n = lower.shape[-3]
+        half = n // 2
+        states = np.empty(lower.shape[:-1], dtype=complex)
+        states[..., 0:2 * half:2, :] = before[..., :half, :]
+        states[..., 1:2 * half:2, :] = np.einsum(
+            "...ij,...j->...i", lower[..., 0:2 * half:2, :, :], before[..., :half, :])
+        if n % 2:
+            states[..., -1, :] = before[..., -1, :]
+        before = states
+    return before
 
 
 def _cf4_rows(sample, widths):
@@ -391,19 +479,23 @@ def _cf4_rows(sample, widths):
 
 
 def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
-    """The time-ordered product U_n ... U_1 of the :func:`step_unitaries` steps.
+    """The time-ordered product U_n ... U_1 of the steps U_j = exp(-i dt_j H_j),
+    H_j = H0 + sum_k amplitudes[k, j] controls[k] (rad/ns) and dt_j =
+    durations[j] (ns), as for :func:`step_unitaries`.
 
     ``durations`` may carry leading axes (..., n), with ``amplitudes`` then
     (k, ..., n): each row is its own product, and the result is (..., d, d).
-    The one block split: each :func:`conserved_blocks` block makes its steps
-    (a diagonal H entry by entry) ``max(64, CHUNK_ENTRIES // m**2)`` at a
-    time, several rows at once when a row is shorter; :func:`ordered_product`
-    reduces each chunk and then the chunk products, and the block products
-    are scattered into the full dimension.
+    The one block split: each :func:`conserved_blocks` block of size m makes
+    its steps ``max(64, CHUNK_ENTRIES // m**2)`` at a time, several rows at
+    once when a row is shorter, by shifted Taylor polynomials
+    (:func:`_expm_stack`; a 1 x 1 block is exp(-i dt_j H_j) entry by entry);
+    :func:`ordered_product` reduces each chunk and then the chunk products,
+    and the block products are scattered into the full dimension.
 
     With ``watch = j`` it returns ``(U, peak)``, where peak[..., i] is the
-    largest |<i| U_t ... U_1 |j>|^2 over t = 0..n: one mat-vec per step
-    inside j's block, and zero outside it.
+    largest |<i| U_t ... U_1 |j>|^2 over t = 0..n: inside j's block, each
+    chunk's states come from one :func:`_down_sweep` of its product tree,
+    and peak is zero outside the block.
     """
     h0, controls, amplitudes, durations = _step_inputs(h0, controls, amplitudes,
                                                        durations)
@@ -423,23 +515,21 @@ def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
         group = max(1, size // max(n, 1))
         watched = watch is not None and watch in ix
         for r in range(0, rows, group):
-            psi = np.zeros((len(durations[r:r + group]), len(ix)), dtype=complex)
+            batch = slice(r, r + group)
+            psi = np.zeros((len(durations[batch]), len(ix)), dtype=complex)
             psi[:, ix == watch] = 1.0
             parts = []
             for s in range(0, max(n, 1), size):
-                us = _steps(hb, cb, amplitudes[:, r:r + group, s:s + size],
-                            durations[r:r + group, s:s + size])[0]
-                parts.append(ordered_product(us))
-                for b, steps in enumerate(us if watched else ()):
-                    seen = np.empty((len(steps), len(ix)), dtype=complex)
-                    v = psi[b]
-                    for k, step in enumerate(steps):
-                        v = seen[k] = step @ v
-                    psi[b] = v
-                    peak[r + b, ix] = np.maximum(
-                        peak[r + b, ix], np.max(np.abs(seen) ** 2, axis=0, initial=0.0))
-            out[(slice(r, r + group),) + sub[1:]] = ordered_product(
-                np.stack(parts, axis=-3))
+                levels = _tree_levels(_block_steps(hb, cb, amplitudes[:, batch, s:s + size],
+                                                   durations[batch, s:s + size]))
+                parts.append(levels[-1][:, 0])
+                if watched:
+                    seen = _down_sweep(levels, psi)
+                    psi = np.einsum("bij,bj->bi", parts[-1], psi)
+                    peak[batch, ix] = np.maximum(
+                        peak[batch, ix], np.maximum(np.max(np.abs(seen) ** 2, axis=1),
+                                                    np.abs(psi) ** 2))
+            out[(batch,) + sub[1:]] = ordered_product(np.stack(parts, axis=-3))
     out = out.reshape(lead + (dim, dim))
     if watch is None:
         return out

@@ -328,7 +328,8 @@ def test_experiment_subcommand(tmp_path):
 @pytest.mark.parametrize("kind", ["rabi", "t1", "ramsey"])
 def test_experiment_manifest_carries_fit_stats(tmp_path, kind):
     """``experiment`` writes its fit's convergence and evaluations into the
-    manifest, as the library's fit of the same run reports them."""
+    manifest, as the library's fit of the same run reports them (a Rabi or
+    Ramsey fit also its branch and each fit's evaluations)."""
     cfg = tmp_path / "x.cfg"
     cfg.write_text(f"kind = {kind}\nshots = 500\n")
     out = tmp_path / "o"
@@ -342,7 +343,9 @@ def test_experiment_manifest_carries_fit_stats(tmp_path, kind):
     else:
         data = experiments.run_ramsey(taus, 10000.0, 15000.0, 0.001, readout, 4)
     fit = getattr(experiments, f"fit_{kind}")(data.x, data.signal)
-    assert stats == {"fit_converged": fit.converged, "fit_nfev": fit.nfev}
+    assert stats == {"fit_converged": fit.converged, "fit_nfev": fit.nfev,
+                     **{f"fit_{k}": v for k, v in fit.stats.items()}}
+    assert ("fit_branch" in stats) == (kind != "t1")
     assert stats["fit_converged"] is read_json(out / f"{kind}_fit.json")["converged"]
     assert stats["fit_nfev"] > 0
 

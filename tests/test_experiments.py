@@ -361,6 +361,29 @@ def test_fit_rabi_pure_decay_beats_near_zero_frequency_fit(tau):
     assert abs(fit.params["t_r"] - tau) / tau < 1e-6
 
 
+@pytest.mark.parametrize("periods, branch", [(1, "oscillating"), (0, "decay"),
+                                             (2, "oscillating")])
+def test_fit_rabi_stats_count_every_fit_it_ran(periods, branch):
+    """In FFT bin 1 both fits run: ``stats`` names the returned one and holds
+    each one's evaluations, while ``nfev`` stays the returned fit's."""
+    t = np.linspace(0.0, 100.0, 64)
+    omega = 2 * np.pi * periods / 100.0
+    y = 0.4 + 0.35 * np.cos(omega * t + 1.1) * np.exp(-t / 60.0)
+    fit = ex.fit_rabi(t, y)
+    assert fit.stats["branch"] == branch
+    assert fit.stats["oscillating_nfev"] > 0
+    if ex._fft_frequency(t, y)[1] > 1:
+        assert fit.stats == {"branch": "oscillating", "oscillating_nfev": fit.nfev}
+        return
+    decay = ex.fit_t1(t, y)
+    assert fit.stats["decay_nfev"] == decay.nfev > 0
+    assert fit.nfev == fit.stats[f"{branch}_nfev"]
+    assert (fit.params["omega"] == 0.0) == (branch == "decay")
+    # fit_ramsey is the same fit, renamed
+    assert ex.fit_ramsey(t, y).stats == fit.stats
+    assert ex.fit_t1(t, y).stats == {}
+
+
 def test_fit_ramsey_pure_decay_reports_no_detuning():
     t = np.linspace(0.0, 100.0, 64)
     y = 0.1 + 0.8 * np.exp(-t / 40.0)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,23 @@ def test_cz_simulate_matches_looped_reference():
     d = np.angle(np.diag(u)[[0, 1, 3, 4]])
     cond = np.angle(np.exp(1j * (d[3] - d[2] - d[1] + d[0])))
     assert abs(res["conditional_phase"] - cond) < 1e-10
+
+
+def test_cz_simulate_memory_bound():
+    """Memory stays flat in the step count: once warm, a 3,000-step run
+    (6,000 rows) peaks under 1 MB of traced allocations (about 0.5 MB).
+    Chunks of 2^15 entries take it to about 4 MB."""
+    def bias(t):
+        return 5.8 - 0.38 * np.sin(np.pi * t / 60.0) ** 2
+
+    gates.cz_adiabatic_simulate(5.0, bias, -0.3, -0.3, 0.02, 60.0)
+    tracemalloc.start()
+    try:
+        gates.cz_adiabatic_simulate(5.0, bias, -0.3, -0.3, 0.02, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def _excursion(tau, w_gate=5.42, w_idle=5.8):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,3 +441,131 @@ def test_watch_peaks_match_running_column():
     assert np.max(np.abs(u - run)) < 1e-12
     assert np.max(np.abs(peak - want)) < 1e-12
     assert np.count_nonzero(peak) == 3       # only the watched block moves
+
+
+# ---------------------------------------------------------------------------
+# The step kernel: shifted Taylor polynomials, and the down-sweep monitor
+# ---------------------------------------------------------------------------
+
+def _taylor_bound(t, k):
+    return t ** (k + 1) / math.factorial(k + 1) * math.exp(t)
+
+
+@pytest.mark.parametrize("norm", [0.0, 5e-324, 1e-17, 1.1e-16, 1e-8, 1e-3, 0.1, 0.49,
+                                  0.5, np.nextafter(0.5, 1.0), 0.75, 1.0, 3.3, 40.0,
+                                  1e4])
+def test_degree_rule_meets_its_bound(norm):
+    """(s, K): the fewest halvings that bring the norm to 0.5, and the least
+    degree whose truncation bound is at most 2^-53 there."""
+    s, k = q._taylor_plan(norm)
+    t = norm / 2**s
+    assert t <= 0.5
+    assert s == 0 or norm / 2 ** (s - 1) > 0.5
+    assert _taylor_bound(t, k) <= 2.0**-53
+    assert k == 0 or _taylor_bound(t, k - 1) > 2.0**-53
+    assert k <= 14
+
+
+def test_degree_rule_rejects_a_non_finite_norm():
+    for norm in (np.inf, np.nan):
+        with pytest.raises(np.linalg.LinAlgError):
+            q._taylor_plan(norm)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_step_kernel_matches_scipy_expm(dim):
+    """exp(-i dt H) for ||dt H||_1 from 1e-6 to 40, stack by stack (one
+    norm each, so both the unscaled and the scaled branch run) and all in
+    one stack (the largest norm sets s and K for every step), against
+    scipy.linalg.expm."""
+    rng = np.random.default_rng(dim)
+    stacks, scaled = [], set()
+    for norm in np.geomspace(1e-6, 40.0, 12):
+        hs = [_random_hermitian(rng, dim) for _ in range(5)]
+        xs = np.array([-1j * h * (norm / np.abs(h).sum(axis=0).max()) for h in hs])
+        ys = xs - np.trace(xs, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
+        scaled.add(q._taylor_plan(np.abs(ys).sum(axis=1).max())[0] > 0)
+        got = np.moveaxis(q._expm_stack(np.moveaxis(xs, 0, -1)), -1, 0)
+        want = np.array([expm(x) for x in xs])
+        assert np.max(np.abs(got - want)) < 1e-15 * max(1.0, norm)
+        stacks.append((xs, want))
+    assert scaled == ({False} if dim == 1 else {False, True})
+    xs, want = (np.concatenate(a) for a in zip(*stacks))
+    got = np.moveaxis(q._expm_stack(np.moveaxis(xs, 0, -1)), -1, 0)
+    assert np.max(np.abs(got - want)) < 4e-14
+
+
+def test_one_by_one_blocks_are_np_exp():
+    """A diagonal H splits into 1 x 1 blocks, whose steps are exp(-i dt h)
+    entry by entry: ``np.exp``'s values exactly, in one-step rows."""
+    rng = np.random.default_rng(3)
+    h0 = np.diag(rng.standard_normal(5) * 30.0)
+    control = np.diag(rng.standard_normal(5))
+    amplitudes = rng.standard_normal((1, 700))
+    durations = rng.uniform(0.0, 2.0, 700)
+    durations[::7] = 0.0
+    got = q.piecewise_propagator(h0, [control], amplitudes[:, :, None],
+                                 durations[:, None])
+    for u, a, dt in zip(got, amplitudes[0], durations):
+        want = np.exp(-1j * dt * (np.diag(h0) + a * np.diag(control)))
+        assert np.array_equal(u, np.diag(want))
+    x = -1j * rng.standard_normal((1, 1, 300)) * 50.0
+    assert np.array_equal(q._expm_stack(x), np.exp(x))
+
+
+def _per_step_states(us, psi):
+    """Oracle: the state before each step, one mat-vec at a time."""
+    out = []
+    for step in us:
+        out.append(psi)
+        psi = step @ psi
+    return np.array(out).reshape(len(us), -1), psi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 226, 227, 228, 455])
+def test_down_sweep_matches_per_step_loop(n):
+    rng = np.random.default_rng(n)
+    us = q.step_unitaries(*_random_steps(rng, n, 3))[0]
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    levels = q._tree_levels(us)
+    got = q._down_sweep(levels, psi)
+    want, last = _per_step_states(us, psi)
+    assert got.shape == (n, 3)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(levels[-1][0] @ psi - last)) < 1e-13
+    # batched rows of the same count, each its own tree
+    batch = np.stack([us, us[::-1]])
+    got = q._down_sweep(q._tree_levels(batch), np.stack([psi, psi.conj()]))
+    assert np.max(np.abs(got[0] - want)) < 1e-13
+    assert np.max(np.abs(got[1] - _per_step_states(us[::-1], psi.conj())[0])) < 1e-13
+
+
+def _loop_peaks(h0, control, amplitudes, durations, watch):
+    want = np.zeros(len(h0))
+    want[watch] = 1.0
+    psi = np.eye(len(h0), dtype=complex)[:, watch]
+    for a, dt in zip(amplitudes, durations):
+        psi = expm(-1j * dt * (h0 + a * control)) @ psi
+        want = np.maximum(want, np.abs(psi) ** 2)
+    return want
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 226, 227, 228, 455, 681])
+def test_watch_peaks_at_chunk_edges_and_in_batched_rows(n):
+    """Peaks from the down-sweep equal a per-step loop's, for step counts
+    around the 227-step chunk of a 3-level block, odd counts, and rows
+    several at a time (short rows share a chunk)."""
+    rng = np.random.default_rng(n + 1)
+    perm = rng.permutation(5)
+    h0 = _block_diagonal(rng, (3, 2), perm)
+    control = _block_diagonal(rng, (3, 2), perm)
+    watch = int(perm[1])
+    rows = 3 if n < 300 else 1
+    amplitudes = rng.standard_normal((1, rows, n))
+    durations = rng.uniform(0.0, 0.3, (rows, n))
+    _, peak = q.piecewise_propagator(h0, [control], amplitudes, durations, watch=watch)
+    assert peak.shape == (rows, 5)
+    for r in range(rows):
+        want = _loop_peaks(h0, control, amplitudes[0, r], durations[r], watch)
+        assert np.max(np.abs(peak[r] - want)) < 1e-12
+        assert np.count_nonzero(peak[r]) <= 3
