@@ -21,7 +21,8 @@ files with numerics printed to 12 significant digits, plus a
 ``qec`` the most defects in one shot and the distinct syndromes matched,
 per check kind, for ``experiment`` its fit's convergence and evaluations,
 for ``rb`` each curve's fit convergence, fit evaluations, flat-curve flag
-and random Cliffords applied).  Identical
+and random Cliffords applied, for ``grape`` the returned run's gradient
+evaluations, step halvings and stop reason).  Identical
 config + seed reproduces byte-identical outputs except for the manifest
 timestamp.
 
@@ -331,7 +332,7 @@ def run_gate(cfg: dict, out: Path, seed: int) -> None:
     })
 
 
-def run_grape(cfg: dict, out: Path, seed: int) -> None:
+def run_grape(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"alpha_ghz": -0.2, "lambda": float(np.sqrt(2)), "n_slices": 4,
                "dt_ns": 0.0, "restarts": 8, "target_infidelity": 1e-4,
                "bound_ghz": 0.0, "max_iter": 3000}
@@ -360,6 +361,7 @@ def run_grape(cfg: dict, out: Path, seed: int) -> None:
         "iterations": int(len(res.trace)),
         "total_time_ns": prob.total_time,
     })
+    return res.stats
 
 
 def run_echo(cfg: dict, out: Path, seed: int) -> None:

@@ -10,7 +10,7 @@ area pi).  The CSV interchange format converts to ordinary GHz
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,6 +248,16 @@ class GrapeProblem:
             tuple(np.asarray(c, dtype=complex) for c in self.controls),
         )
         object.__setattr__(self, "target", np.asarray(self.target, dtype=complex))
+        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+            raise ValueError(f"h0 must be a square matrix, got shape {h0.shape}")
+        for k, c in enumerate(self.controls):
+            if c.shape != h0.shape:
+                raise ValueError(f"controls[{k}] has shape {c.shape}, h0 {h0.shape}")
+        if self.target.shape != h0.shape:
+            raise ValueError(f"target has shape {self.target.shape}, h0 {h0.shape}")
+        if self.free_phase_level is not None and not 0 <= self.free_phase_level < len(h0):
+            raise ValueError(f"free_phase_level {self.free_phase_level} is not a "
+                             f"level of the {len(h0)}-level system")
         if self.n_slices < 1 or self.dt <= 0:
             raise ValueError("need n_slices >= 1 and dt > 0")
         if self.bounds is not None and self.bounds[0] >= self.bounds[1]:
@@ -264,12 +274,24 @@ class GrapeProblem:
 
 @dataclass(frozen=True)
 class GrapeResult:
+    """Outcome of one :func:`grape_optimize` run.
+
+    ``trace`` holds the starting infidelity and then one entry per accepted
+    iteration.  ``converged`` means the target infidelity was reached and
+    ``stagnated`` that the run stopped on the 50-iteration stall instead.
+    ``stats`` counts the work: ``gradient_evals`` (each a fidelity and its
+    gradient; every one but the first is a trial step), ``backtracks`` (step
+    halvings after a rejected trial) and ``stop``, one of ``"target"``,
+    ``"max_iter"`` or ``"stall"``.
+    """
+
     amplitudes: np.ndarray          # (n_controls, n_slices)
     infidelity: float
     trace: np.ndarray               # infidelity per accepted iteration
     converged: bool
     stagnated: bool
     phi2: float | None = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def fidelity(self) -> float:
@@ -307,6 +329,15 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
     tr(V_j^dag Lam_j)} is the dt -> 0 limit of this; the exact directional
     derivative keeps the finite-difference check tight at finite dt.  The
     slices are one full-matrix :func:`~scqsim.qcore.step_unitaries` stack.
+
+    Slice j, control k: with H_j = V diag(lam) V^dag, the derivative of U_j
+    is V (Gamma o (V^dag H_k V)) V^dag, Gamma_ab = (e_a - e_b)/(lam_a - lam_b)
+    for e = exp(-i dt lam) and -i dt e_a where lam_a = lam_b; it enters
+    dc = tr(T^dag U_N..U_{j+1} dU_j U_j..U_1).  All (k, j) are computed at
+    once as (n_ctrl, n, d, d) stacks, in the per-slice order of operations,
+    so the gradient is bit-equal to a loop over slices and controls.  The
+    final Re(conj(c) dc) is written out in real arithmetic, because numpy's
+    complex array product rounds differently from the complex scalar one.
     """
     n_ctrl, n = u.shape
     us, evs, vs = step_unitaries(prob.h0, prob.controls, u, np.full(n, prob.dt))
@@ -323,22 +354,19 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
     fid, target, phi = _grape_fidelity(prob, u_total)
     c = np.trace(target.conj().T @ u_total)
 
-    grad = np.empty((n_ctrl, n))
-    for j in range(n):
-        lam, vec = evs[j], vs[j]
-        e = np.exp(-1j * prob.dt * lam)
-        dl = lam[:, None] - lam[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = (e[:, None] - e[None, :]) / dl
-        diag = -1j * prob.dt * e
-        gamma[dl == 0] = np.broadcast_to(diag[:, None], gamma.shape)[dl == 0]
-        left = target.conj().T @ bwd[j + 1]
-        right = fwd[j]
-        for k in range(n_ctrl):
-            hk_tilde = vec.conj().T @ prob.controls[k] @ vec
-            du = vec @ (gamma * hk_tilde) @ vec.conj().T
-            dc = np.trace(left @ du @ right)
-            grad[k, j] = 2.0 * np.real(np.conj(c) * dc) / d**2
+    e = np.exp(-1j * prob.dt * evs)
+    dl = evs[:, :, None] - evs[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = (e[:, :, None] - e[:, None, :]) / dl
+    degenerate = dl == 0
+    gamma[degenerate] = np.broadcast_to((-1j * prob.dt * e)[:, :, None],
+                                        gamma.shape)[degenerate]
+    vs_h = vs.conj().swapaxes(-1, -2)
+    hk = (vs_h @ np.reshape(prob.controls, (n_ctrl, 1, d, d))) @ vs
+    du = (vs @ (gamma * hk)) @ vs_h
+    left = target.conj().T @ np.stack(bwd[1:])
+    dc = np.trace((left @ du) @ np.stack(fwd[:-1]), axis1=-2, axis2=-1)
+    grad = 2.0 * (c.real * dc.real + c.imag * dc.imag) / d**2
     return grad, fid, u_total, phi
 
 
@@ -349,8 +377,9 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
 
     Deterministic for a given (u0, seed).  Stops at the target infidelity,
     at max_iter, or when 50 successive iterations fail to improve the
-    fidelity by more than 1e-14 (reported as ``stagnated``, not an error).
-    Amplitudes are clipped to the bounds after every update.
+    fidelity by more than 1e-14 (reported as ``stagnated``, not an error);
+    ``stats["stop"]`` names which.  Amplitudes are clipped to the bounds
+    after every update.
     """
     n_ctrl = len(prob.controls)
     if u0 is None:
@@ -362,6 +391,7 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
         u = np.clip(u, *prob.bounds)
 
     grad, fid, u_total, phi = _grape_gradient(prob, u)
+    evals, backtracks = 1, 0
     trace = [1.0 - fid]
     eps = GRAPE_STEP
     stall = 0
@@ -374,10 +404,12 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
             if prob.bounds is not None:
                 u_new = np.clip(u_new, *prob.bounds)
             grad_new, fid_new, u_total, phi = _grape_gradient(prob, u_new)
+            evals += 1
             if fid_new > fid:
                 improved = True
                 break
             eps *= 0.5
+            backtracks += 1
             if eps < 1e-14:
                 break
         if not improved:
@@ -394,13 +426,16 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
         eps = min(eps * 1.5, GRAPE_STEP)
         if stall >= 50:
             break
+    converged = (1.0 - fid) <= prob.target_infidelity
+    stop = "target" if converged else "stall" if stall >= 50 else "max_iter"
     return GrapeResult(
         amplitudes=u,
         infidelity=1.0 - fid,
         trace=np.asarray(trace),
-        converged=(1.0 - fid) <= prob.target_infidelity,
-        stagnated=(1.0 - fid) > prob.target_infidelity,
+        converged=converged,
+        stagnated=stop == "stall",
         phi2=phi,
+        stats={"gradient_evals": evals, "backtracks": backtracks, "stop": stop},
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scqsim import cli, coupling, experiments, gates
+from scqsim import cli, control, coupling, experiments, gates
 from scqsim import surface_code as sc
 from scqsim import dynamics as dyn
 from scqsim.qcore import CZ_GATE, to_angular
@@ -373,6 +373,24 @@ def test_grape_bound_clips_pulse(tmp_path):
     amps = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
     assert amps.shape == (24, 2)
     assert np.max(np.abs(amps)) <= 0.04 * (1 + 1e-12)
+
+
+def test_grape_manifest_carries_optimizer_stats(tmp_path):
+    """``grape`` writes the returned run's gradient evaluations, step
+    halvings and stop reason into the manifest, as the library reports them
+    for the same problem and seed."""
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("")
+    out = tmp_path / "o"
+    assert run_cli(["grape", "--config", cfg, "--out", out, "--seed", 7]) == 0
+    stats = read_json(out / "manifest.json")["stats"]
+    prob = control.transmon_pi_problem(to_angular(-0.2))
+    u0 = np.zeros((2, 4))
+    u0[0] = control.pi_pulse("gaussian", prob.total_time, nsamples=5).omega_x[:-1]
+    res = control.grape_multistart(prob, restarts=8, seed=7, u0=u0)
+    assert stats == res.stats
+    assert stats["stop"] == "target"
+    assert read_json(out / "grape.json")["iterations"] == len(res.trace)
 
 
 def test_rb_subcommand(tmp_path):

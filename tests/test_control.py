@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -215,6 +217,79 @@ def test_grape_gradient_matches_finite_differences():
         assert rel < 1e-4
 
 
+def _looped_gradient(prob, u):
+    """Oracle: the gradient slice by slice and control by control."""
+    n_ctrl, n = u.shape
+    us, evs, vs = step_unitaries(prob.h0, prob.controls, u, np.full(n, prob.dt))
+    d = prob.dim
+    fwd = [np.eye(d, dtype=complex)]
+    for uj in us:
+        fwd.append(uj @ fwd[-1])
+    bwd = [np.eye(d, dtype=complex)]
+    for uj in reversed(us):
+        bwd.append(bwd[-1] @ uj)
+    bwd = bwd[::-1]              # bwd[j] = U_N ... U_{j+1} (bwd[n] = I)
+
+    u_total = fwd[-1]
+    fid, target, phi = ctl._grape_fidelity(prob, u_total)
+    c = np.trace(target.conj().T @ u_total)
+
+    grad = np.empty((n_ctrl, n))
+    for j in range(n):
+        lam, vec = evs[j], vs[j]
+        e = np.exp(-1j * prob.dt * lam)
+        dl = lam[:, None] - lam[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = (e[:, None] - e[None, :]) / dl
+        diag = -1j * prob.dt * e
+        gamma[dl == 0] = np.broadcast_to(diag[:, None], gamma.shape)[dl == 0]
+        left = target.conj().T @ bwd[j + 1]
+        right = fwd[j]
+        for k in range(n_ctrl):
+            hk_tilde = vec.conj().T @ prob.controls[k] @ vec
+            du = vec @ (gamma * hk_tilde) @ vec.conj().T
+            dc = np.trace(left @ du @ right)
+            grad[k, j] = 2.0 * np.real(np.conj(c) * dc) / d**2
+    return grad, fid, u_total, phi
+
+
+def _two_level_x_problem():
+    sx = pauli("x").entries
+    return ctl.GrapeProblem(h0=np.zeros((2, 2), dtype=complex), controls=(0.5 * sx,),
+                            n_slices=4, dt=1.6, target=sx.astype(complex))
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(37)
+    for n in (1, 4, 12, 30):
+        prob = ctl.transmon_pi_problem(ALPHA, n_slices=n)
+        for trial in range(3):
+            yield f"transmon-{n}-{trial}", prob, 0.3 * rng.standard_normal((2, n))
+    prob = ctl.transmon_pi_problem(ALPHA, n_slices=12, dt=1.6)
+    u = 0.3 * rng.standard_normal((2, 12))
+    u[:, [0, 5, 6, 11]] = 0.0          # H_j = H0: exactly degenerate levels 0, 1
+    yield "zero-slices", prob, u
+    yield "all-zero", prob, np.zeros((2, 12))
+    bound = 2 * np.pi * 0.04
+    prob = ctl.transmon_pi_problem(ALPHA, n_slices=12, dt=1.6, bounds=(-bound, bound))
+    yield "bounded-12", prob, np.clip(rng.standard_normal((2, 12)), -bound, bound)
+    prob = _two_level_x_problem()
+    for trial in range(3):
+        yield f"two-level-{trial}", prob, rng.standard_normal((1, 4))
+
+
+@pytest.mark.parametrize("prob, u", [case[1:] for case in _gradient_cases()],
+                         ids=[case[0] for case in _gradient_cases()])
+def test_grape_gradient_equals_per_slice_loop(prob, u):
+    """The batched gradient keeps the loop's order of operations, so every
+    output is bit-equal to it."""
+    grad, fid, u_total, phi = ctl._grape_gradient(prob, u)
+    ref_grad, ref_fid, ref_u, ref_phi = _looped_gradient(prob, u)
+    assert np.array_equal(grad, ref_grad)
+    assert fid == ref_fid and phi == ref_phi
+    assert np.array_equal(u_total, ref_u)
+
+
 def test_grape_monotone_fidelity():
     prob = ctl.transmon_pi_problem(ALPHA, n_slices=4, target_infidelity=1e-6,
                                    max_iter=300)
@@ -274,6 +349,50 @@ def test_grape_stagnation_reported_not_raised():
     res = ctl.grape_optimize(prob, seed=0)
     assert not res.converged
     assert res.stagnated
+
+
+@pytest.mark.parametrize("case", ["target", "max_iter", "stall"])
+def test_grape_stop_reasons(case):
+    """Each way a run ends is reported: stagnation only for the stall, and
+    every gradient evaluation after the first is an accepted step or a
+    halving."""
+    if case == "target":
+        prob = ctl.transmon_pi_problem(ALPHA, n_slices=4)
+    elif case == "max_iter":
+        prob = ctl.transmon_pi_problem(ALPHA, n_slices=4, target_infidelity=1e-12,
+                                       max_iter=2)
+    else:
+        prob = ctl.GrapeProblem(h0=np.diag([0.0, 1.0]).astype(complex),
+                                controls=(np.zeros((2, 2), dtype=complex),),
+                                n_slices=2, dt=1.0, target=pauli("x").entries,
+                                max_iter=200)
+    res = ctl.grape_optimize(prob, seed=0)
+    assert res.stats["stop"] == case
+    assert res.converged == (case == "target")
+    assert res.stagnated == (case == "stall")
+    assert res.stats["gradient_evals"] == len(res.trace) + res.stats["backtracks"]
+    if case == "max_iter":
+        assert len(res.trace) == 3
+    if case == "stall":
+        assert res.stats["backtracks"] > 0
+
+
+@pytest.mark.parametrize("field, change", [
+    ("h0", {"h0": np.zeros((3, 2))}),
+    ("h0", {"h0": np.zeros(3)}),
+    ("controls[1]", {"controls": (np.zeros((3, 3)), np.zeros((2, 2)))}),
+    ("target", {"target": np.eye(2)}),
+    ("free_phase_level", {"free_phase_level": 3}),
+    ("free_phase_level", {"free_phase_level": -1}),
+])
+def test_grape_problem_rejects_bad_shapes(field, change):
+    """A shape or level that does not fit h0 fails at construction, naming
+    the field, not later inside the optimizer."""
+    args = dict(h0=np.diag([0.0, 0.0, ALPHA]), controls=(np.zeros((3, 3)),) * 2,
+                n_slices=4, dt=1.0, target=np.eye(3), free_phase_level=2)
+    args.update(change)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        ctl.GrapeProblem(**args)
 
 
 def test_grape_makes_no_block_search(monkeypatch):
