@@ -253,12 +253,6 @@ def _looped_gradient(prob, u):
     return grad, fid, u_total, phi
 
 
-def _two_level_x_problem():
-    sx = pauli("x").entries
-    return ctl.GrapeProblem(h0=np.zeros((2, 2), dtype=complex), controls=(0.5 * sx,),
-                            n_slices=4, dt=1.6, target=sx.astype(complex))
-
-
 def _gradient_cases():
     rng = np.random.default_rng(37)
     for n in (1, 4, 12, 30):
@@ -273,7 +267,9 @@ def _gradient_cases():
     bound = 2 * np.pi * 0.04
     prob = ctl.transmon_pi_problem(ALPHA, n_slices=12, dt=1.6, bounds=(-bound, bound))
     yield "bounded-12", prob, np.clip(rng.standard_normal((2, 12)), -bound, bound)
-    prob = _two_level_x_problem()
+    sx = pauli("x").entries
+    prob = ctl.GrapeProblem(h0=np.zeros((2, 2)), controls=(0.5 * sx,), n_slices=4,
+                            dt=1.6, target=sx)             # no free phase
     for trial in range(3):
         yield f"two-level-{trial}", prob, rng.standard_normal((1, 4))
 
