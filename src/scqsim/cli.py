@@ -289,14 +289,16 @@ def run_couple(cfg: dict, out: Path, seed: int) -> None:
 def run_evolve(cfg: dict, out: Path, seed: int) -> dict:
     allowed = {"t1_ns": float("inf"), "t2_ns": float("inf"),
                "drive_ghz": 0.0, "detuning_ghz": 0.0,
-               "t_end_ns": float, "dt_ns": 0.01, "samples": 201}
+               "t_end_ns": float, "samples": 201}
     c = subcommand_keys(cfg, allowed, minimum={"t_end_ns": 0.0, "samples": 0})
     times = np.linspace(0.0, c["t_end_ns"], c["samples"])
     res = experiments.qubit_run(times, c["t1_ns"], c["t2_ns"],
                                 to_angular(c["detuning_ghz"]),
-                                to_angular(c["drive_ghz"]), c["dt_ns"])
+                                to_angular(c["drive_ghz"]))
+    rhos = np.array([s.entries for s in res.states])
     write_csv(out / "evolve.csv", ["t_ns", "p1", "purity"],
-              [res.times, res.expectations["p1"], [s.purity() for s in res.states]])
+              [res.times, res.expectations["p1"],
+               np.trace(rhos @ rhos, axis1=1, axis2=2).real])
     return res.stats
 
 
@@ -530,12 +532,13 @@ def main(argv=None) -> int:
     try:
         stats = _SUBCOMMANDS[args.subcommand](cfg, out, args.seed)
         write_manifest(out, args.subcommand, config_bytes, args.seed, stats)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so the numeric clause comes first
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,9 +1,10 @@
 """Open- and closed-system time evolution.
 
-Generators here are in angular units (rad/ns); times in ns.  Integration is
-fixed-step RK4 throughout: deterministic and bit-stable, which the
-regression and acceptance suites rely on.  Adaptive stepping is deliberately
-absent.
+Generators here are in angular units (rad/ns); times in ns.  A static
+Lindblad run takes each sample interval by its exact map, e^(L dt) by
+scaling and squaring; a driven one by fixed-step RK4.  Both are
+deterministic and bit-stable, which the regression and acceptance suites
+rely on.  Adaptive stepping is deliberately absent.
 
 Collapse operators carry their rate inside the operator (units 1/sqrt(ns)).
 The qubit constructors follow the standard open-system model
@@ -26,18 +27,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcore import (NORM_TOL, SIGMA_PLUS, SIGMA_Z, DensityMatrix, Operator,
-                    StateVector, _as_matrix, _chunk, annihilation, expm_hermitian,
-                    piecewise_propagator)
+                    StateVector, _as_matrix, _chunk, _taylor_plan, annihilation,
+                    expm_hermitian, piecewise_propagator)
 
 TRACE_HARD_LIMIT = 1e-4
 TRACE_SOFT_LIMIT = 1e-6
-# samples in a static run's first checked block; a block with no event
-# doubles the next one, an event starts again from here
-BLOCK_START = 8
 
 
 class IntegrationError(RuntimeError):
-    """Trace drift exceeded the hard limit; retry with a smaller dt."""
+    """A sample's trace drift or negative eigenvalue exceeded its hard limit."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,9 @@ class EvolveResult:
     times: np.ndarray
     states: list
     expectations: dict = field(default_factory=dict)
-    # lindblad_evolve's repair counts: renormalized and clipped samples,
-    # checked blocks, the largest trace drift, distinct powered maps
+    # lindblad_evolve's repair counts: renormalized and clipped samples, the
+    # summed magnitude of the clipped eigenvalues, checked chunks, the
+    # largest trace drift, distinct interval maps
     stats: dict = field(default_factory=dict)
 
 
@@ -216,61 +215,60 @@ def lindblad_evolve(
     t_span: float | None = None,
     e_ops: dict | None = None,
 ) -> EvolveResult:
-    """Fixed-step RK4 integration of the Lindblad master equation.
+    """Integration of the Lindblad master equation.
 
     d rho/dt = -i [H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)
 
-    RK4 runs on vec(rho), with the :func:`liouvillian` superoperators built
-    once: L(t) = L0 + sum_k u_k(t) L_k.  Each RK4 step is then v <- v + D v,
-    one mat-vec with its step increment D.  A static H (no drives) takes
-    each sample interval as one such mat-vec, with the step map raised to
-    its step count; that power is built once per distinct (step count, step
-    size) within the call.  A driven H builds every product of 1 to 4 of
-    L0 ... LK once per call, and each chunk of steps gets its increments
-    from them by one matrix product with the RK4 coefficients of the
-    envelope samples at each step's start, midpoint and end (1 + 2 nsub
-    calls of each envelope per interval of nsub steps).  Both are the same
-    RK4 steps, so dt means the same thing on either path.
+    Both paths step vec(rho) as v <- v + D v, with the :func:`liouvillian`
+    superoperators built once: L(t) = L0 + sum_k u_k(t) L_k.  A static H
+    (no drives) is exact and ``dt`` does not enter: each sample interval is
+    one step by D = exp(L0 dt_j) - I from :func:`_powered_step`, built once
+    per distinct interval.  A driven H takes RK4 steps of size <= dt hitting
+    each sample exactly: every product of 1 to 4 of L0 ... LK is built once
+    per call, and each chunk of steps gets its increments from them by one
+    matrix product with the RK4 coefficients of the envelope samples at each
+    step's start, midpoint and end (1 + 2 nsub calls of each envelope per
+    interval of nsub steps).
 
-    ``times`` are the requested sample points (the grid is the union of RK4
-    steps of size <= dt hitting each sample exactly).  The initial state is
-    repaired as every sample is, and that repaired state is the first
-    sample, its expectations and the start of the stepping.  Trace drift
-    beyond 1e-4 raises :class:`IntegrationError`, and so does positivity
-    loss beyond -1e-6 (RK4 keeps the trace of this generator exactly, so an
-    unstable step announces itself through the spectrum).  Drift inside
-    those limits is repaired: renormalization above 1e-6 trace error,
-    eigenvalue clipping of sub-threshold negative dust.  A driven run checks
-    every sample on its own.  A static run steps a block of samples ahead
-    and checks the block with one stacked ``eigh``; the first sample that
-    needs repair (or fails) is checked on its own, and stepping resumes from
-    it, so the result is the same as checking every sample.  The counts of
-    these repairs are in ``stats``.  Raises ``ValueError`` unless H is a
-    square matrix of rho's dimension.
+    The initial state is repaired as every sample is, and that repaired
+    state is the first sample, its expectations and the start of the
+    stepping.  Trace drift beyond 1e-4 raises :class:`IntegrationError`,
+    and so does positivity loss beyond -1e-6 (an unstable step keeps the
+    trace and announces itself through the spectrum).  Drift inside those
+    limits is repaired: renormalization above 1e-6 trace error, eigenvalue
+    clipping of sub-threshold negative dust.  A driven run checks every
+    sample and steps on from the repaired one.  A static run feeds no repair
+    forward: it checks a chunk of samples with one stacked ``eigh`` and puts
+    only those that fail through the per-sample checks, so each sample is
+    exp(L0 (t_k - t_0)) rho0 checked on its own.  The repair counts are in
+    ``stats``.  Raises ``ValueError`` unless H is a square matrix of rho's
+    dimension, and ``numpy.linalg.LinAlgError`` for a non-finite static
+    generator.
     """
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)
-    l0 = liouvillian(h.static, collapse)
+    # a non-finite generator is reported by the Taylor plan or the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        l0 = liouvillian(h.static, collapse)
     e_arr = {k: _as_matrix(v) for k, v in (e_ops or {}).items()}
 
     rho = _coerce_rho(rho0)
     if rho.shape != h.static.shape:
         raise ValueError(f"rho of shape {rho.shape} for H of shape {h.static.shape}")
-    stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
-             "max_trace_drift": 0.0, "powered_maps": 0}
+    stats = {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
+             "checked_blocks": 0, "max_trace_drift": 0.0, "powered_maps": 0}
     rho = _repair(rho, 0.0, stats)
     states = [DensityMatrix(rho)]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_arr.items()}
     if not h.drives:
-        for block, verified in _static_blocks(l0, rho, times, dt, stats):
-            if verified:
-                states.extend(DensityMatrix._verified(m) for m in block)
-            else:
-                states.append(DensityMatrix(block[0]))
+        for stack, chunk in _static_chunks(l0, rho, times, stats):
+            states.extend(chunk)
             for k, a in e_arr.items():
-                expect[k].extend(np.trace(block @ a, axis1=1, axis2=2).real.tolist())
+                expect[k].extend(np.trace(stack @ a, axis1=1, axis2=2).real.tolist())
     else:
-        words = _generator_words(np.stack([l0] + [liouvillian(op) for op, _ in h.drives]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            words = _generator_words(np.stack([l0] + [liouvillian(op)
+                                                      for op, _ in h.drives]))
         fns = [fn for _, fn in h.drives]
         size = _chunk(len(l0))
         for t0, t1 in zip(times[:-1], times[1:]):
@@ -348,101 +346,98 @@ def _step_increments(words: np.ndarray, rows: np.ndarray, h: float) -> np.ndarra
     return (coef @ words).view(complex)
 
 
-def _static_blocks(l0, rho, times, dt, stats):
-    """The samples after the first of a static run, in order, as (stack,
-    verified) pairs.  Each block of samples is stepped ahead as
-    ``v <- v + D v`` and symmetrized, then checked at once: finite, trace
-    drift within both NORM_TOL and the soft limit, smallest eigenvalue
-    >= 0.  The samples before the first that fails come out verified (they
-    are what :func:`_settle` would return); that one goes through
-    :func:`_settle` itself, and stepping resumes from its result."""
-    spans = [_substeps(t1 - t0, dt) for t0, t1 in zip(times[:-1], times[1:])]
-    maps = {}
+def _static_chunks(l0, rho, times, stats):
+    """The samples after the first of a static run, as (stack, states) per
+    chunk.  One loop steps the chunk, ``v <- v + D_j v`` with the exact
+    increment of each interval; the chunk is then symmetrized and checked
+    at once: finite, trace drift within NORM_TOL and the soft limit, and
+    smallest eigenvalue >= 0 by the ``eigh`` that :func:`_repair` runs.  A
+    sample that passes is what :func:`_settle` would return; one that
+    fails goes through it and the full ``DensityMatrix`` constructor."""
+    spans, index = np.unique(np.diff(times), return_inverse=True)
+    stats["powered_maps"] = len(spans)
+    with np.errstate(over="ignore", invalid="ignore"):
+        incs = list(_powered_step(l0 * spans[:, None, None]))
+    steps = [incs[j] for j in index.tolist()]
+    size = _chunk(len(l0))
     v = rho.reshape(-1)
-    i, size = 0, BLOCK_START
-    while i < len(spans):
-        block = spans[i:i + size]
-        raw = np.empty((len(block),) + rho.shape, dtype=complex)
-        sym = np.empty_like(raw)
-        # an unstable step overflows to inf/nan; _settle reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (nsub, sub) in enumerate(block):
-                if (nsub, sub) not in maps:
-                    maps[nsub, sub] = _powered_step(l0 * sub, nsub)
-                raw[j] = step = (v + maps[nsub, sub] @ v).reshape(rho.shape)
-                sym[j] = step = 0.5 * (step + step.conj().T)
-                v = step.reshape(-1)
-            drift = np.abs(np.trace(raw, axis1=1, axis2=2).real - 1.0)
+    for start in range(0, len(steps), size):
+        chunk = steps[start:start + size]
+        raw = np.empty((len(chunk) + 1, v.size), dtype=complex)
+        raw[0] = v
+        rows = list(raw)
+        for prev, row, inc in zip(rows, rows[1:], chunk):
+            np.add(prev, inc @ prev, out=row)
+        v = raw[-1]
+        raw = raw[1:].reshape((-1,) + rho.shape)
+        sym = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        drift = np.abs(np.trace(raw, axis1=1, axis2=2).real - 1.0)
         ok = ((drift < NORM_TOL) & (drift <= TRACE_SOFT_LIMIT)
               & np.isfinite(sym).all(axis=(1, 2)))
-        n = len(block) if ok.all() else int(ok.argmin())
-        if n:
-            ok = np.linalg.eigh(sym[:n])[0].min(axis=1) >= 0.0
-            n = n if ok.all() else int(ok.argmin())
+        ok[ok] = np.linalg.eigh(sym[ok])[0].min(axis=1) >= 0.0
         stats["checked_blocks"] += 1
-        if n:
-            stats["max_trace_drift"] = max(stats["max_trace_drift"],
-                                           float(drift[:n].max()))
-            yield sym[:n], True
-        i += n
-        size *= 2
-        if n < len(block):
-            rho = _settle(raw[n], times[i + 1], dt, stats)
-            yield rho[None], False
-            v = rho.reshape(-1)
-            i += 1
-            size = BLOCK_START
-    stats["powered_maps"] = len(maps)
+        stats["max_trace_drift"] = max(stats["max_trace_drift"],
+                                       float(drift[ok].max(initial=0.0)))
+        settled = {}
+        for k in np.flatnonzero(~ok).tolist():
+            sym[k] = _settle(raw[k], times[start + k + 1], None, stats)
+            settled[k] = DensityMatrix(sym[k])
+        yield sym, [settled[k] if k in settled else DensityMatrix._verified(m)
+                    for k, m in enumerate(sym)]
 
 
-def _settle(rho: np.ndarray, t: float, dt: float, stats: dict) -> np.ndarray:
+def _settle(rho: np.ndarray, t: float, dt: float | None, stats: dict) -> np.ndarray:
     """One stepped sample's checks: the trace-drift limits, renormalization
-    beyond the soft limit, then :func:`_repair`."""
+    beyond the soft limit, then :func:`_repair`.  ``dt`` is the RK4 step
+    that made rho, None for an exact map; only a step gets the advice to
+    reduce it."""
+    advice = "" if dt is None else f"; reduce dt below {dt / 4:.3g}"
     drift = abs(np.trace(rho).real - 1.0)
     if not np.isfinite(drift) or drift > TRACE_HARD_LIMIT:
-        raise IntegrationError(
-            f"trace drift {drift:.2e} at t = {t:.4g} ns; reduce dt below "
-            f"{dt / 4:.3g}"
-        )
+        raise IntegrationError(f"trace drift {drift:.2e} at t = {t:.4g} ns{advice}")
     stats["max_trace_drift"] = max(stats["max_trace_drift"], float(drift))
     if drift > TRACE_SOFT_LIMIT:
         rho = rho / np.trace(rho).real
         stats["renormalized"] += 1
-    return _repair(rho, t, stats)
+    return _repair(rho, t, stats, advice)
 
 
-def _powered_step(x: np.ndarray, n: int) -> np.ndarray:
-    """The increment D of n RK4 steps of a static generator, x = L dt:
-    I + D = (I + x + x^2/2 + x^3/6 + x^4/24)^n, by binary powering in
-    increment form, (I + A)(I + B) = I + (A + B + AB) and D_2k = 2 D_k + D_k^2,
-    so that I never swamps the small increments."""
-    x2 = x @ x
-    step = x + x2 / 2 + x2 @ (x / 6 + x2 / 24)
-    out = None
-    while True:
-        if n & 1:
-            out = step if out is None else out + step + out @ step
-        n >>= 1
-        if not n:
-            return out
-        step = 2 * step + step @ step
+def _powered_step(x: np.ndarray) -> np.ndarray:
+    """exp(X_j) - I for every X_j of an (n, m, m) stack by scaling and
+    squaring (Moler & Van Loan, SIAM Rev. 45 (2003) 3): with s and K from
+    :func:`qcore._taylor_plan` for the largest ||X_j||_1, the Taylor
+    polynomial of Y = X / 2^s to degree K + 1 without its constant term,
+    D = Y (I + Y/2 (I + ...)), then s squarings in increment form,
+    D <- 2 D + D^2, so that I never swamps a small increment.  The extra
+    degree bounds the truncation by 2^-53 ||Y||_1, relative to D."""
+    s, k = _taylor_plan(float(np.abs(x).sum(axis=1).max(initial=0.0)))
+    y = x * 0.5**s
+    k += 1
+    d = y / k
+    for j in range(k - 1, 0, -1):
+        yj = y / j
+        d = yj + yj @ d
+    for _ in range(s):
+        d = 2 * d + d @ d
+    return d
 
 
 POSITIVITY_HARD_LIMIT = 1e-6
 
 
-def _repair(rho: np.ndarray, t: float, stats: dict) -> np.ndarray:
-    """Symmetrize round-off; clip eigenvalue dust (counted in ``stats``);
-    reject real blow-ups."""
+def _repair(rho: np.ndarray, t: float, stats: dict, advice: str = "") -> np.ndarray:
+    """Symmetrize round-off; clip eigenvalue dust (counted in ``stats``, with
+    the clipped eigenvalues' summed magnitude); reject real blow-ups."""
     rho = 0.5 * (rho + rho.conj().T)
     evals, vecs = np.linalg.eigh(rho)
     if not np.all(np.isfinite(evals)) or evals.min() < -POSITIVITY_HARD_LIMIT:
         raise IntegrationError(
             f"positivity lost (min eigenvalue {evals.min():.2e}) at "
-            f"t = {t:.4g} ns; reduce dt"
+            f"t = {t:.4g} ns{advice}"
         )
     if evals.min() < 0.0:
         stats["clipped"] += 1
+        stats["clipped_mass"] -= float(evals[evals < 0.0].sum())
         clipped = np.clip(evals, 0.0, None)
         rho = (vecs * clipped) @ vecs.conj().T
         rho = rho / np.trace(rho).real

@@ -201,6 +201,14 @@ def test_couple_rejects_gamma_ghz(tmp_path, capsys):
     assert "unknown config key(s): gamma_ghz;" in capsys.readouterr().err
 
 
+def test_evolve_rejects_dt_ns(tmp_path, capsys):
+    """A static run takes exact maps, so there is no step to set."""
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("t_end_ns = 10.0\ndt_ns = 0.01\n")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "unknown config key(s): dt_ns;" in capsys.readouterr().err
+
+
 def test_evolve_subcommand(tmp_path):
     cfg = tmp_path / "e.cfg"
     cfg.write_text("t1_ns = 100.0\nt2_ns = 150.0\nt_end_ns = 50.0\nsamples = 11\n")
@@ -258,6 +266,25 @@ def test_evolve_rows_are_the_rotating_frame_model(tmp_path):
                    [state.purity() for state in res.states]])
     assert ((tmp_path / "o" / "evolve.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+@pytest.mark.parametrize("text", [
+    "t1_ns = 100.0\nt2_ns = 150.0\ndrive_ghz = 0.005\nt_end_ns = 200.0\n",
+    "drive_ghz = 0.005\ndetuning_ghz = 0.001\nt_end_ns = 200.0\nsamples = 2001\n",
+])
+def test_evolve_purity_column_equals_per_state_purity(tmp_path, monkeypatch, text):
+    """The purity column, one stacked product, is each state's purity()."""
+    written, runs = {}, []
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, cols: written.update(
+        zip(header, cols)))
+    run = experiments.qubit_run
+    monkeypatch.setattr(experiments, "qubit_run",
+                        lambda *a, **k: runs.append(run(*a, **k)) or runs[-1])
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(text)
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    want = [state.purity() for state in runs[0].states]
+    assert np.array_equal(written["purity"], want)
 
 
 _J = 0.01
@@ -425,24 +452,25 @@ def test_rb_interleaved_subcommand(tmp_path):
 
 def test_numeric_failure_exit_3(tmp_path, capsys):
     cfg = tmp_path / "e.cfg"
-    # driven qubit with a gigantic decay rate against a coarse step:
-    # the integrator has to give up rather than emit garbage
-    cfg.write_text("t1_ns = 0.001\ndrive_ghz = 0.5\nt_end_ns = 10.0\n"
-                   "dt_ns = 1.0\nsamples = 3\n")
+    # a decay rate too large for floats: the generator is not finite, and
+    # the run has to give up rather than emit garbage
+    cfg.write_text("t1_ns = 1e-308\ndrive_ghz = 0.5\nt_end_ns = 10.0\n"
+                   "samples = 3\n")
     assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numeric failure" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unstable_run_exit_3_without_numpy_warnings(tmp_path, capsys):
-    """An RK4 step far outside its stability region overflows; the drift
-    check reports it, with no numpy warning on the way."""
+    """A generator that overflows to inf is a numeric failure (exit 3, not
+    the config error of the ValueError that LinAlgError is), reported with
+    no numpy warning on the way."""
     cfg = tmp_path / "e.cfg"
-    cfg.write_text("t1_ns = 0.001\ndrive_ghz = 0.5\ndt_ns = 1\n"
+    cfg.write_text("t1_ns = 1e-308\ndrive_ghz = 0.5\n"
                    "t_end_ns = 1000\nsamples = 2\n")
     assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 3
     err = capsys.readouterr().err
-    assert "numeric failure: trace drift nan" in err
+    assert "numeric failure: non-finite step generator" in err
     assert "Warning" not in err
 
 
@@ -631,7 +659,8 @@ def test_evolve_manifest_carries_repair_counts(tmp_path):
     assert run_cli(["evolve", "--config", cfg, "--out", out]) == 0
     stats = read_json(out / "manifest.json")["stats"]
     assert stats["renormalized"] == stats["clipped"] == 0
-    assert stats["checked_blocks"] == 2 and stats["powered_maps"] == 1
+    assert stats["clipped_mass"] == 0.0
+    assert stats["checked_blocks"] == 1 and stats["powered_maps"] == 1
     assert 0.0 <= stats["max_trace_drift"] < 1e-14
 
 

@@ -113,12 +113,16 @@ def test_effective_t2_rule():
 
 
 def test_integration_failure_raises():
-    # absurdly large rate with a coarse step blows the trace budget
+    # absurdly large rate with a coarse RK4 step blows the budget of a driven
+    # run; the static run of the same qubit takes the exact map
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    args = ([dyn.qubit_decay(50.0)],)
+    kw = dict(times=np.array([0.0, 1.0]), dt=0.5)
+    driven = dyn.TimeDependentH(np.zeros((2, 2)), [(0.5 * SX, lambda t: 0.1)])
     with pytest.raises(dyn.IntegrationError, match="reduce dt"):
-        dyn.lindblad_evolve(np.zeros((2, 2), complex),
-                            np.diag([0.0, 1.0]).astype(complex),
-                            [dyn.qubit_decay(50.0)],
-                            times=np.array([0.0, 1.0]), dt=0.5)
+        dyn.lindblad_evolve(driven, rho0, *args, **kw)
+    res = dyn.lindblad_evolve(np.zeros((2, 2)), rho0, *args, **kw)
+    assert abs(res.states[-1].entries[1, 1] - np.exp(-50.0)) < 1e-15
 
 
 def _lindblad_rhs(h, collapse, rho):
@@ -141,8 +145,8 @@ def _random_open_system(seed, d):
 
 
 def test_static_three_level_vs_exact_liouvillian():
-    """RK4 on the superoperator against expm of a Liouvillian assembled
-    column by column from the matrix-form right-hand side."""
+    """The static run on the superoperator against expm of a Liouvillian
+    assembled column by column from the matrix-form right-hand side."""
     d = 3
     h = 2 * np.pi * np.diag([0.0, 0.05, 0.08]).astype(complex)
     h[0, 1] = h[1, 0] = 0.1
@@ -231,17 +235,6 @@ def test_liouvillian_is_the_kron_formula_bit_for_bit(d):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-def _rk4_loop(liou, v, sub, nsub):
-    """The per-step RK4 loop of a static generator (oracle of the powered map)."""
-    for _ in range(nsub):
-        k1 = liou @ v
-        k2 = liou @ (v + sub / 2 * k1)
-        k3 = liou @ (v + sub / 2 * k2)
-        k4 = liou @ (v + sub * k3)
-        v = v + sub / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return v
-
-
 def _random_pure_vec(seed, d):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -249,19 +242,61 @@ def _random_pure_vec(seed, d):
     return np.outer(psi, psi.conj()).reshape(-1)
 
 
-@pytest.mark.parametrize("nsub", [1, 2, 3, 7, 100, 3200])
+def _expm_increment(x):
+    """scipy.linalg.expm(X) - I without the cancellation against I: the top
+    right block of expm([[X, X], [0, 0]]), which is phi_1(X) X = e^X - I."""
+    m = len(x)
+    big = np.zeros((2 * m, 2 * m), dtype=complex)
+    big[:m, :m] = big[:m, m:] = x
+    return expm(big)[:m, m:]
+
+
+def _scaled_liouvillians(seed, d, norms):
+    """A random Liouvillian (0 to 2 collapse operators) scaled to each
+    ||X||_1 of ``norms``, as one stack."""
+    h, collapse = _random_open_system(seed, d)
+    liou = dyn.liouvillian(h, collapse)
+    return np.array([liou * (n / np.abs(liou).sum(axis=0).max()) for n in norms])
+
+
+def _assert_increment_is_expm(got, x):
+    """D within 1e-12 relative of expm(X) - I, and I + D within 1e-12
+    relative of expm(X)."""
+    want = _expm_increment(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    full = expm(x)
+    assert np.linalg.norm(np.eye(len(x)) + got - full) <= 1e-12 * np.linalg.norm(full)
+
+
+_NORMS = [1e-6, 1e-3, 0.5, 2.0, 7.0, 40.0]
+
+
+@pytest.mark.parametrize("norm", _NORMS)
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_powered_step_matches_rk4_loop(d, nsub):
-    """v + D v equals nsub RK4 steps taken one by one, on random dissipative
-    Liouvillians with 0 to 2 collapse operators."""
+def test_powered_step_matches_expm(d, norm):
+    """exp(X) - I of random Liouvillians scaled to ||X||_1 = norm, alone and
+    in one stack with the other norms (one Taylor plan for the largest)."""
+    i = _NORMS.index(norm)
     for seed in range(8):
-        h, collapse = _random_open_system(seed, d)
-        liou = dyn.liouvillian(h, collapse)
-        sub = 0.05 / np.linalg.norm(liou, 2)
-        v = _random_pure_vec(seed, d)
-        want = _rk4_loop(liou, v, sub, nsub)
-        got = v + dyn._powered_step(liou * sub, nsub) @ v
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        xs = _scaled_liouvillians(seed, d, _NORMS)
+        _assert_increment_is_expm(dyn._powered_step(xs[i:i + 1])[0], xs[i])
+        _assert_increment_is_expm(dyn._powered_step(xs)[i], xs[i])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(-6.0, np.log10(40.0)))
+@settings(max_examples=40, deadline=None)
+def test_powered_step_is_cptp_expm(seed, d, log_norm):
+    """At a random ||X||_1 from 1e-6 to 40 the map is expm(X), and it takes a
+    pure state to a density matrix: trace 1 and Hermitian to 1e-12,
+    smallest eigenvalue >= -1e-12."""
+    x = _scaled_liouvillians(seed, d, [10.0**log_norm])
+    inc = dyn._powered_step(x)[0]
+    _assert_increment_is_expm(inc, x[0])
+    v = _random_pure_vec(seed, d)
+    rho = (v + inc @ v).reshape(d, d)
+    assert abs(np.trace(rho) - 1) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 def _static_qubit(t1, t2):
@@ -299,71 +334,51 @@ def test_powered_maps_belong_to_their_call():
         assert _expm_error(h, collapse, times, 0.01) < 1e-13
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
-       st.sampled_from([1, 7, 100, 3200]))
-@settings(max_examples=40, deadline=None)
-def test_powered_step_is_cptp_within_step_contract(seed, d, nsub):
-    """With ||L|| dt <= 1e-3 the powered map takes a pure state to a density
-    matrix: trace 1 and Hermitian to 1e-12, smallest eigenvalue >= -1e-12."""
-    h, collapse = _random_open_system(seed, d)
-    liou = dyn.liouvillian(h, collapse)
-    v = _random_pure_vec(seed, d)
-    rho = (v + dyn._powered_step(liou * (1e-3 / np.linalg.norm(liou, 2)), nsub)
-           @ v).reshape(d, d)
-    assert abs(np.trace(rho) - 1) < 1e-12
-    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() >= -1e-12
-
-
-def _per_sample_static(h, rho0, collapse, times, dt, e_ops):
-    """The static path as it was before block checks (oracle): each sample
-    stepped, drift-checked, renormalized, repaired and put through the full
-    DensityMatrix constructor on its own.  Also returns the repair counts
-    and the block count that the block rule gives for its events."""
+def _per_sample_static(h, rho0, collapse, times, e_ops):
+    """The static path sample by sample (oracle): a chain of exact
+    increments v <- v + (exp(L dt_j) - I) v from the repaired initial state,
+    no repair fed forward, each sample drift-checked, renormalized,
+    repaired and put through the full DensityMatrix constructor on its own.
+    Also returns the repair counts, the chunk count and the number of
+    distinct interval maps."""
     l0 = dyn.liouvillian(h, collapse)
-    stats = {"renormalized": 0, "clipped": 0, "max_trace_drift": 0.0}
+    stats = {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
+             "max_trace_drift": 0.0}
     rho = dyn._repair(dyn._coerce_rho(rho0), 0.0, stats)
     states = [q.DensityMatrix(rho)]
     expect = {k: [float(np.trace(rho @ a).real)] for k, a in e_ops.items()}
-    maps, events = {}, []
-    for t0, t1 in zip(times[:-1], times[1:]):
-        nsub, sub = dyn._substeps(t1 - t0, dt)
-        v = rho.reshape(-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if (nsub, sub) not in maps:
-                maps[nsub, sub] = dyn._powered_step(l0 * sub, nsub)
-            v = v + maps[nsub, sub] @ v
+    spans, index = np.unique(np.diff(times), return_inverse=True)
+    incs = dyn._powered_step(l0 * spans[:, None, None]) if spans.size else None
+    v = rho.reshape(-1)
+    for j, t in zip(index, times[1:]):
+        v = v + incs[j] @ v
         rho = v.reshape(rho.shape)
         drift = abs(np.trace(rho).real - 1.0)
         if not np.isfinite(drift) or drift > dyn.TRACE_HARD_LIMIT:
-            raise dyn.IntegrationError(
-                f"trace drift {drift:.2e} at t = {t1:.4g} ns; reduce dt below "
-                f"{dt / 4:.3g}")
+            raise dyn.IntegrationError(f"trace drift {drift:.2e} at t = {t:.4g} ns")
         stats["max_trace_drift"] = max(stats["max_trace_drift"], drift)
-        repairs = stats["renormalized"] + stats["clipped"]
         if drift > dyn.TRACE_SOFT_LIMIT:
             rho = rho / np.trace(rho).real
             stats["renormalized"] += 1
-        rho = dyn._repair(rho, t1, stats)
-        if stats["renormalized"] + stats["clipped"] > repairs:
-            events.append(len(states) - 1)
+        rho = dyn._repair(rho, t, stats)
         states.append(q.DensityMatrix(rho))
         for k, a in e_ops.items():
             expect[k].append(float(np.trace(rho @ a).real))
-    blocks, i, size = 0, 0, dyn.BLOCK_START
-    while i < len(times) - 1:
-        blocks += 1
-        hit = [e for e in events if i <= e < i + size]
-        i, size = (hit[0] + 1, dyn.BLOCK_START) if hit else (i + size, 2 * size)
-    stats.update(checked_blocks=blocks, powered_maps=len(maps))
+    stats.update(checked_blocks=_chunks(len(times) - 1, h), powered_maps=len(spans))
     return states, {k: np.asarray(v) for k, v in expect.items()}, stats
 
 
-def _assert_same_as_per_sample(h, rho0, collapse, times, dt=0.01, e_ops=None):
+def _chunks(n, h):
+    """The checked chunks of n stepped samples of a static run of H."""
+    size = q._chunk(len(h) ** 2)
+    return -(-n // size)
+
+
+def _assert_same_as_per_sample(h, rho0, collapse, times, e_ops=None):
     e_ops = {"x": SX, "n": EXCITED} if e_ops is None else e_ops
     want_states, want_expect, want_stats = _per_sample_static(
-        h, rho0, collapse, np.asarray(times, dtype=float), dt, e_ops)
-    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt, e_ops=e_ops)
+        h, rho0, collapse, np.asarray(times, dtype=float), e_ops)
+    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, e_ops=e_ops)
     assert len(res.states) == len(want_states)
     assert all(np.array_equal(a.entries, b.entries)
                for a, b in zip(res.states, want_states))
@@ -394,29 +409,57 @@ def test_block_checks_equal_per_sample_checks(seed):
     times = np.repeat(times, rng.integers(1, 3, times.size))
     e_ops = {"h": h, "p0": np.diag(np.eye(d)[0]).astype(complex)}
     _assert_same_as_per_sample(h, _random_state(rng, d, seed % 2 == 0), collapse,
-                               times, 0.01, e_ops)
+                               times, e_ops)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_chunk_edges_equal_per_sample(d, offset):
+    """n = _chunk(d^2) - 1, _chunk(d^2) and _chunk(d^2) + 1 stepped samples
+    on non-uniform times with repeats, bit-equal to the per-sample loop in
+    ceil(n / chunk) chunks: a pure qubit with clip events (d = 2) and a
+    random mixed open system (d = 3)."""
+    rng = np.random.default_rng(10 * d + offset + 1)
+    size = q._chunk(d * d)
+    n = size + offset
+    gaps = rng.uniform(0.0, 2.0, n)
+    gaps[rng.choice(n, n // 8, replace=False)] = 0.0          # repeated times
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    if d == 2:
+        h, collapse = _static_qubit(np.inf, np.inf)
+        rho0, e_ops = np.array([1.0, 0.0]), None
+    else:
+        h, collapse = _random_open_system(7, d)
+        rho0, e_ops = _random_state(rng, d, False), {"h": h}
+    stats = _assert_same_as_per_sample(h, rho0, collapse, times, e_ops)
+    assert stats["checked_blocks"] == _chunks(n, h)
+    assert stats["powered_maps"] == len(np.unique(gaps))
+    if d == 2:
+        assert stats["clipped"] > 0 and stats["clipped_mass"] > 0.0
 
 
 @pytest.mark.parametrize("samples", [1, 2, 201, 2001])
 def test_pure_state_clip_events_equal_per_sample(samples):
-    """CLI evolve's default T1 = T2 = inf: a pure state whose eigenvalue dust
-    is clipped every few samples, on one-sample to 2,001-sample grids."""
+    """CLI evolve's default T1 = T2 = inf: a pure state on one-sample to
+    2,001-sample grids.  At 0.1 ns spacing its eigenvalue dust is clipped
+    at most samples; at 1 ns it stays non-negative."""
     h, collapse = _static_qubit(np.inf, np.inf)
     stats = _assert_same_as_per_sample(h, np.array([1.0, 0.0]), collapse,
                                        np.linspace(0.0, 200.0, samples))
-    if samples > 100:
+    if samples == 2001:
         assert stats["clipped"] > samples // 10
-        assert stats["checked_blocks"] > stats["clipped"]
+    assert stats["checked_blocks"] == _chunks(samples - 1, h)
     assert stats["renormalized"] == 0
 
 
 def test_decaying_qubit_checks_few_blocks():
-    """With decay, no sample needs repair: 200 samples are 5 blocks
-    (8 + 16 + 32 + 64 + 80) and one powered map."""
+    """With decay, no sample needs repair: 200 samples are 2 chunks
+    (128 + 72) and one interval map."""
     h, collapse = _static_qubit(100.0, 150.0)
     stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
                                        np.linspace(0.0, 200.0, 201))
-    assert stats == {"renormalized": 0, "clipped": 0, "checked_blocks": 5,
+    assert stats == {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
+                     "checked_blocks": 2,
                      "max_trace_drift": stats["max_trace_drift"],
                      "powered_maps": 1}
     assert 0.0 < stats["max_trace_drift"] < 1e-14
@@ -424,13 +467,13 @@ def test_decaying_qubit_checks_few_blocks():
 
 def test_every_sample_renormalized_equal_per_sample(monkeypatch):
     """With the soft limit at 0 every sample with any drift renormalizes
-    (29 of these 200 samples; the others have none)."""
+    (188 of these 200 samples; the others have none)."""
     monkeypatch.setattr(dyn, "TRACE_SOFT_LIMIT", 0.0)
     h, collapse = _static_qubit(100.0, 150.0)
     stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
                                        np.linspace(0.0, 200.0, 201))
     assert stats["renormalized"] > 20
-    assert stats["checked_blocks"] > stats["renormalized"]
+    assert stats["checked_blocks"] == 2
 
 
 def _outcome(fn):
@@ -452,17 +495,25 @@ def _outcome(fn):
     # coherences overflow while the trace stays 1: min eigenvalue nan
     (np.zeros((2, 2)), np.full((2, 2), 0.5), [dyn.qubit_dephasing(2e100)],
      np.array([0.0, 1.0, 2.0, 3.0]), 1.0),
-    # trace drift nan (CLI evolve's unstable run) and 1.00e+00
+    # trace drift nan and 1.00e+00
     (np.pi * 0.5 * SX, np.diag([1.0, 0.0]), dyn.qubit_collapse_ops(0.001, np.inf),
      np.linspace(0.0, 1000.0, 2), 1.0),
     (np.pi * 0.5 * SX, np.diag([1.0, 0.0]), dyn.qubit_collapse_ops(0.001, np.inf),
      np.linspace(0.0, 10.0, 3), 1.0),
 ])
 def test_unstable_runs_fail_as_per_sample(h, rho0, collapse, times, dt):
-    want = _outcome(lambda: _per_sample_static(h, rho0, collapse, times, dt, {}))
-    got = _outcome(lambda: dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt))
+    """RK4 outside its stability region: a driven run (a drive of zero
+    amplitude, so its generator is the static one) fails as the stage loop
+    does, with the same error and text; the static run of the same inputs
+    takes exact maps and does not fail."""
+    driven = dyn.TimeDependentH(h, [(SX, lambda t: 0.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(lambda: _stage_loop(driven, rho0, collapse, times, dt))
+    got = _outcome(lambda: dyn.lindblad_evolve(driven, rho0, collapse, times=times,
+                                               dt=dt))
     assert want is not None and want[0] is dyn.IntegrationError
     assert got == want
+    dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=dt)
 
 
 def test_trace_check_error_order_equal_per_sample(monkeypatch):
@@ -473,9 +524,9 @@ def test_trace_check_error_order_equal_per_sample(monkeypatch):
     monkeypatch.setattr(dyn, "NORM_TOL", 1e-17)
     h, collapse = _static_qubit(100.0, 150.0)
     args = (h, np.diag([1.0, 0.0]).astype(complex), collapse,
-            np.linspace(0.0, 200.0, 201), 0.01)
+            np.linspace(0.0, 200.0, 201))
     want = _outcome(lambda: _per_sample_static(*args, {}))
-    got = _outcome(lambda: dyn.lindblad_evolve(*args[:3], times=args[3], dt=args[4]))
+    got = _outcome(lambda: dyn.lindblad_evolve(*args[:3], times=args[3]))
     assert want is not None and want[0] is ValueError and "trace" in want[1]
     assert got == want
 
@@ -516,8 +567,8 @@ def _stage_loop(h, rho0, collapse, times, dt):
     generator at t, t + sub/2 and t + sub and applies the four stages to
     the state, from the repaired initial state."""
     generator = _stage_generators(h, collapse)
-    stats = {"renormalized": 0, "clipped": 0, "checked_blocks": 0,
-             "max_trace_drift": 0.0, "powered_maps": 0}
+    stats = {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
+             "checked_blocks": 0, "max_trace_drift": 0.0, "powered_maps": 0}
     rho = dyn._repair(dyn._coerce_rho(rho0), 0.0, stats)
     states = [rho]
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -570,7 +621,8 @@ def test_driven_run_matches_stage_loop(seed):
                for a, b in zip(res.states, want_states)) < 1e-13
     counts = ("renormalized", "clipped", "checked_blocks", "powered_maps")
     assert {k: res.stats[k] for k in counts} == {k: want_stats[k] for k in counts}
-    assert abs(res.stats["max_trace_drift"] - want_stats["max_trace_drift"]) < 1e-14
+    for k in ("max_trace_drift", "clipped_mass"):
+        assert abs(res.stats[k] - want_stats[k]) < 1e-14
     want_calls = []
     for t0, t1 in zip(times[:-1], times[1:]):
         nsub, sub = dyn._substeps(t1 - t0, 0.01)

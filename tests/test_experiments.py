@@ -244,7 +244,7 @@ def _assert_data(data, p1s, readout, seed):
 @pytest.mark.parametrize("readout", [ex.ReadoutModel(), SHOT_READOUT])
 def test_run_rabi_is_the_driven_qubit(readout):
     rate, taus = to_angular(0.01), np.linspace(0.0, 300.0, 31)
-    data = ex.run_rabi(rate, taus, 2000.0, 3000.0, readout, seed=5, dt=0.5)
+    data = ex.run_rabi(rate, taus, 2000.0, 3000.0, readout, seed=5)
     res = dyn.lindblad_evolve(0.5 * rate * SIGMA_X.entries, GROUND,
                               dyn.qubit_collapse_ops(2000.0, 3000.0), times=taus,
                               dt=0.5, e_ops={"p1": EXCITED})
@@ -279,15 +279,32 @@ def test_run_ramsey_is_the_free_qubit_between_half_pulses():
     _assert_data(data, p1s, SHOT_READOUT, 7)
 
 
+@pytest.mark.parametrize("t1, t2, detuning", [
+    (5000.0, 1500.0, 0.002), (10000.0, 15000.0, 0.001), (80.0, np.inf, -0.05),
+    (np.inf, np.inf, 0.0),
+])
+def test_run_ramsey_closing_pulse_equals_per_state_loop(t1, t2, detuning):
+    """The closing R_x(-pi/2) as one stacked product gives each state's own
+    product bit for bit (noiseless readout passes p1 through)."""
+    taus = np.linspace(0.0, 2000.0, 101)
+    data = ex.run_ramsey(taus, t1, t2, detuning)
+    c = 1 / np.sqrt(2)
+    u_half = np.array([[c, -1j * c], [-1j * c, c]])
+    res = ex.qubit_run(taus, t1, t2, to_angular(detuning), prep=u_half)
+    u_back = u_half.conj().T
+    p1s = [(u_back @ st.entries @ u_back.conj().T)[1, 1].real for st in res.states]
+    assert np.array_equal(data.signal, ex.ReadoutModel().sample(p1s, None)[0])
+
+
 def test_two_tone_scan_is_the_driven_qubit_per_point():
     """The steady state is where the driven qubit ends up: one long run per
-    point (60 T1, so the transient is e^-60 of its start) at dt = 0.5."""
+    point (60 T1, so the transient is e^-60 of its start)."""
     t1, t2 = 250.0, 200.0
     drive = np.sqrt(0.1 / (t1 * t2))
     grid = np.array([4.999, 5.0015])
     pops = ex.two_tone_scan(5.0, t1, t2, drive, grid)
     want = [ex.qubit_run(np.array([0.0, 60.0 * t1]), t1, t2, to_angular(5.0 - wd),
-                         drive, dt=0.5).expectations["p1"][-1]
+                         drive).expectations["p1"][-1]
             for wd in grid]
     assert np.max(np.abs(pops - want)) < 1e-12
 
@@ -318,6 +335,19 @@ def test_readout_rejects_bad_shot_counts(shots):
 # ---------------------------------------------------------------------------
 # Fits
 # ---------------------------------------------------------------------------
+
+def test_fit_rabi_finds_the_exact_decay_at_50_mhz():
+    """CLI experiment's rabi at rabi_ghz = 0.05 and its defaults (T1 = 10 us,
+    T2 = 15 us, 101 points over 1 us): the noiseless run is the exact map,
+    so the fit finds the drive and T_R = 2 / (1/T1 + 1/T2) = 12,000 ns, each
+    within 0.5%.  (This grid samples the 20 ns period exactly twice, so the
+    polish stalls on a rank-deficient Jacobian and ``converged`` is False.)"""
+    omega = to_angular(0.05)
+    data = ex.run_rabi(omega, np.linspace(0.0, 1000.0, 101), 10000.0, 15000.0)
+    fit = ex.fit_rabi(data.x, data.signal)
+    assert abs(fit.params["t_r"] - 12000.0) <= 0.005 * 12000.0
+    assert abs(fit.params["omega"] - omega) <= 0.005 * omega
+
 
 def test_fit_rabi_synthetic_round_trip():
     t = np.linspace(0.0, 100.0, 64)

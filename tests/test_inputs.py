@@ -109,6 +109,8 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     lambda: sc.PauliString.from_support(5, "X", [2], phase=0),
     lambda: ex.run_t1(np.array([0.0, 10.0]), 100.0, dt=0.5),
     lambda: ex.run_ramsey(np.array([0.0, 10.0]), 100.0, 100.0, 0.01, dt=0.5),
+    lambda: ex.run_rabi(0.1, np.array([0.0, 10.0]), dt=0.5),
+    lambda: ex.qubit_run(np.array([0.0, 10.0]), dt=0.5),
 ], ids=[
     "JCParams.gamma", "CapacitiveCouplingSpec.c_r", "CapacitiveCouplingSpec.beta",
     "CapacitiveCouplingSpec.v_r0", "TwoQubitParams.alpha_2", "TwoQubitParams.levels",
@@ -120,7 +122,7 @@ _H_QE = ctl.qubit_env_coupling(0.13, "z", np.diag([1.0, -1.0]))
     "two_tone_scan.dt", "pi_pulse.sigma", "make_envelope.sigma",
     "find_derivative_zero.max_iter",
     "fock_headroom.threshold", "PauliString.from_support.phase", "run_t1.dt",
-    "run_ramsey.dt",
+    "run_ramsey.dt", "run_rabi.dt", "qubit_run.dt",
 ])
 def test_removed_input_raises_type_error(call):
     with pytest.raises(TypeError):

@@ -56,7 +56,7 @@ UNPASSED_OPTIONS = {
         "charge_dispersion.ncut", "dephasing_rate.ncut", "dephasing_rate.extent",
         "dephasing_rate.npoints", "dipole_elements.ncut", "dipole_elements.extent",
         "dipole_elements.npoints", "sweet_spot.ncut", "sweet_spot.extent"), _GRID),
-    **dict.fromkeys(("run_rabi.dt", "classical_oscillators.dt"), _PINNED),
+    **dict.fromkeys(("classical_oscillators.dt",), _PINNED),
     **dict.fromkeys((
         "refocus_sequence.include_prep", "run_t1.pi_pulse_error",
         "lindblad_evolve.t_span", "grape_optimize.seed", "sweet_spot.tol",
