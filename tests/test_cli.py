@@ -275,11 +275,15 @@ def test_evolve_rows_are_the_rotating_frame_model(tmp_path):
 def test_evolve_purity_column_equals_per_state_purity(tmp_path, monkeypatch, text):
     """The purity column, one stacked product, is each state's purity()."""
     written, runs = {}, []
-    monkeypatch.setattr(cli, "write_csv", lambda path, header, cols: written.update(
-        zip(header, cols)))
     run = experiments.qubit_run
-    monkeypatch.setattr(experiments, "qubit_run",
-                        lambda *a, **k: runs.append(run(*a, **k)) or runs[-1])
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "qubit_run", recorded_run)
+    monkeypatch.setattr(cli, "write_csv",
+                        lambda path, header, columns: written.update(zip(header, columns)))
     cfg = tmp_path / "e.cfg"
     cfg.write_text(text)
     assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 0
