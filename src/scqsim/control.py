@@ -279,10 +279,11 @@ class GrapeResult:
     ``trace`` holds the starting infidelity and then one entry per accepted
     iteration.  ``converged`` means the target infidelity was reached and
     ``stagnated`` that the run stopped on the 50-iteration stall instead.
-    ``stats`` counts the work: ``gradient_evals`` (each a fidelity and its
-    gradient; every one but the first is a trial step), ``backtracks`` (step
-    halvings after a rejected trial) and ``stop``, one of ``"target"``,
-    ``"max_iter"`` or ``"stall"``.
+    ``stats`` counts the work: ``gradient_evals`` (the gradients computed:
+    the start's and one per accepted step, so ``len(trace)``; a trial step
+    is decided on its fidelity alone), ``backtracks`` (step halvings after
+    a rejected trial) and ``stop``, one of ``"target"``, ``"max_iter"`` or
+    ``"stall"``.
     """
 
     amplitudes: np.ndarray          # (n_controls, n_slices)
@@ -322,8 +323,23 @@ def _grape_fidelity(prob: GrapeProblem, u_total: np.ndarray):
     return float(abs(c) ** 2 / d**2), target, phi
 
 
-def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
-    """Exact fidelity gradient via the spectral derivative of each slice.
+def _grape_forward(prob: GrapeProblem, u: np.ndarray):
+    """``(fidelity, phi, slices)`` of the amplitudes ``u``: what a trial step
+    is decided on.  ``slices`` holds the :func:`~scqsim.qcore.step_unitaries`
+    stack, the forward products U_j ... U_1 (j = 0..n) and the effective
+    target, from which :func:`_grape_gradient` continues."""
+    us, evs, vs = step_unitaries(prob.h0, prob.controls, u,
+                                 np.full(u.shape[1], prob.dt))
+    fwd = [np.eye(prob.dim, dtype=complex)]
+    for uj in us:
+        fwd.append(uj @ fwd[-1])
+    fid, target, phi = _grape_fidelity(prob, fwd[-1])
+    return fid, phi, (us, evs, vs, fwd, target)
+
+
+def _grape_gradient(prob: GrapeProblem, u: np.ndarray, forward=None):
+    """Exact fidelity gradient via the spectral derivative of each slice,
+    continuing from ``forward = _grape_forward(prob, u)`` when given.
 
     The textbook first-order formula -2 Re{tr(i dt H_k V_j Lam_j^dag)
     tr(V_j^dag Lam_j)} is the dt -> 0 limit of this; the exact directional
@@ -340,18 +356,14 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray):
     complex array product rounds differently from the complex scalar one.
     """
     n_ctrl, n = u.shape
-    us, evs, vs = step_unitaries(prob.h0, prob.controls, u, np.full(n, prob.dt))
+    fid, phi, (us, evs, vs, fwd, target) = forward or _grape_forward(prob, u)
     d = prob.dim
-    fwd = [np.eye(d, dtype=complex)]
-    for uj in us:
-        fwd.append(uj @ fwd[-1])
     bwd = [np.eye(d, dtype=complex)]
     for uj in reversed(us):
         bwd.append(bwd[-1] @ uj)
     bwd = bwd[::-1]              # bwd[j] = U_N ... U_{j+1} (bwd[n] = I)
 
     u_total = fwd[-1]
-    fid, target, phi = _grape_fidelity(prob, u_total)
     c = np.trace(target.conj().T @ u_total)
 
     e = np.exp(-1j * prob.dt * evs)
@@ -379,7 +391,9 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
     at max_iter, or when 50 successive iterations fail to improve the
     fidelity by more than 1e-14 (reported as ``stagnated``, not an error);
     ``stats["stop"]`` names which.  Amplitudes are clipped to the bounds
-    after every update.
+    after every update.  A trial step is accepted or halved on its fidelity
+    alone (:func:`_grape_forward`); the gradient is built from the same
+    slices only once the step is accepted.
     """
     n_ctrl = len(prob.controls)
     if u0 is None:
@@ -390,7 +404,7 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
     if prob.bounds is not None:
         u = np.clip(u, *prob.bounds)
 
-    grad, fid, u_total, phi = _grape_gradient(prob, u)
+    grad, fid, _, phi = _grape_gradient(prob, u)
     evals, backtracks = 1, 0
     trace = [1.0 - fid]
     eps = GRAPE_STEP
@@ -403,8 +417,8 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
             u_new = u + eps * grad
             if prob.bounds is not None:
                 u_new = np.clip(u_new, *prob.bounds)
-            grad_new, fid_new, u_total, phi = _grape_gradient(prob, u_new)
-            evals += 1
+            forward = _grape_forward(prob, u_new)
+            fid_new, phi = forward[:2]
             if fid_new > fid:
                 improved = True
                 break
@@ -421,7 +435,8 @@ def grape_optimize(prob: GrapeProblem, u0: np.ndarray | None = None,
             stall += 1
         else:
             stall = 0
-        u, fid, grad = u_new, fid_new, grad_new
+        u, fid, grad = u_new, fid_new, _grape_gradient(prob, u_new, forward)[0]
+        evals += 1
         trace.append(1.0 - fid)
         eps = min(eps * 1.5, GRAPE_STEP)
         if stall >= 50:

@@ -107,7 +107,8 @@ class EvolveResult:
     expectations: dict = field(default_factory=dict)
     # lindblad_evolve's repair counts: renormalized and clipped samples, the
     # summed magnitude of the clipped eigenvalues, checked chunks, the
-    # largest trace drift, distinct interval maps
+    # largest trace drift, distinct interval maps; a driven run adds its
+    # RK4 step count, rk4_steps
     stats: dict = field(default_factory=dict)
 
 
@@ -241,7 +242,7 @@ def lindblad_evolve(
     forward: it checks a chunk of samples with one stacked ``eigh`` and puts
     only those that fail through the per-sample checks, so each sample is
     exp(L0 (t_k - t_0)) rho0 checked on its own.  The repair counts are in
-    ``stats``.  Raises ``ValueError`` unless H is a square matrix of rho's
+    ``stats``, and a driven run's number of RK4 steps in its ``rk4_steps``.  Raises ``ValueError`` unless H is a square matrix of rho's
     dimension, and ``numpy.linalg.LinAlgError`` for a non-finite static
     generator.
     """
@@ -271,8 +272,10 @@ def lindblad_evolve(
                                                       for op, _ in h.drives]))
         fns = [fn for _, fn in h.drives]
         size = _chunk(len(l0))
+        stats["rk4_steps"] = 0
         for t0, t1 in zip(times[:-1], times[1:]):
             nsub, sub = _substeps(t1 - t0, dt)
+            stats["rk4_steps"] += nsub
             v = rho.reshape(-1).copy()
             # an unstable step overflows to inf/nan; _settle reports it
             with np.errstate(over="ignore", invalid="ignore"):

@@ -288,11 +288,14 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return (vecs * np.exp(scale * evals)) @ vecs.conj().T
 
 
-CHUNK_ENTRIES = 2**11
+CHUNK_ENTRIES = 2**12
 """Complex entries per stacked step array in :func:`piecewise_propagator`:
 an m-dimensional block makes and multiplies its steps ``max(64,
 CHUNK_ENTRIES // m**2)`` at a time, so memory stays flat in the step
-count."""
+count.  A tree level costs 2m - 1 ufunc calls whatever it holds, so larger
+chunks amortize them; 2^13 measured slower than 2^12 (ROADMAP, Direction
+11).  A static :func:`~scqsim.dynamics.lindblad_evolve` run checks its
+samples in chunks of the same size, with m = d^2."""
 
 
 def _chunk(m: int) -> int:
@@ -341,7 +344,10 @@ def _taylor_plan(norm: float) -> tuple:
 
 
 def _stack_matmul(a, b):
-    """A_j B_j for every j of two (m, m, n) stacks."""
+    """A_j B_j for every j of an (m, m, ...) stack and an (m, k, ...) one in
+    the structure-of-arrays layout (the step axes last): m multiplies and
+    m - 1 adds, each one ufunc call over the whole stack, so a stack of
+    2 x 2 or 3 x 3 products costs no BLAS call per product."""
     c = a[:, 0, None] * b[None, 0]
     for l in range(1, len(b)):
         c += a[:, l, None] * b[None, l]
@@ -378,13 +384,15 @@ def _expm_stack(x) -> np.ndarray:
 
 
 def _block_steps(h0, controls, amplitudes, durations):
-    """exp(-i dt_j H_j) as a (..., n, m, m) stack for steps laid out as
-    ``durations`` (..., n), H_j = H0 + sum_k amplitudes[k, ..., j] controls[k]."""
+    """exp(-i dt_j H_j) as an (m, m, ..., n) stack, the step axes laid out as
+    ``durations`` (..., n), H_j = H0 + sum_k amplitudes[k, ..., j] controls[k]:
+    :func:`_expm_stack`'s structure-of-arrays layout, kept through the
+    product tree."""
     h = np.broadcast_to(h0[..., None], h0.shape + (durations.size,))
     for c, a in zip(controls, amplitudes):
         h = h + c[..., None] * a.reshape(-1)
     u = _expm_stack(h * (-1j * durations.reshape(-1)))
-    return np.moveaxis(u, -1, 0).reshape(durations.shape + h0.shape)
+    return u.reshape(h0.shape + durations.shape)
 
 
 def step_unitaries(h0, controls, amplitudes, durations):
@@ -409,47 +417,60 @@ def step_unitaries(h0, controls, amplitudes, durations):
     return us, evals, vecs
 
 
-def _tree_levels(us) -> list:
-    """The levels of :func:`ordered_product`'s tree: ``us`` (..., n, d, d),
-    then each level's adjacent pairs multiplied, later step on the left, one
-    batched matmul per level, an odd count carrying its last factor to the
-    next level; the last level holds one factor.  n = 0 gives the identity."""
+def ordered_product(us) -> np.ndarray:
+    """U_n ... U_2 U_1 of a ``(..., n, d, d)`` stack (U_1 first), leading axes
+    batched: a pairwise tree, each level's adjacent pairs multiplied (later
+    step on the left) by one batched ``np.matmul``, an odd count carrying
+    its last factor up a level.  n = 0 gives the identity."""
     us = np.asarray(us)
     if us.shape[-3] == 0:
-        return [np.broadcast_to(np.eye(us.shape[-1], dtype=us.dtype),
-                                us.shape[:-3] + (1,) + us.shape[-2:]).copy()]
-    levels = [us]
+        return np.broadcast_to(np.eye(us.shape[-1], dtype=us.dtype),
+                               us.shape[:-3] + us.shape[-2:]).copy()
     while us.shape[-3] > 1:
         even = us.shape[-3] // 2 * 2
         pairs = us[..., 1:even:2, :, :] @ us[..., 0:even:2, :, :]
         if even < us.shape[-3]:
             pairs = np.concatenate((pairs, us[..., even:, :, :]), axis=-3)
         us = pairs
-        levels.append(us)
+    return us[..., 0, :, :]
+
+
+def _up_sweep(steps) -> list:
+    """The levels of a chunk's product tree, on the (m, m, ..., n) stack of
+    :func:`_block_steps`: ``steps``, then each level's adjacent pairs
+    multiplied by :func:`_stack_matmul` (later step on the left), an odd
+    count carrying its last factor up a level, to a last level of one
+    factor, the chunk's product.  n = 0 gives the identity."""
+    if steps.shape[-1] == 0:
+        eye = np.zeros(steps.shape[:-1] + (1,), dtype=complex)
+        eye.reshape(len(steps) ** 2, -1)[::len(steps) + 1] = 1.0
+        return [eye]
+    levels = [steps]
+    while steps.shape[-1] > 1:
+        even = steps.shape[-1] // 2 * 2
+        pairs = _stack_matmul(steps[..., 1:even:2], steps[..., 0:even:2])
+        if even < steps.shape[-1]:
+            pairs = np.concatenate((pairs, steps[..., even:]), axis=-1)
+        steps = pairs
+        levels.append(steps)
     return levels
 
 
-def ordered_product(us) -> np.ndarray:
-    """U_n ... U_2 U_1 of a ``(..., n, d, d)`` stack (U_1 first), leading axes
-    batched: the root of :func:`_tree_levels`.  n = 0 gives the identity."""
-    return _tree_levels(us)[-1][..., 0, :, :]
-
-
 def _down_sweep(levels, psi) -> np.ndarray:
-    """The state before each factor of ``levels[0]`` (..., n, m), for the
-    state ``psi`` (..., m) before the product: Blelloch's down-sweep
-    (CMU-CS-90-190, 1990) on :func:`_tree_levels`, one batched mat-vec per
-    level."""
-    before = psi[..., None, :]
+    """The state before each factor of ``levels[0]``, (m, ..., n), for the
+    state ``psi`` (m, ...) before the product: Blelloch's down-sweep
+    (CMU-CS-90-190, 1990) on :func:`_up_sweep`'s levels, m multiply-adds
+    per level."""
+    before = psi[..., None]
     for lower in levels[-2::-1]:
-        n = lower.shape[-3]
-        half = n // 2
-        states = np.empty(lower.shape[:-1], dtype=complex)
-        states[..., 0:2 * half:2, :] = before[..., :half, :]
-        states[..., 1:2 * half:2, :] = np.einsum(
-            "...ij,...j->...i", lower[..., 0:2 * half:2, :, :], before[..., :half, :])
+        n = lower.shape[-1]
+        even = n // 2 * 2
+        states = np.empty(lower.shape[1:], dtype=complex)
+        states[..., 0:even:2] = before[..., :even // 2]
+        states[..., 1:even:2] = _stack_matmul(lower[..., 0:even:2],
+                                              before[:, None, ..., :even // 2])[:, 0]
         if n % 2:
-            states[..., -1, :] = before[..., -1, :]
+            states[..., -1] = before[..., -1]
         before = states
     return before
 
@@ -488,9 +509,11 @@ def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
     The one block split: each :func:`conserved_blocks` block of size m makes
     its steps ``max(64, CHUNK_ENTRIES // m**2)`` at a time, several rows at
     once when a row is shorter, by shifted Taylor polynomials
-    (:func:`_expm_stack`; a 1 x 1 block is exp(-i dt_j H_j) entry by entry);
-    :func:`ordered_product` reduces each chunk and then the chunk products,
-    and the block products are scattered into the full dimension.
+    (:func:`_expm_stack`; a 1 x 1 block is exp(-i dt_j H_j) entry by entry),
+    as an (m, m, rows, n) structure-of-arrays stack (:func:`_block_steps`).
+    :func:`_up_sweep` reduces each chunk in that layout; only the chunk's
+    root moves to (rows, m, m), :func:`ordered_product` multiplies the chunk
+    products, and the block products are scattered into the full dimension.
 
     With ``watch = j`` it returns ``(U, peak)``, where peak[..., i] is the
     largest |<i| U_t ... U_1 |j>|^2 over t = 0..n: inside j's block, each
@@ -516,19 +539,19 @@ def piecewise_propagator(h0, controls, amplitudes, durations, watch=None):
         watched = watch is not None and watch in ix
         for r in range(0, rows, group):
             batch = slice(r, r + group)
-            psi = np.zeros((len(durations[batch]), len(ix)), dtype=complex)
-            psi[:, ix == watch] = 1.0
+            psi = np.zeros((len(ix), len(durations[batch])), dtype=complex)
+            psi[ix == watch] = 1.0
             parts = []
             for s in range(0, max(n, 1), size):
-                levels = _tree_levels(_block_steps(hb, cb, amplitudes[:, batch, s:s + size],
-                                                   durations[batch, s:s + size]))
-                parts.append(levels[-1][:, 0])
+                levels = _up_sweep(_block_steps(hb, cb, amplitudes[:, batch, s:s + size],
+                                                durations[batch, s:s + size]))
+                root = levels[-1][..., 0]
+                parts.append(np.moveaxis(root, -1, 0))
                 if watched:
-                    seen = _down_sweep(levels, psi)
-                    psi = np.einsum("bij,bj->bi", parts[-1], psi)
+                    seen = np.max(np.abs(_down_sweep(levels, psi)) ** 2, axis=-1)
+                    psi = _stack_matmul(root, psi[:, None])[:, 0]
                     peak[batch, ix] = np.maximum(
-                        peak[batch, ix], np.maximum(np.max(np.abs(seen) ** 2, axis=1),
-                                                    np.abs(psi) ** 2))
+                        peak[batch, ix], np.maximum(seen, np.abs(psi) ** 2).T)
             out[(batch,) + sub[1:]] = ordered_product(np.stack(parts, axis=-3))
     out = out.reshape(lead + (dim, dim))
     if watch is None:

@@ -350,8 +350,7 @@ def test_grape_stagnation_reported_not_raised():
 @pytest.mark.parametrize("case", ["target", "max_iter", "stall"])
 def test_grape_stop_reasons(case):
     """Each way a run ends is reported: stagnation only for the stall, and
-    every gradient evaluation after the first is an accepted step or a
-    halving."""
+    a gradient is computed at the start and at each accepted step only."""
     if case == "target":
         prob = ctl.transmon_pi_problem(ALPHA, n_slices=4)
     elif case == "max_iter":
@@ -366,11 +365,107 @@ def test_grape_stop_reasons(case):
     assert res.stats["stop"] == case
     assert res.converged == (case == "target")
     assert res.stagnated == (case == "stall")
-    assert res.stats["gradient_evals"] == len(res.trace) + res.stats["backtracks"]
+    assert res.stats["gradient_evals"] == len(res.trace)
     if case == "max_iter":
         assert len(res.trace) == 3
     if case == "stall":
         assert res.stats["backtracks"] > 0
+
+
+def _loop_optimize(prob, u0=None, seed=None):
+    """Oracle: the optimizer loop that computes the gradient of every trial
+    step, rejected ones included, and decides on its fidelity."""
+    n_ctrl = len(prob.controls)
+    if u0 is None:
+        rng = np.random.default_rng(seed)
+        u = 0.1 * rng.standard_normal((n_ctrl, prob.n_slices))
+    else:
+        u = np.array(u0, dtype=float).reshape(n_ctrl, prob.n_slices)
+    if prob.bounds is not None:
+        u = np.clip(u, *prob.bounds)
+    grad, fid, u_total, phi = ctl._grape_gradient(prob, u)
+    trace = [1.0 - fid]
+    eps = ctl.GRAPE_STEP
+    stall = 0
+    for _ in range(prob.max_iter):
+        if 1.0 - fid <= prob.target_infidelity:
+            break
+        improved = False
+        for _ in range(60):
+            u_new = u + eps * grad
+            if prob.bounds is not None:
+                u_new = np.clip(u_new, *prob.bounds)
+            grad_new, fid_new, u_total, phi = ctl._grape_gradient(prob, u_new)
+            if fid_new > fid:
+                improved = True
+                break
+            eps *= 0.5
+            if eps < 1e-14:
+                break
+        if not improved:
+            stall += 1
+            if stall >= 50:
+                break
+            continue
+        if fid_new - fid < 1e-14:
+            stall += 1
+        else:
+            stall = 0
+        u, fid, grad = u_new, fid_new, grad_new
+        trace.append(1.0 - fid)
+        eps = min(eps * 1.5, ctl.GRAPE_STEP)
+        if stall >= 50:
+            break
+    converged = (1.0 - fid) <= prob.target_infidelity
+    return ctl.GrapeResult(amplitudes=u, infidelity=1.0 - fid, trace=np.asarray(trace),
+                           converged=converged, stagnated=False, phi2=phi)
+
+
+def _bounded_problem():
+    """Demo 06's bounded 12-slice problem and its Gaussian start."""
+    bound = 2 * np.pi * 0.04
+    prob = ctl.transmon_pi_problem(ALPHA, n_slices=12, dt=1.6, bounds=(-bound, bound),
+                                   target_infidelity=1e-5)
+    u0 = np.zeros((2, 12))
+    u0[0] = np.clip(ctl.pi_pulse("gaussian", prob.total_time, nsamples=13).omega_x[:-1],
+                    -bound, bound)
+    return prob, u0
+
+
+def _cli_default_problem():
+    """CLI ``grape``'s default problem and its Gaussian start."""
+    prob = ctl.transmon_pi_problem(ALPHA, np.sqrt(2), 4, target_infidelity=1e-4,
+                                   max_iter=3000)
+    u0 = np.zeros((2, 4))
+    u0[0] = ctl.pi_pulse("gaussian", prob.total_time, nsamples=5).omega_x[:-1]
+    return prob, u0
+
+
+@pytest.mark.parametrize("case", ["bounded", "cli-default"])
+def test_grape_trials_decided_on_fidelity_equal_loop(case, monkeypatch):
+    """Deciding each trial on its fidelity and building the gradient only
+    for accepted steps changes no bit of any result: amplitudes, trace,
+    infidelity and phi2 equal the loop that computes every trial's
+    gradient, for the multistart run from the Gaussian start (as the
+    benchmark and the CLI call it) and a run from each seed's random start,
+    seeds 0-19; only the gradient count falls, to ``len(trace)``."""
+    prob, u0 = _bounded_problem() if case == "bounded" else _cli_default_problem()
+    backtracks = 0
+    for seed in range(20):
+        got = [ctl.grape_multistart(prob, restarts=8, seed=seed, u0=u0),
+               ctl.grape_optimize(prob, seed=seed)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ctl, "grape_optimize", _loop_optimize)
+            want = [ctl.grape_multistart(prob, restarts=8, seed=seed, u0=u0),
+                    _loop_optimize(prob, seed=seed)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert np.array_equal(a.trace, b.trace)
+            assert a.infidelity == b.infidelity
+            assert a.phi2 == b.phi2
+            assert a.stats["gradient_evals"] == len(a.trace)
+            backtracks += a.stats["backtracks"]
+    assert backtracks > 0                  # rejected trials were taken
 
 
 @pytest.mark.parametrize("field, change", [

@@ -453,13 +453,13 @@ def test_pure_state_clip_events_equal_per_sample(samples):
 
 
 def test_decaying_qubit_checks_few_blocks():
-    """With decay, no sample needs repair: 200 samples are 2 chunks
-    (128 + 72) and one interval map."""
+    """With decay, no sample needs repair: 200 samples are one check per
+    chunk of ``_chunk(4)`` samples and one interval map."""
     h, collapse = _static_qubit(100.0, 150.0)
     stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
                                        np.linspace(0.0, 200.0, 201))
     assert stats == {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
-                     "checked_blocks": 2,
+                     "checked_blocks": _chunks(200, h),
                      "max_trace_drift": stats["max_trace_drift"],
                      "powered_maps": 1}
     assert 0.0 < stats["max_trace_drift"] < 1e-14
@@ -473,7 +473,7 @@ def test_every_sample_renormalized_equal_per_sample(monkeypatch):
     stats = _assert_same_as_per_sample(h, np.diag([1.0, 0.0]), collapse,
                                        np.linspace(0.0, 200.0, 201))
     assert stats["renormalized"] > 20
-    assert stats["checked_blocks"] == 2
+    assert stats["checked_blocks"] == _chunks(200, h)
 
 
 def _outcome(fn):
@@ -568,13 +568,15 @@ def _stage_loop(h, rho0, collapse, times, dt):
     the state, from the repaired initial state."""
     generator = _stage_generators(h, collapse)
     stats = {"renormalized": 0, "clipped": 0, "clipped_mass": 0.0,
-             "checked_blocks": 0, "max_trace_drift": 0.0, "powered_maps": 0}
+             "checked_blocks": 0, "max_trace_drift": 0.0, "powered_maps": 0,
+             "rk4_steps": 0}
     rho = dyn._repair(dyn._coerce_rho(rho0), 0.0, stats)
     states = [rho]
     for t0, t1 in zip(times[:-1], times[1:]):
         nsub, sub = dyn._substeps(t1 - t0, dt)
         v, t = rho.reshape(-1), t0
         for _ in range(nsub):
+            stats["rk4_steps"] += 1
             mid = generator(t + sub / 2)
             k1 = generator(t) @ v
             k2 = mid @ (v + sub / 2 * k1)
@@ -619,7 +621,7 @@ def test_driven_run_matches_stage_loop(seed):
     assert len(res.states) == len(want_states)
     assert max(np.max(np.abs(a.entries - b))
                for a, b in zip(res.states, want_states)) < 1e-13
-    counts = ("renormalized", "clipped", "checked_blocks", "powered_maps")
+    counts = ("renormalized", "clipped", "checked_blocks", "powered_maps", "rk4_steps")
     assert {k: res.stats[k] for k in counts} == {k: want_stats[k] for k in counts}
     for k in ("max_trace_drift", "clipped_mass"):
         assert abs(res.stats[k] - want_stats[k]) < 1e-14
@@ -634,6 +636,22 @@ def test_driven_run_matches_stage_loop(seed):
     assert calls == want_calls
     if seed == 0:
         assert res.stats["clipped"] > 0
+
+
+def test_driven_run_counts_its_rk4_steps():
+    """A driven run reports its RK4 steps, the sum of nsub over its
+    intervals: 40 intervals of 0.5 ns at dt = 0.01 ns are 2,000 steps, as
+    the stage loop counts them.  A static run takes no RK4 step and keeps
+    its stats as they were."""
+    h = dyn.TimeDependentH(2 * np.pi * 0.1 * EXCITED,
+                           [(np.pi * SX, lambda t: 0.02 * np.cos(0.3 * t))])
+    rho0, collapse = np.diag([1.0, 0.0]), dyn.qubit_collapse_ops(100.0, 150.0)
+    times = np.linspace(0.0, 20.0, 41)
+    res = dyn.lindblad_evolve(h, rho0, collapse, times=times, dt=0.01)
+    assert res.stats["rk4_steps"] == 2000
+    assert _stage_loop(h, rho0, collapse, times, 0.01)[1]["rk4_steps"] == 2000
+    static = dyn.lindblad_evolve(h.static, rho0, collapse, times=times, dt=0.01)
+    assert "rk4_steps" not in static.stats
 
 
 def _stage_map_increment(generator, t, h, m):

@@ -277,8 +277,9 @@ def test_cz_simulate_matches_looped_reference():
 
 def test_cz_simulate_memory_bound():
     """Memory stays flat in the step count: once warm, a 3,000-step run
-    (6,000 rows) peaks under 1 MB of traced allocations (about 0.5 MB).
-    Chunks of 2^15 entries take it to about 4 MB."""
+    (6,000 rows) peaks under 1 MB of traced allocations (about 0.8 MB at
+    chunks of 2^12 entries, 0.46 MB at 2^11).  Chunks of 2^15 entries take
+    it to about 4 MB."""
     def bias(t):
         return 5.8 - 0.38 * np.sin(np.pi * t / 60.0) ** 2
 

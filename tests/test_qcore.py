@@ -322,9 +322,12 @@ def _block_diagonal(rng, sizes, perm):
     return h[np.ix_(perm, perm)]
 
 
-# chunk edges for a 3-level problem (227 steps per chunk) and a 4-level one
-# (128): empty, one step, a chunk and one either side, and a long run
-_EDGES = [(3, n) for n in (0, 1, 226, 227, 228, 4000)] + [(4, n) for n in (127, 129)]
+# step counts for a 3-level problem and a 4-level one: empty, one step,
+# half a chunk and one either side, a chunk (q._chunk) and one either side,
+# and a long run
+_C3, _C4 = q._chunk(3), q._chunk(4)
+_EDGES = ([(3, n) for n in (0, 1, 226, 227, 228, _C3 - 1, _C3, _C3 + 1, 4000)]
+          + [(4, n) for n in (127, 129, _C4 - 1, _C4 + 1)])
 
 
 @pytest.mark.parametrize("dim, n", _EDGES)
@@ -522,22 +525,61 @@ def _per_step_states(us, psi):
     return np.array(out).reshape(len(us), -1), psi
 
 
+def _soa(us):
+    """An (..., n, m, m) stack in the (m, m, ..., n) layout of the tree."""
+    return np.moveaxis(us, (-2, -1, -3), (0, 1, -1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 226, 227, 228, 455])
 def test_down_sweep_matches_per_step_loop(n):
     rng = np.random.default_rng(n)
     us = q.step_unitaries(*_random_steps(rng, n, 3))[0]
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    levels = q._tree_levels(us)
+    levels = q._up_sweep(_soa(us))
     got = q._down_sweep(levels, psi)
     want, last = _per_step_states(us, psi)
-    assert got.shape == (n, 3)
-    assert np.max(np.abs(got - want)) < 1e-13
-    assert np.max(np.abs(levels[-1][0] @ psi - last)) < 1e-13
+    assert got.shape == (3, n)
+    assert np.max(np.abs(got.T - want)) < 1e-13
+    assert np.max(np.abs(levels[-1][..., 0] @ psi - last)) < 1e-13
     # batched rows of the same count, each its own tree
     batch = np.stack([us, us[::-1]])
-    got = q._down_sweep(q._tree_levels(batch), np.stack([psi, psi.conj()]))
-    assert np.max(np.abs(got[0] - want)) < 1e-13
-    assert np.max(np.abs(got[1] - _per_step_states(us[::-1], psi.conj())[0])) < 1e-13
+    got = q._down_sweep(q._up_sweep(_soa(batch)), np.stack([psi, psi.conj()], axis=-1))
+    assert got.shape == (3, 2, n)
+    assert np.max(np.abs(got[:, 0].T - want)) < 1e-13
+    assert np.max(np.abs(got[:, 1].T - _per_step_states(us[::-1], psi.conj())[0])) < 1e-13
+
+
+@pytest.mark.parametrize("offset", ["0", "1", "2", "3", "7", "chunk-1", "chunk",
+                                    "chunk+1"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tree_matches_per_step_matmul(m, offset):
+    """The structure-of-arrays tree on the steps of an m-level block, in
+    batched rows: its root and every down-sweep state against a per-step
+    ``np.matmul`` loop over the same steps, for short rows and around the
+    chunk of ``_chunk(m)`` steps."""
+    size = q._chunk(m)
+    n = {"chunk-1": size - 1, "chunk": size, "chunk+1": size + 1}.get(offset)
+    n = int(offset) if n is None else n
+    rows = 3
+    rng = np.random.default_rng(10 * m + len(offset))
+    h0, controls, _, _ = _random_steps(rng, 0, m)
+    steps = q._block_steps(h0, np.array(controls), rng.standard_normal((2, rows, n)),
+                           rng.uniform(0.0, 0.4, (rows, n)))
+    assert steps.shape == (m, m, rows, n)
+    psi = rng.standard_normal((m, rows)) + 1j * rng.standard_normal((m, rows))
+    levels = q._up_sweep(steps)
+    seen = q._down_sweep(levels, psi)
+    assert levels[-1].shape == (m, m, rows, 1)
+    assert seen.shape == (m, rows, max(n, 1))
+    for r in range(rows):
+        # the empty product is one identity factor
+        us = np.moveaxis(steps[:, :, r], -1, 0) if n else np.eye(m, dtype=complex)[None]
+        want, _ = _per_step_states(us, psi[:, r])
+        run = np.eye(m, dtype=complex)
+        for u in us:
+            run = u @ run
+        assert np.max(np.abs(levels[-1][:, :, r, 0] - run)) < 1e-13
+        assert np.max(np.abs(seen[:, r].T - want)) < 1e-13
 
 
 def _loop_peaks(h0, control, amplitudes, durations, watch):
@@ -550,17 +592,19 @@ def _loop_peaks(h0, control, amplitudes, durations, watch):
     return want
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 226, 227, 228, 455, 681])
+@pytest.mark.parametrize("n", [0, 1, 5, _C3 // 2 - 1, _C3 // 2, _C3 // 2 + 1, _C3 - 1,
+                               _C3, _C3 + 1, 2 * _C3 + 1, 3 * _C3])
 def test_watch_peaks_at_chunk_edges_and_in_batched_rows(n):
     """Peaks from the down-sweep equal a per-step loop's, for step counts
-    around the 227-step chunk of a 3-level block, odd counts, and rows
-    several at a time (short rows share a chunk)."""
+    around the chunk of a 3-level block (``_chunk(3)`` steps) and half of
+    it, odd counts, and rows several at a time (rows of at most half a
+    chunk share one)."""
     rng = np.random.default_rng(n + 1)
     perm = rng.permutation(5)
     h0 = _block_diagonal(rng, (3, 2), perm)
     control = _block_diagonal(rng, (3, 2), perm)
     watch = int(perm[1])
-    rows = 3 if n < 300 else 1
+    rows = 3 if n <= _C3 + 1 else 1
     amplitudes = rng.standard_normal((1, rows, n))
     durations = rng.uniform(0.0, 0.3, (rows, n))
     _, peak = q.piecewise_propagator(h0, [control], amplitudes, durations, watch=watch)
