@@ -355,7 +355,7 @@ def _grape_gradient(prob: GrapeProblem, u: np.ndarray, forward=None):
     final Re(conj(c) dc) is written out in real arithmetic, because numpy's
     complex array product rounds differently from the complex scalar one.
     """
-    n_ctrl, n = u.shape
+    n_ctrl = len(u)
     fid, phi, (us, evs, vs, fwd, target) = forward or _grape_forward(prob, u)
     d = prob.dim
     bwd = [np.eye(d, dtype=complex)]

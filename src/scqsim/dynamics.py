@@ -242,9 +242,9 @@ def lindblad_evolve(
     forward: it checks a chunk of samples with one stacked ``eigh`` and puts
     only those that fail through the per-sample checks, so each sample is
     exp(L0 (t_k - t_0)) rho0 checked on its own.  The repair counts are in
-    ``stats``, and a driven run's number of RK4 steps in its ``rk4_steps``.  Raises ``ValueError`` unless H is a square matrix of rho's
-    dimension, and ``numpy.linalg.LinAlgError`` for a non-finite static
-    generator.
+    ``stats``, and a driven run's number of RK4 steps in its ``rk4_steps``.
+    Raises ``ValueError`` unless H is a square matrix of rho's dimension,
+    and ``numpy.linalg.LinAlgError`` for a non-finite static generator.
     """
     h = _as_hamiltonian(h)
     times = _sample_times(times, t_span, dt)

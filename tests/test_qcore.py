@@ -326,8 +326,9 @@ def _block_diagonal(rng, sizes, perm):
 # half a chunk and one either side, a chunk (q._chunk) and one either side,
 # and a long run
 _C3, _C4 = q._chunk(3), q._chunk(4)
-_EDGES = ([(3, n) for n in (0, 1, 226, 227, 228, _C3 - 1, _C3, _C3 + 1, 4000)]
-          + [(4, n) for n in (127, 129, _C4 - 1, _C4 + 1)])
+_EDGES = ([(3, n) for n in (0, 1, _C3 // 2 - 1, _C3 // 2, _C3 // 2 + 1, _C3 - 1, _C3,
+                            _C3 + 1, 4000)]
+          + [(4, n) for n in (_C4 // 2 - 1, _C4 // 2 + 1, _C4 - 1, _C4 + 1)])
 
 
 @pytest.mark.parametrize("dim, n", _EDGES)
