@@ -179,18 +179,19 @@ def fmt(x) -> str:
 def write_csv(path: Path, header: list, columns) -> None:
     """The header line, then the equal-length ``columns`` (arrays or lists,
     one type each) as rows: a float column at 12 significant digits, any
-    other as ``str``, the whole table in one format call."""
+    other as ``str``, the whole table in one %-format (``%.12g`` and ``%s``
+    give the bytes of ``{:.12g}`` and ``{}``)."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError(f"write_csv needs {len(header)} columns of equal length")
-    row = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     values = [None] * (n * len(columns))
     for i, c in enumerate(columns):
         values[i::len(columns)] = c.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((row * n).format(*values))
+        fh.write((row * n) % tuple(values))
 
 
 def _round_floats(obj):

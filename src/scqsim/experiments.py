@@ -257,7 +257,7 @@ def _unit_columns(jac: np.ndarray):
     return jac / d, d
 
 
-def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
+def _fit(fun, y: np.ndarray, p, names, report, known_sigma=False) -> FitResult:
     """Damped Gauss-Newton (Marquardt, J. SIAM 11 (1963) 431) from p on
     ``fun(p)`` = (model, Jacobian), columns scaled to unit norm by D: a step
     (J_s^T J_s + lam I) s = J_s^T r is taken (lam / 10) unless it raises the
@@ -265,7 +265,9 @@ def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
     is within 1e-10 of D p, or 200 steps (not converged).  The last parameter
     k is reported as ``report(k)`` = (value, slope).  Sigmas are sqrt(diag(
     pinv(J_s^T J_s)) s^2) / D at the solution, with J_s = J / D, so a poorly
-    scaled parameter is not cut off by pinv's relative threshold."""
+    scaled parameter is not cut off by pinv's relative threshold.  s^2 is
+    RSS / (n - p), or 1 with ``known_sigma``: y and J already carry weights
+    1/sigma from known standard errors, so the covariance is pinv(J^T W J)."""
     p = np.asarray(p, dtype=float)
     f, jac = fun(p)
     r = y - f
@@ -287,7 +289,7 @@ def _fit(fun, y: np.ndarray, p, names, report) -> FitResult:
                 lam *= 10
     p[-1], slope = report(p[-1])
     jac[:, -1] /= slope
-    s2 = rss / max(len(y) - len(p), 1)
+    s2 = 1.0 if known_sigma else rss / max(len(y) - len(p), 1)
     js, d = _unit_columns(jac)
     sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(js.T @ js)) * s2, 0.0, None)) / d
     return FitResult(dict(zip(names, map(float, p))), dict(zip(names, map(float, sig))),
@@ -298,9 +300,11 @@ def _time(k):
     return 1 / k, -1 / k**2         # a rate reported as its time constant, and the slope
 
 
-def _exp_fit(h: np.ndarray, y: np.ndarray, names, report, env=1.0, w=1.0) -> FitResult:
-    """(a0 + a1 env exp(-k h)) w fitted to y w by :func:`_fit`, seeded at the best
-    of 24 rates k over 0.01-100 per span of h (basis from h.min(): no underflow)."""
+def _exp_fit(h: np.ndarray, y: np.ndarray, names, report, env=1.0, w=1.0,
+             known_sigma=False) -> FitResult:
+    """(a0 + a1 env exp(-k h)) w fitted to y w by :func:`_fit` (``known_sigma``
+    passed on), seeded at the best of 24 rates k over 0.01-100 per span of h
+    (basis from h.min(): no underflow)."""
     wc = np.asarray(w, dtype=float)[..., None]
     k = np.logspace(-2, 2, 24) / np.ptp(h)
     g = env * np.exp(-k[:, None] * (h - h.min()))
@@ -310,7 +314,8 @@ def _exp_fit(h: np.ndarray, y: np.ndarray, names, report, env=1.0, w=1.0) -> Fit
         g = env * np.exp(-p[2] * h)
         return (p[0] + p[1] * g) * w, np.array([np.ones_like(g), g, -p[1] * h * g]).T * wc
 
-    return _fit(fun, y * w, [a0, a1 * np.exp(-k[i] * h.min()), k[i]], names, report)
+    return _fit(fun, y * w, [a0, a1 * np.exp(-k[i] * h.min()), k[i]], names, report,
+                known_sigma)
 
 
 def _flat(y: np.ndarray, names, values, converged: bool = True) -> FitResult:
@@ -618,22 +623,30 @@ class RBResult:
     stats: dict     # fit_converged, fit_nfev, flat_curve, cliffords (random gates)
 
 
+RB_CHUNK_MAPS = 1 << 11    # 4 x 4 maps in one product-tree stack (256 KB)
+
+
 def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarray]:
     """Mean survival and its standard error at each length.
 
-    Draw order: each length draws from its own child of
-    ``SeedSequence(cfg.seed)``; each of its sequences draws its Clifford
-    picks (``rng.integers``), then its shots (``rng.binomial``), before the
-    next sequence draws, so the shot stream is that of one sequence at a time.
+    Draw order: each length's child of ``SeedSequence(cfg.seed)`` spawns two
+    streams.  The first draws the Clifford picks of all S sequences of the
+    length as one ``integers(0, 24, (S, m), dtype=np.uint8)`` call, the second
+    their shots as one ``binomial`` call over the S survivals.
 
     A sequence is one composite map.  The step maps of its picks (E·P_g, or
-    (E_i·P_i)·E·P_g in an interleaved run), padded with the identity to a
-    power of two, are multiplied pairwise, later map on the left, in
-    ceil(log2 m) batched matmuls, and its composite Clifford index is folded
-    over the multiplication table by the same tree.  The closing map
+    (E_i·P_i)·E·P_g in an interleaved run, with P the exact signed-permutation
+    PTMs, ``np.rint`` of :func:`_clifford_ptms`), padded with the identity to
+    a power of two (past the cap below, to a multiple of it), are multiplied
+    pairwise, later map on the left, in ceil(log2 m) batched matmuls over the
+    length's sequences, and each composite Clifford index is folded over the
+    multiplication table by the same tree.  A stack holds at most
+    ``RB_CHUNK_MAPS`` maps, so memory stays flat in m: the sequences go
+    through in chunks of rows, and a sequence longer than the cap is reduced
+    in segments of it, the later segment on the left.  The closing map
     E·P_inverse and one mat-vec on the prepared state follow.
     """
-    ptms = _clifford_ptms()
+    ptms = np.rint(_clifford_ptms())
     table, inverse = _clifford_table()
     close = _error_ptm(cfg.error) @ ptms           # E·P_g, also the closing map
     step = close
@@ -647,49 +660,63 @@ def _rb_survival(cfg: RBConfig, interleave: bool) -> tuple[np.ndarray, np.ndarra
 
     # prep: |0> with optional classical preparation error
     v0 = np.array([1.0, 0.0, 0.0, 1.0 - 2.0 * cfg.prep_error])
-    seqs = np.random.SeedSequence(entropy=cfg.seed)
-    children = seqs.spawn(len(cfg.lengths))
+    children = np.random.SeedSequence(entropy=cfg.seed).spawn(len(cfg.lengths))
+    n_seq = cfg.sequences_per_length
     means = np.empty(len(cfg.lengths))
     sems = np.empty(len(cfg.lengths))
     for li, m in enumerate(cfg.lengths):
-        rng = np.random.default_rng(children[li])
-        vals = np.empty(cfg.sequences_per_length)
-        padded = np.full(1 << (m - 1).bit_length(), 24)
-        for s in range(cfg.sequences_per_length):
-            padded[:m] = rng.integers(0, 24, size=m)
-            maps, acc = step[padded], gidx[padded]
-            while len(maps) > 1:
-                maps = maps[1::2] @ maps[0::2]
-                acc = table[acc[0::2], acc[1::2]]
-            v = close[inverse[acc[0]]] @ (maps[0] @ v0)
-            p1 = 0.5 * (1.0 - v[3])
-            q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1   # observed P(0)
-            q = min(max(q, 0.0), 1.0)       # np.clip's value, NaN too, at 1/10 the cost
-            if cfg.shots:
-                vals[s] = rng.binomial(cfg.shots, q) / cfg.shots
-            else:
-                vals[s] = q
+        pick_seq, shot_seq = children[li].spawn(2)
+        width = min(1 << (m - 1).bit_length(), RB_CHUNK_MAPS)
+        rows = RB_CHUNK_MAPS // width
+        padded = np.full((n_seq, -(-m // width) * width), 24, dtype=np.uint8)
+        padded[:, :m] = np.random.default_rng(pick_seq).integers(0, 24, (n_seq, m),
+                                                                 dtype=np.uint8)
+        z = np.empty(n_seq)                        # <Z> after the closing map
+        for r in range(0, n_seq, rows):
+            for c in range(0, padded.shape[1], width):
+                seg = padded[r:r + rows, c:c + width]
+                maps, acc = step[seg], gidx[seg]
+                while maps.shape[1] > 1:
+                    maps = maps[:, 1::2] @ maps[:, 0::2]
+                    acc = table[acc[:, 0::2], acc[:, 1::2]]
+                maps, acc = maps[:, 0], acc[:, 0]
+                if c:
+                    maps, acc = maps @ total, table[total_acc, acc]
+                total, total_acc = maps, acc
+            z[r:r + rows] = np.einsum("si,si->s", close[inverse[total_acc], 3], total @ v0)
+        p1 = 0.5 * (1.0 - z)
+        q = np.clip((1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1, 0.0, 1.0)  # observed P(0)
+        if cfg.shots:
+            vals = np.random.default_rng(shot_seq).binomial(cfg.shots, q) / cfg.shots
+        else:
+            vals = q
         means[li] = vals.mean()
-        sems[li] = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        sems[li] = vals.std(ddof=1) / np.sqrt(n_seq) if n_seq > 1 else 0.0
     return means, sems
 
 
 def fit_rb_decay(lengths, survival, sem=None) -> FitResult:
-    """Weighted fit of A p^m + B (inverse-variance weights from shot noise)
-    by :func:`_exp_fit` in p = exp(-k).  A curve flat to 1e-12 does not
-    identify p: not fitted, it is p = 1, A = 0, B its mean, not converged."""
+    """Fit of A p^m + B by :func:`_exp_fit` in p = exp(-k).  With a positive
+    ``sem`` the points are weighted by 1/sem, each sem floored at the smallest
+    positive one clipped to [1e-4, 1e-3], and the weights are taken as known:
+    the covariance is pinv(J^T W J), with no s^2 factor.  Without one (or with
+    every sem 0) the fit is unweighted, its covariance scaled by s^2 =
+    RSS / (n - 3).  A curve flat to 1e-12 does not identify p: not fitted, it
+    is p = 1, A = 0, B its mean, not converged."""
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival, dtype=float)
-    if sem is None or np.all(np.asarray(sem) <= 0):
-        w = np.ones_like(y)
-    else:
+    known = not (sem is None or np.all(np.asarray(sem) <= 0))
+    if known:
         s = np.asarray(sem, dtype=float)
         floor = max(np.min(s[s > 0], initial=1e-3), 1e-4)
         w = 1.0 / np.clip(s, floor, None)
+    else:
+        w = np.ones_like(y)
     names = ["b", "a", "p"]            # as B + A exp(-k m), with p = exp(-k)
     if np.ptp(y) <= _FLAT:
         return _flat(y, names, [np.mean(y), 0.0, 1.0], converged=False)
-    return _exp_fit(m, y, names, lambda k: (np.exp(-k), -np.exp(-k)), w=w)
+    return _exp_fit(m, y, names, lambda k: (np.exp(-k), -np.exp(-k)), w=w,
+                    known_sigma=known)
 
 
 def _rb_decay(cfg: RBConfig, survival, sem,

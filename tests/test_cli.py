@@ -572,20 +572,21 @@ def test_rb_manifest_carries_fit_stats(tmp_path):
 
 
 # rb.csv and rb.json of the benchmark's RB shapes at seed 7, recorded with
-# numpy 2.4.6: rb.csv from the per-gate loop that the tree product replaced,
-# rb.json from the grid-seeded Gauss-Newton decay fit (digests: rb.csv, rb.json)
+# numpy 2.4.6: rb.csv from picks and shots drawn per length on split streams
+# and exact Clifford PTMs, rb.json from the grid-seeded Gauss-Newton decay fit
+# with its covariance from the known sem weights (digests: rb.csv, rb.json)
 _RB_PINNED = {
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n":
-        ("870204a0baafaf99464572ec436391a01df92f4121454b5c2cd8aa65d6df904c",
-         "c655af2680382d18097b56dde54a8954ac144b44249974390c2ba7ac381a5dfc"),
+        ("706aa8e18936ae180dd92c7b8ffa335cb089548b05da18ece730da31522b6fb1",
+         "bf9740254cefeda65bc039b6dc07696e21df42e0971f5bd343c7e0b1021a704e"),
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128, 256\nsequences_per_length = 45\n"
     "prep_error = 0.02\n":
-        ("3988027d8e6331c93d355ba9cc2a0971251c10a915ed71a8cf632bca2cdc977d",
-         "315072a26c2d8e1d424e2317b52af6ee3b7597ae87a65f2326ac88d098fb97d8"),
+        ("eeea6c7e1c3f207693eb934c2c777780980cbf2b8ff6f13173063e2ccdd8a4f7",
+         "0811ba302c4411ec467131736053e129655f753b81e4471f6b962ea539b547a6"),
     "lengths = 1, 2, 4, 8, 16, 32, 64, 128\nsequences_per_length = 40\n"
     "interleaved = 3\n":
-        ("8993ec3b1fd0cbb663d96d12e8fcd89eaeec5c7095e4ebe741d557eb166479f7",
-         "5bad8e3b81cd221793495e867e257565575b3ab1cb4c7a1c1d315b02735bfe7c"),
+        ("2970fa3987e9244279b36bba4263281c29adc3f1805f17814119d4b7cee6678f",
+         "16ecde9629fddc30fed222def45d8f82d94cbf47f1407609962384d352c25780"),
 }
 
 
@@ -647,6 +648,22 @@ def test_write_csv_matches_per_value_writer(tmp_path):
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes(), name
         assert got == (tmp_path / "want.csv").read_bytes(), name
+
+
+def test_write_csv_edge_values_match_str_format(tmp_path):
+    """The %-formatted table gives the bytes of the str.format row it
+    replaced on values where the two formatters could part: infinities, nan,
+    signed zero, the smallest subnormal, 1e16, the largest float, ints and
+    bools."""
+    floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e15,
+              1.7976931348623157e308, 0.1, 1 / 3]
+    n = len(floats)
+    columns = [np.array(floats), np.arange(-n // 2, n - n // 2) * 10**15,
+               np.arange(n) % 2 == 0, np.array(floats[::-1])]
+    cli.write_csv(tmp_path / "got.csv", ["f", "i", "b", "g"], columns)
+    row = "{:.12g},{},{},{:.12g}\n"
+    want = "f,i,b,g\n" + "".join(row.format(*r) for r in zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "got.csv").read_text() == want
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):

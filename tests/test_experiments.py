@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares
+from scipy.special import betainc
 
 from scqsim import dynamics as dyn
 from scqsim import experiments as ex
@@ -551,7 +553,8 @@ _SIGMA_CASES = {**_ORACLE_CASES, "rabi_long_t_r": (
 def test_fit_sigmas_are_the_covariance_diagonal(case):
     """Sigmas are sqrt(diag((J^T J)^-1) s^2) at the fitted parameters, s^2 =
     RSS / (n - p), to 1e-6 relative: J by complex-step differentiation of the
-    model, the inverse in 40-digit arithmetic (mpmath) with no cutoff."""
+    model, the inverse in 40-digit arithmetic (mpmath) with no cutoff.  The
+    RB fit with sem weights them as known standard errors: no s^2 there."""
     mpmath = pytest.importorskip("mpmath")
     fit, model, names, x, y, _, w = _SIGMA_CASES[case]
     w = np.ones_like(y) if w is None else w
@@ -561,7 +564,7 @@ def test_fit_sigmas_are_the_covariance_diagonal(case):
     jac = np.array([model(p + 1j * h * e, x).imag / h * w
                     for h, e in zip(steps, np.eye(len(p)))]).T
     r = (y - model(p, x)) * w
-    s2 = (r @ r) / (len(y) - len(p))
+    s2 = 1.0 if case == "rb" else (r @ r) / (len(y) - len(p))
     with mpmath.workdps(40):
         cov = mpmath.inverse(mpmath.matrix(jac.T.tolist()) * mpmath.matrix(jac.tolist()))
         want = [float(mpmath.sqrt(cov[i, i] * s2)) for i in range(len(p))]
@@ -821,10 +824,11 @@ def _rb_survival_loop(cfg, interleave):
     means = np.empty(len(cfg.lengths))
     sems = np.empty(len(cfg.lengths))
     for li, m in enumerate(cfg.lengths):
-        rng = np.random.default_rng(children[li])
-        vals = np.empty(cfg.sequences_per_length)
-        for s in range(cfg.sequences_per_length):
-            picks = rng.integers(0, 24, size=m)
+        pick_seq, shot_seq = children[li].spawn(2)
+        all_picks = np.random.default_rng(pick_seq).integers(
+            0, 24, (cfg.sequences_per_length, m), dtype=np.uint8)
+        qs = np.empty(cfg.sequences_per_length)
+        for s, picks in enumerate(all_picks):
             v = v0.copy()
             acc = 0
             for g in picks:
@@ -836,11 +840,11 @@ def _rb_survival_loop(cfg, interleave):
             v = e_ptm @ (ptms[inverse[acc]] @ v)
             p1 = 0.5 * (1.0 - v[3])
             q = (1 - cfg.eps01) * (1 - p1) + cfg.eps10 * p1
-            q = float(np.clip(q, 0.0, 1.0))
-            if cfg.shots:
-                vals[s] = rng.binomial(cfg.shots, q) / cfg.shots
-            else:
-                vals[s] = q
+            qs[s] = np.clip(q, 0.0, 1.0)
+        if cfg.shots:
+            vals = np.random.default_rng(shot_seq).binomial(cfg.shots, qs) / cfg.shots
+        else:
+            vals = qs
         means[li] = vals.mean()
         sems[li] = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
     return means, sems
@@ -901,6 +905,62 @@ def test_rb_noiseless_shots_agree_with_loop_and_closed_form():
                 or "depolarizing" in cfg.interleaved_error):
             exact = _depolarizing_survival(cfg, interleave)
             assert np.max(np.abs(means - exact)) <= 1e-13, cfg
+
+
+@pytest.mark.parametrize("m, n_seq", [
+    (ex.RB_CHUNK_MAPS // 4 + 1, 3),       # two rows of half a cap: rows span chunks
+    (ex.RB_CHUNK_MAPS - 1, 2), (ex.RB_CHUNK_MAPS, 2),
+    (ex.RB_CHUNK_MAPS + 1, 2), (2 * ex.RB_CHUNK_MAPS + 3, 1),   # segments
+])
+def test_rb_survival_at_the_stack_cap_equals_per_gate_loop(m, n_seq):
+    """Sequences around and past ``RB_CHUNK_MAPS`` (chunks of rows, and one
+    sequence reduced in segments, the later on the left) keep to the
+    per-gate loop under a non-unital error that does not commute with the
+    Cliffords."""
+    for interleaved, ierr in [(None, None), (9, {"t1": 2000.0, "t2": 1500.0,
+                                                 "gate_time": 30.0})]:
+        cfg = ex.RBConfig(lengths=(m, 3), sequences_per_length=n_seq, shots=0,
+                          error={"t1": 3000.0, "t2": 2500.0, "gate_time": 20.0},
+                          interleaved=interleaved, interleaved_error=ierr,
+                          prep_error=0.02, seed=m)
+        interleave = interleaved is not None
+        means, sems = ex._rb_survival(cfg, interleave)
+        want_means, want_sems = _rb_survival_loop(cfg, interleave)
+        assert np.max(np.abs(means - want_means)) <= 1e-13, cfg
+        assert np.max(np.abs(sems - want_sems)) <= 1e-13, cfg
+
+
+def test_rb_survival_memory_is_flat_in_length():
+    """A stack holds at most ``RB_CHUNK_MAPS`` maps: one length of 2**15
+    Cliffords over 3 sequences peaks under 1 MB of traced allocations once
+    the Clifford caches are warm (about 0.5 MB; one stack of all its maps
+    would take 12.6 MB)."""
+    cfg = ex.RBConfig(lengths=(1 << 15,), sequences_per_length=3, shots=100,
+                      error={"depolarizing": 1e-5}, seed=5)
+    ex._rb_survival(cfg, interleave=False)
+    tracemalloc.start()
+    try:
+        ex._rb_survival(cfg, interleave=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+def test_rb_interval_coverage():
+    """The 95% interval r +- 1.96 r_sigma holds the injected r on a count of
+    300 seeds that is a plausible Binomial(300, 0.95) draw: neither tail of
+    the count falls below 1e-6 (5 lengths x 20 sequences x 100 shots)."""
+    rate, seeds = 0.01, 300
+    covered = 0
+    for seed in range(seeds):
+        res = ex.rb_standard(ex.RBConfig(lengths=(1, 4, 16, 64, 128),
+                                         sequences_per_length=20, shots=100,
+                                         error={"depolarizing": rate}, seed=seed))
+        covered += abs(res.r - rate) <= 1.96 * res.r_sigma
+    at_most = betainc(seeds - covered, covered + 1, 0.05) if covered < seeds else 1.0
+    at_least = betainc(covered, seeds - covered + 1, 0.95) if covered > 0 else 1.0
+    assert min(at_most, at_least) >= 1e-6, covered
 
 
 def test_clifford_ptms_are_cached_signed_permutations():
