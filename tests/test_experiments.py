@@ -554,7 +554,7 @@ def test_fit_sigmas_are_the_covariance_diagonal(case):
     """Sigmas are sqrt(diag((J^T J)^-1) s^2) at the fitted parameters, s^2 =
     RSS / (n - p), to 1e-6 relative: J by complex-step differentiation of the
     model, the inverse in 40-digit arithmetic (mpmath) with no cutoff.  The
-    RB fit with sem weights them as known standard errors: no s^2 there."""
+    RB fit's sem weights are known inverse standard errors: s^2 = 1 there."""
     mpmath = pytest.importorskip("mpmath")
     fit, model, names, x, y, _, w = _SIGMA_CASES[case]
     w = np.ones_like(y) if w is None else w
@@ -812,7 +812,9 @@ def test_rb_deterministic_given_seed():
 
 
 def _rb_survival_loop(cfg, interleave):
-    """_rb_survival as two PTM mat-vecs per gate and a table walk (oracle)."""
+    """_rb_survival as two PTM mat-vecs per gate and a table walk (oracle),
+    with its draws: each length's picks in one call on one stream, then its
+    shots in one call on another."""
     cliff = ex.clifford_1q()
     ptms = [ex._ptm(np.asarray(c.op.entries)) for c in cliff]
     table, inverse = ex._clifford_table()
